@@ -11,7 +11,7 @@ Usage: python benchmarks/bench_backends.py [--samples N] [--models K]
 import argparse
 import time
 
-from platefuse import ErrorModel, SynthConfig, TieBreak, TieBreakKind, generate
+from platefuse import ErrorModel, SynthConfig, TieBreak, TieBreakKind, backend_name, generate
 from platefuse import _kernels_py
 from platefuse import core
 
@@ -94,8 +94,7 @@ def main():
         print(f"{name:<12} {pure[name] * 1e6:10.2f} {fast[name] * 1e6:14.2f} "
               f"{ratio:7.1f}x")
     per_fuse = time_fuse(samples, args.repeats)
-    backend = core.kernels.__name__.rsplit('.', 1)[-1]
-    print(f"\nmvcp_fuse end to end ({backend}): {per_fuse * 1e6:.2f} us/sample")
+    print(f"\nmvcp_fuse end to end ({backend_name()}): {per_fuse * 1e6:.2f} us/sample")
 
 
 if __name__ == "__main__":

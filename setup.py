@@ -1,11 +1,9 @@
 """Build script for the optional compiled vote kernels.
 
-The package works without the extension (``platefuse._backend`` falls back to
-the pure-Python kernels), so a failed compile only costs speed. Set
-PLATEFUSE_NO_EXTENSION=1 to skip the build entirely.
+The package works without the extension (``platefuse.core`` falls back to the
+pure-Python kernels), so a failed compile only costs speed. Without Cython the
+extension is compiled from the committed generated ``_kernels.c``.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -30,12 +28,10 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    if os.environ.get("PLATEFUSE_NO_EXTENSION") == "1":
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
+        return [Extension("platefuse._kernels", ["src/platefuse/_kernels.c"])]
     ext = Extension("platefuse._kernels", ["src/platefuse/_kernels.pyx"])
     return cythonize([ext], language_level="3")
 

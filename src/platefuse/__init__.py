@@ -9,7 +9,6 @@ testing, and a CLI.
 """
 
 from . import fileio
-from ._backend import backend_name
 from .core import (
     DEFAULT_ALPHABET,
     FusionResult,
@@ -21,6 +20,7 @@ from .core import (
     TieBreak,
     TieBreakKind,
     apply_strategy,
+    backend_name,
     hc_fuse,
     mv_fuse,
     mvcp_fuse,

@@ -1,8 +1,8 @@
 """Pure-Python vote/selection kernels.
 
 These functions are the reference semantics for the fusion primitives;
-``platefuse._kernels`` is a compiled twin with identical behavior, selected at
-import time by ``platefuse._backend``.
+``platefuse._kernels`` is a compiled twin with identical behavior, used by
+``platefuse.core`` in place of this module whenever the extension is built.
 
 All kernels take parallel lists describing one ensemble, already put in
 canonical order by the caller (sorted by model id):
@@ -46,31 +46,29 @@ def hc_select(confs, prio):
     return best, holders > 1
 
 
-def _challenge(slot, conf, pri):
-    """Fold one entry's (conf, prio) into a slot's tie-break bookkeeping."""
-    if conf > slot[2] or (conf == slot[2] and pri < slot[3]):
-        slot[2] = conf
-        slot[3] = pri
-    if pri < slot[4]:
-        slot[4] = pri
+def _plurality(ballots, confs, prio, use_conf):
+    """One plurality round; the shared primitive of every vote kernel.
 
-
-def mv_select(texts, confs, prio, use_conf):
-    """Whole-sequence plurality vote.
-
+    ``ballots`` yields ``(i, value)``: entry ``i`` votes for ``value``.
     Returns ``(rep_index, votes, tied)``: ``rep_index`` is the first entry
-    carrying the winning text, ``votes`` the winning count, ``tied`` whether
-    several texts shared the maximal count.
+    voting for the winning value, ``votes`` the winning count, ``tied``
+    whether several values shared the maximal count.
     """
-    # text -> [count, rep_index, best_conf, best_conf_prio, best_prio]
-    slots: dict[str, list] = {}
-    for i, t in enumerate(texts):
-        s = slots.get(t)
+    # value -> [count, rep_index, best_conf, best_conf_prio, best_prio]
+    slots: dict[object, list] = {}
+    for i, v in ballots:
+        s = slots.get(v)
+        c = confs[i]
+        r = prio[i]
         if s is None:
-            slots[t] = [1, i, confs[i], prio[i], prio[i]]
-        else:
-            s[0] += 1
-            _challenge(s, confs[i], prio[i])
+            slots[v] = [1, i, c, r, r]
+            continue
+        s[0] += 1
+        if c > s[2] or (c == s[2] and r < s[3]):
+            s[2] = c
+            s[3] = r
+        if r < s[4]:
+            s[4] = r
     top = max(s[0] for s in slots.values())
     tied = [s for s in slots.values() if s[0] == top]
     winner = tied[0]
@@ -83,26 +81,14 @@ def mv_select(texts, confs, prio, use_conf):
     return winner[1], top, len(tied) > 1
 
 
-def _vote(rows, use_conf):
-    """One plurality round over (value, conf, prio) rows; returns (value, tied)."""
-    slots: dict[object, list] = {}
-    for v, c, r in rows:
-        s = slots.get(v)
-        if s is None:
-            slots[v] = [1, v, c, r, r]
-        else:
-            s[0] += 1
-            _challenge(s, c, r)
-    top = max(s[0] for s in slots.values())
-    tied = [s for s in slots.values() if s[0] == top]
-    winner = tied[0]
-    for s in tied[1:]:
-        if use_conf:
-            if s[2] > winner[2] or (s[2] == winner[2] and s[3] < winner[3]):
-                winner = s
-        elif s[4] < winner[4]:
-            winner = s
-    return winner[1], len(tied) > 1
+def mv_select(texts, confs, prio, use_conf):
+    """Whole-sequence plurality vote.
+
+    Returns ``(rep_index, votes, tied)``: ``rep_index`` is the first entry
+    carrying the winning text, ``votes`` the winning count, ``tied`` whether
+    several texts shared the maximal count.
+    """
+    return _plurality(enumerate(texts), confs, prio, use_conf)
 
 
 def mvcp_select(texts, confs, prio, use_conf):
@@ -113,16 +99,16 @@ def mvcp_select(texts, confs, prio, use_conf):
     to vote there. Returns ``(fused_text, tied)`` where ``tied`` is True if
     the length vote or any position needed tie-breaking.
     """
-    n = len(texts)
-    length, any_tie = _vote(
-        ((len(texts[i]), confs[i], prio[i]) for i in range(n)), use_conf
+    rep, _, any_tie = _plurality(
+        ((i, len(t)) for i, t in enumerate(texts)), confs, prio, use_conf
     )
+    length = len(texts[rep])
     out = []
     for p in range(length):
-        ch, tie = _vote(
-            ((t[p], confs[i], prio[i]) for i, t in enumerate(texts) if len(t) > p),
-            use_conf,
+        rep, _, tie = _plurality(
+            ((i, t[p]) for i, t in enumerate(texts) if len(t) > p),
+            confs, prio, use_conf,
         )
-        out.append(ch)
+        out.append(texts[rep][p])
         any_tie = any_tie or tie
     return "".join(out), any_tie

@@ -89,7 +89,8 @@ def _cmd_eval(parser, args) -> int:
     samples = _load_corpus(args)
     if args.fused:
         fused = {r.sample_id: r.text
-                 for r in fileio.load_fused(args.fused, strict=args.strict)}
+                 for r in fileio.load_fused(args.fused, strict=args.strict,
+                                            alphabet=args.alphabet)}
     else:
         strategy = _strategy(parser, args)
         fused = {

@@ -17,47 +17,74 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from . import errors
-from ._backend import kernels
+
+try:
+    from . import _kernels as kernels
+except ImportError:  # extension not built: use the pure-Python reference
+    from . import _kernels_py as kernels
 
 DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 # Characters dropped (not rejected) during normalization: hyphen, period, and
-# whitespace. Everything else must be in the alphabet after uppercasing.
+# whitespace.
 _SEPARATORS = frozenset("-. \t\r\n\f\v")
 
 NORMALIZE_OFF = "off"
 NORMALIZE_PER_MODEL_MEAN = "per_model_mean_scaling"
 
 
+def backend_name() -> str:
+    """Name of the kernel backend in use: 'compiled' or 'python'."""
+    return "python" if kernels.__name__.endswith("_kernels_py") else "compiled"
+
+
+@functools.lru_cache(maxsize=8)
+def _symbol_table(alphabet: str) -> dict[str, str]:
+    """Raw character -> its normalized form ('' for separators).
+
+    A symbol is accepted as itself or as its lowercase form whose uppercase is
+    exactly that symbol. Characters whose full case mapping changes length
+    ('ß', 'ﬁ') or that fold onto a symbol without being its lowercase
+    ('ı', 'ſ') are absent, so normalization never changes a text's length
+    other than by dropping separators.
+    """
+    table = {}
+    for symbol in alphabet:
+        for ch in (symbol, symbol.lower()):
+            if ch.upper() == symbol:
+                table[ch] = symbol
+    table.update(dict.fromkeys(_SEPARATORS, ""))
+    return table
+
+
 def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Uppercase ``raw`` and strip separator characters.
 
     Raises:
-        SymbolOutsideAlphabet: a non-separator symbol is not in ``alphabet``
-            after uppercasing (the message names the symbol).
+        SymbolOutsideAlphabet: a non-separator character is neither an
+            alphabet symbol nor its lowercase form (the message names the
+            raw character).
         EmptyAfterNormalization: nothing is left.
     """
-    allowed = frozenset(alphabet)
-    kept = []
-    for ch in raw.upper():
-        if ch in _SEPARATORS:
-            continue
-        if ch not in allowed:
-            raise errors.SymbolOutsideAlphabet(
-                f"symbol {ch!r} in {raw!r} is not in the alphabet"
-            )
-        kept.append(ch)
-    if not kept:
+    table = _symbol_table(alphabet)
+    try:
+        text = "".join([table[ch] for ch in raw])
+    except KeyError as exc:
+        raise errors.SymbolOutsideAlphabet(
+            f"symbol {exc.args[0]!r} in {raw!r} is not in the alphabet"
+        ) from None
+    if not text:
         raise errors.EmptyAfterNormalization(
             f"nothing left of {raw!r} after normalization"
         )
-    return "".join(kept)
+    return text
 
 
 @dataclass(frozen=True)

@@ -268,22 +268,65 @@ def dump_fused(records: Iterable[FusedRecord], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_fused(path, *, strict: bool = True) -> list[FusedRecord]:
+def load_fused(path, *, strict: bool = True,
+               alphabet: str = DEFAULT_ALPHABET) -> list[FusedRecord]:
+    """Read fused records written by :func:`dump_fused`.
+
+    Every field must have its written type and ``text`` must already be
+    normalized under ``alphabet``; violations are rejected with the line
+    number in both modes. Duplicate sample ids are an error when ``strict``
+    and a warning otherwise.
+    """
     records = []
+    seen_ids: set[str] = set()
     for number, record in _records(_read_text(path)):
         where = f"line {number}"
         _check_keys(record, _FUSED_KEYS, where, strict)
         try:
-            records.append(FusedRecord(
-                sample_id=record["sample_id"],
-                dataset=record["dataset"],
-                text=record["text"],
-                winning_votes=record["winning_votes"],
-                tie_broken=record["tie_broken"],
-                contributors=tuple(record["contributors"]),
-            ))
+            sample_id = record["sample_id"]
+            dataset = record["dataset"]
+            text = record["text"]
+            votes = record["winning_votes"]
+            tie_broken = record["tie_broken"]
+            contributors = record["contributors"]
         except KeyError as exc:
             raise errors.ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        if not isinstance(sample_id, str) or not sample_id:
+            raise errors.ParseError(f"{where}: sample_id must be a non-empty string")
+        if not isinstance(dataset, str) or not dataset:
+            raise errors.ParseError(f"{where}: dataset must be a non-empty string")
+        if not isinstance(text, str):
+            raise errors.ParseError(f"{where}: text must be a string")
+        try:
+            norm = normalize_text(text, alphabet)
+        except errors.PlatefuseError as exc:
+            raise type(exc)(f"{where}: text: {exc}") from None
+        if norm != text:
+            raise errors.ParseError(
+                f"{where}: text {text!r} is not normalized (expected {norm!r})"
+            )
+        if isinstance(votes, bool) or not isinstance(votes, int) or votes < 0:
+            raise errors.ParseError(
+                f"{where}: winning_votes must be a non-negative integer, got {votes!r}"
+            )
+        if not isinstance(tie_broken, bool):
+            raise errors.ParseError(
+                f"{where}: tie_broken must be a boolean, got {tie_broken!r}"
+            )
+        if not isinstance(contributors, list) or not all(
+            isinstance(m, str) and m for m in contributors
+        ):
+            raise errors.ParseError(
+                f"{where}: contributors must be a list of model ids, got {contributors!r}"
+            )
+        if sample_id in seen_ids:
+            message = f"{where}: duplicate sample_id {sample_id!r}"
+            if strict:
+                raise errors.ParseError(message)
+            logger.warning("%s", message)
+        seen_ids.add(sample_id)
+        records.append(FusedRecord(sample_id, dataset, text, votes, tie_broken,
+                                   tuple(contributors)))
     if not records:
         raise errors.EmptyFile("no fused records found")
     return records

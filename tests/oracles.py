@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from . import errors
-from .core import Prediction, TieBreak, TieBreakKind
+from platefuse import errors
+from platefuse.core import Prediction, TieBreak, TieBreakKind
 
 
 def _require(predictions: Mapping[str, Prediction]) -> None:

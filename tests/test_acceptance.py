@@ -28,6 +28,14 @@ import time
 import numpy as np
 
 from conftest import SHOWCASE_PATH, TB_HC, P, random_ensemble, tb_bm
+from oracles import (
+    oracle_mv,
+    oracle_mvcp_lengths,
+    oracle_mvcp_positions,
+    resolve_hc,
+    resolve_mv,
+    resolve_mvcp,
+)
 from platefuse import (
     DatasetReport,
     ErrorModel,
@@ -45,14 +53,6 @@ from platefuse import (
     normalize_confidences,
     per_model_accuracy,
     rank_models,
-)
-from platefuse.oracles import (
-    oracle_mv,
-    oracle_mvcp_lengths,
-    oracle_mvcp_positions,
-    resolve_hc,
-    resolve_mv,
-    resolve_mvcp,
 )
 
 

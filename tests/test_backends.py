@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble
-from platefuse import _kernels_py
-from platefuse._backend import backend_name
+from platefuse import _kernels_py, backend_name, core
 
-compiled = pytest.importorskip(
-    "platefuse._kernels", reason="compiled kernels not built"
-)
+
+@pytest.fixture
+def compiled():
+    return pytest.importorskip("platefuse._kernels", reason="compiled kernels not built")
 
 
 def _kernel_inputs(rng):
@@ -24,11 +24,16 @@ def _kernel_inputs(rng):
 
 
 def test_backend_reports_a_name():
-    assert backend_name() in ("compiled", "python")
+    try:
+        from platefuse import _kernels as built
+    except ImportError:
+        built = _kernels_py
+    assert core.kernels is built
+    assert backend_name() == ("python" if built is _kernels_py else "compiled")
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_kernels_agree_on_random_inputs(seed):
+def test_kernels_agree_on_random_inputs(compiled, seed):
     rng = np.random.default_rng(1000 + seed)
     for _ in range(400):
         texts, confs, prio_rank, prio_id = _kernel_inputs(rng)
@@ -42,7 +47,7 @@ def test_kernels_agree_on_random_inputs(seed):
                     _kernels_py.mvcp_select(texts, confs, prio, use_conf)
 
 
-def test_kernels_agree_on_curated_edge_cases():
+def test_kernels_agree_on_curated_edge_cases(compiled):
     cases = [
         # singleton
         (["ABCD"], [0.5], [0]),

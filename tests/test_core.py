@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P, TB_HC, TOP5_RANKING, tb_bm
 from platefuse import (
+    DEFAULT_ALPHABET,
     FusionStrategy,
     Prediction,
     Sample,
@@ -55,6 +58,27 @@ def test_normalize_text_custom_alphabet():
     assert normalize_text("aba", alphabet="AB") == "ABA"
     with pytest.raises(errors.SymbolOutsideAlphabet):
         normalize_text("abc", alphabet="AB")
+
+
+@pytest.mark.parametrize("raw,symbol", [
+    ("straße", "ß"),  # uppercases to two letters, 'SS'
+    ("ﬁx12", "ﬁ"),    # ligature uppercases to 'FI'
+    ("ı12", "ı"),     # dotless i uppercases to 'I' but is not its lowercase
+])
+def test_normalize_text_rejects_case_mappings_that_are_not_one_symbol(raw, symbol):
+    with pytest.raises(errors.SymbolOutsideAlphabet, match=repr(symbol)):
+        normalize_text(raw)
+
+
+@given(st.text(alphabet=DEFAULT_ALPHABET + DEFAULT_ALPHABET.lower() + "-. \tßﬁıſİ#",
+               max_size=12))
+@settings(max_examples=300)
+def test_normalize_text_only_drops_separators(raw):
+    try:
+        text = normalize_text(raw)
+    except (errors.SymbolOutsideAlphabet, errors.EmptyAfterNormalization):
+        return
+    assert len(text) == len(raw) - sum(ch in "-. \t" for ch in raw)
 
 
 # --- domain type validation --------------------------------------------------

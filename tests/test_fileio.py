@@ -169,6 +169,54 @@ def test_profiles_round_trip(tmp_path):
     assert fileio.load_profiles(path) == profiles
 
 
+# --- fused outputs -------------------------------------------------------------
+
+_FUSED = {"sample_id": "s1", "dataset": "d", "text": "AB1", "winning_votes": 2,
+          "tie_broken": False, "contributors": ["m1", "m2"]}
+
+
+def _write_fused(tmp_path, *records):
+    path = tmp_path / "fused.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def test_fused_round_trip(tmp_path):
+    (record,) = fileio.load_fused(_write_fused(tmp_path, _FUSED))
+    assert record == fileio.FusedRecord("s1", "d", "AB1", 2, False, ("m1", "m2"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("text", 5, "line 2: text must be a string"),
+    ("winning_votes", "x", "line 2: winning_votes must be"),
+    ("tie_broken", "no", "line 2: tie_broken must be"),
+    ("contributors", "m1", "line 2: contributors must be"),
+    ("text", "ab-1", "line 2: text 'ab-1' is not normalized"),
+])
+def test_fused_rejects_bad_field_in_both_modes(tmp_path, field, value, message):
+    path = _write_fused(tmp_path, _FUSED, {**_FUSED, "sample_id": "s2", field: value})
+    for strict in (True, False):
+        with pytest.raises(errors.ParseError, match=message):
+            fileio.load_fused(path, strict=strict)
+
+
+def test_fused_text_checked_against_alphabet(tmp_path):
+    path = _write_fused(tmp_path, {**_FUSED, "text": "AB"})
+    assert fileio.load_fused(path, alphabet="AB")[0].text == "AB"
+    with pytest.raises(errors.SymbolOutsideAlphabet, match="line 1"):
+        fileio.load_fused(path, alphabet="01")
+
+
+def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
+    path = _write_fused(tmp_path, _FUSED, _FUSED)
+    with pytest.raises(errors.ParseError, match="line 2: duplicate sample_id 's1'"):
+        fileio.load_fused(path, strict=True)
+    with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
+        records = fileio.load_fused(path, strict=False)
+    assert len(records) == 2
+    assert any("duplicate" in record.message for record in caplog.records)
+
+
 # --- synth config ---------------------------------------------------------------
 
 def test_load_synth_config(tmp_path):

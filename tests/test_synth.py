@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import P, TB_HC, random_ensemble, tb_bm
+from oracles import (
+    oracle_mv,
+    oracle_mvcp_lengths,
+    oracle_mvcp_positions,
+    resolve_mv,
+    resolve_mvcp,
+)
 from platefuse import (
     ErrorModel,
     SynthConfig,
@@ -14,13 +21,6 @@ from platefuse import (
     mvcp_accuracy_estimate,
     mvcp_fuse,
     parse_strategy,
-)
-from platefuse.oracles import (
-    oracle_mv,
-    oracle_mvcp_lengths,
-    oracle_mvcp_positions,
-    resolve_mv,
-    resolve_mvcp,
 )
 
 
