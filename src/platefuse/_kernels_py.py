@@ -13,14 +13,20 @@ canonical order by the caller (sorted by model id):
   wins: the ranking position for best-model rules, the model-id order
   otherwise. Values are distinct across entries.
 
-Tie resolution between tied slots is always:
+Every vote is one plurality round over the values the entries cast (whole
+texts, lengths, or the characters of one position), counted first and
+resolved lazily, in this order:
 
-* ``use_conf=True``  higher best confidence wins; on an exact confidence tie,
-  the slot whose best-confidence holder has the lower ``prio`` wins.
-* ``use_conf=False`` the slot containing the entry with the lowest ``prio``
-  wins.
+1. the first value wins outright when it holds a strict majority;
+2. otherwise the votes are counted, and a unique maximal count wins;
+3. only when several values share the maximal count are the entries voting
+   for them scanned, and the tied value of the entry with the best key wins:
+   with ``use_conf=True`` the highest confidence, then the lowest ``prio``;
+   with ``use_conf=False`` the lowest ``prio``.
 
-Callers guarantee non-empty inputs and non-empty texts.
+Most columns are unanimous or have a clear majority, so the per-entry
+tie-break keys are rarely looked at. Callers guarantee non-empty inputs and
+non-empty texts.
 """
 
 from __future__ import annotations
@@ -46,39 +52,31 @@ def hc_select(confs, prio):
     return best, holders > 1
 
 
-def _plurality(ballots, confs, prio, use_conf):
+def _plurality(values, confs, prio, use_conf):
     """One plurality round; the shared primitive of every vote kernel.
 
-    ``ballots`` yields ``(i, value)``: entry ``i`` votes for ``value``.
-    Returns ``(rep_index, votes, tied)``: ``rep_index`` is the first entry
-    voting for the winning value, ``votes`` the winning count, ``tied``
-    whether several values shared the maximal count.
+    ``values``, ``confs`` and ``prio`` are parallel: entry ``i`` votes for
+    ``values[i]``. Returns ``(winner, votes, tied)``: the winning value, its
+    count, and whether several values shared the maximal count. The steps are
+    taken in the order the module docstring gives.
     """
-    # value -> [count, rep_index, best_conf, best_conf_prio, best_prio]
-    slots: dict[object, list] = {}
-    for i, v in ballots:
-        s = slots.get(v)
-        c = confs[i]
-        r = prio[i]
-        if s is None:
-            slots[v] = [1, i, c, r, r]
-            continue
-        s[0] += 1
-        if c > s[2] or (c == s[2] and r < s[3]):
-            s[2] = c
-            s[3] = r
-        if r < s[4]:
-            s[4] = r
-    top = max(s[0] for s in slots.values())
-    tied = [s for s in slots.values() if s[0] == top]
-    winner = tied[0]
-    for s in tied[1:]:
-        if use_conf:
-            if s[2] > winner[2] or (s[2] == winner[2] and s[3] < winner[3]):
-                winner = s
-        elif s[4] < winner[4]:
-            winner = s
-    return winner[1], top, len(tied) > 1
+    first = values[0]
+    top = values.count(first)
+    if 2 * top > len(values):
+        return first, top, False
+    counts: dict[object, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    top = max(counts.values())
+    tied = [v for v, c in counts.items() if c == top]
+    if len(tied) == 1:
+        return tied[0], top, False
+    pool = [i for i, v in enumerate(values) if counts[v] == top]
+    if use_conf:
+        best = min(pool, key=lambda i: (-confs[i], prio[i]))
+    else:
+        best = min(pool, key=prio.__getitem__)
+    return values[best], top, True
 
 
 def mv_select(texts, confs, prio, use_conf):
@@ -88,7 +86,8 @@ def mv_select(texts, confs, prio, use_conf):
     carrying the winning text, ``votes`` the winning count, ``tied`` whether
     several texts shared the maximal count.
     """
-    return _plurality(enumerate(texts), confs, prio, use_conf)
+    text, votes, tied = _plurality(texts, confs, prio, use_conf)
+    return texts.index(text), votes, tied
 
 
 def mvcp_select(texts, confs, prio, use_conf):
@@ -99,16 +98,19 @@ def mvcp_select(texts, confs, prio, use_conf):
     to vote there. Returns ``(fused_text, tied)`` where ``tied`` is True if
     the length vote or any position needed tie-breaking.
     """
-    rep, _, any_tie = _plurality(
-        ((i, len(t)) for i, t in enumerate(texts)), confs, prio, use_conf
-    )
-    length = len(texts[rep])
+    lengths = [len(t) for t in texts]
+    length, _, any_tie = _plurality(lengths, confs, prio, use_conf)
     out = []
-    for p in range(length):
-        rep, _, tie = _plurality(
-            ((i, t[p]) for i, t in enumerate(texts) if len(t) > p),
-            confs, prio, use_conf,
-        )
-        out.append(texts[rep][p])
+    # Every text votes at the positions the shortest one reaches.
+    for column in zip(*texts):
+        ch, _, tie = _plurality(column, confs, prio, use_conf)
+        out.append(ch)
+        any_tie = any_tie or tie
+    for p in range(min(lengths), length):
+        voters = [i for i, n in enumerate(lengths) if n > p]
+        ch, _, tie = _plurality([texts[i][p] for i in voters],
+                                [confs[i] for i in voters],
+                                [prio[i] for i in voters], use_conf)
+        out.append(ch)
         any_tie = any_tie or tie
     return "".join(out), any_tie

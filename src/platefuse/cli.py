@@ -17,6 +17,7 @@ a command reproduces its output byte for byte. Exit status is 0 on success and
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from .core import (
 from .scoring import rank_models, recognition_rate, sweep_top_n
 from .synth import generate
 
+logger = logging.getLogger(__name__)
+
 _NORMALIZE_CHOICES = {"off": NORMALIZE_OFF, "per-model-mean": NORMALIZE_PER_MODEL_MEAN}
 
 
@@ -44,7 +47,8 @@ def _add_corpus_options(parser):
                         default="off",
                         help="confidence rescaling before fusing (default: off)")
     parser.add_argument("--strict", action="store_true",
-                        help="reject unknown fields instead of warning")
+                        help="reject unknown fields, duplicate ids and unmatched "
+                             "fused ids instead of warning")
 
 
 def _load_corpus(args):
@@ -91,6 +95,14 @@ def _cmd_eval(parser, args) -> int:
         fused = {r.sample_id: r.text
                  for r in fileio.load_fused(args.fused, strict=args.strict,
                                             alphabet=args.alphabet)}
+        known = {s.sample_id for s in samples}
+        for sample_id in fused:
+            if sample_id not in known:
+                message = (f"{args.fused}: fused sample_id {sample_id!r} "
+                           f"is not in {args.input}")
+                if args.strict:
+                    raise errors.UnknownSample(message)
+                logger.warning("%s (ignored)", message)
     else:
         strategy = _strategy(parser, args)
         fused = {

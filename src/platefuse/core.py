@@ -21,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from . import errors
@@ -89,7 +90,11 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
 
 @dataclass(frozen=True)
 class Prediction:
-    """One model's output for one input: a normalized string plus confidence."""
+    """One model's output for one input: a normalized string plus confidence.
+
+    The confidence must be a real number in [0, 1]; an integer is stored as
+    the equal float. This is the one place a confidence is validated.
+    """
 
     text: str
     confidence: float
@@ -98,9 +103,13 @@ class Prediction:
         if not self.text:
             raise errors.EmptyAfterNormalization("prediction text is empty")
         c = self.confidence
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
-            raise errors.InvalidConfidence(f"confidence {c!r} is not a number")
-        if not math.isfinite(c) or not 0.0 <= c <= 1.0:
+        if type(c) is not float:
+            if not isinstance(c, (int, float)) or isinstance(c, bool):
+                raise errors.InvalidConfidence(f"confidence {c!r} is not a number")
+            c = float(c)
+            object.__setattr__(self, "confidence", c)
+        # NaN fails both comparisons, infinities the range.
+        if not 0.0 <= c <= 1.0:
             raise errors.InvalidConfidence(f"confidence {c!r} outside [0, 1]")
 
 
@@ -244,6 +253,12 @@ class FusionResult:
     contributors: frozenset[str]
 
 
+@functools.lru_cache(maxsize=8)
+def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
+    """Model id -> its position in ``ranking``."""
+    return {m: i for i, m in enumerate(ranking)}
+
+
 def _prepare(predictions: Mapping[str, Prediction],
              ranking: Sequence[str] | None):
     """Canonicalize an ensemble into the parallel kernel inputs.
@@ -254,14 +269,14 @@ def _prepare(predictions: Mapping[str, Prediction],
     """
     if not predictions:
         raise errors.EmptyEnsemble("no predictions to fuse")
-    items = sorted(predictions.items())
-    ids = [m for m, _ in items]
-    texts = [p.text for _, p in items]
-    confs = [p.confidence for _, p in items]
+    ids = sorted(predictions)
+    entries = [predictions[m] for m in ids]
+    texts = [p.text for p in entries]
+    confs = [p.confidence for p in entries]
     if ranking is None:
-        prio = list(range(len(items)))
+        prio = list(range(len(ids)))
     else:
-        pos = {m: i for i, m in enumerate(ranking)}
+        pos = _positions(tuple(ranking))
         try:
             prio = [pos[m] for m in ids]
         except KeyError as exc:
@@ -272,16 +287,17 @@ def _prepare(predictions: Mapping[str, Prediction],
 
 
 def hc_fuse(predictions: Mapping[str, Prediction],
-            ranking: Sequence[str]) -> FusionResult:
+            ranking: Sequence[str] | None) -> FusionResult:
     """Select the prediction with the highest confidence.
 
-    Exact confidence ties go to the model appearing earliest in ``ranking``;
-    ``tie_broken`` reports whether that happened.
+    Exact confidence ties go to the model appearing earliest in ``ranking``,
+    or to the smallest model id when ``ranking`` is None; ``tie_broken``
+    reports whether that happened.
     """
     ids, texts, confs, prio = _prepare(predictions, ranking)
     idx, tie = kernels.hc_select(confs, prio)
     text = texts[idx]
-    contributors = frozenset(ids[i] for i, t in enumerate(texts) if t == text)
+    contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, 0, tie, contributors)
 
 
@@ -302,7 +318,7 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     (ids, texts, confs, prio), use_conf = _tiebreak_prepared(predictions, tiebreak)
     rep, votes, tie = kernels.mv_select(texts, confs, prio, use_conf)
     text = texts[rep]
-    contributors = frozenset(ids[i] for i, t in enumerate(texts) if t == text)
+    contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
 
@@ -317,12 +333,10 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     """
     (ids, texts, confs, prio), use_conf = _tiebreak_prepared(predictions, tiebreak)
     fused, tie = kernels.mvcp_select(texts, confs, prio, use_conf)
-    votes = sum(1 for t in texts if t == fused)
-    contributors = frozenset(
-        ids[i]
-        for i, t in enumerate(texts)
-        if any(a == b for a, b in zip(t, fused))
-    )
+    votes = texts.count(fused)
+    contributors = frozenset(compress(
+        ids, [t == fused or any(map(str.__eq__, t, fused)) for t in texts]
+    ))
     return FusionResult(fused, votes, tie, contributors)
 
 
@@ -337,7 +351,7 @@ def apply_strategy(predictions: Mapping[str, Prediction],
         tb = strategy.tiebreak
         if tb is not None and tb.kind is TieBreakKind.BEST_MODEL:
             return hc_fuse(predictions, tb.ranking)
-        return hc_fuse(predictions, sorted(predictions))
+        return hc_fuse(predictions, None)
     if strategy.kind is StrategyKind.MV:
         return mv_fuse(predictions, strategy.tiebreak)
     return mvcp_fuse(predictions, strategy.tiebreak)

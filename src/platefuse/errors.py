@@ -44,6 +44,10 @@ class UncoveredSample(PlatefuseError):
     """A fused-output map is missing an entry for a sample id."""
 
 
+class UnknownSample(PlatefuseError):
+    """A fused record names a sample id that the corpus does not contain."""
+
+
 class EmptyInput(PlatefuseError):
     """An aggregate was requested over an empty collection."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
@@ -128,15 +127,12 @@ def parse_predictions(text: str, *, strict: bool = True,
                 norm = normalize_text(raw_text, alphabet)
             except errors.PlatefuseError as exc:
                 raise type(exc)(f"{where}: model {model_id!r}: {exc}") from None
-            confidence = entry.get("confidence")
-            if (isinstance(confidence, bool)
-                    or not isinstance(confidence, (int, float))
-                    or not math.isfinite(confidence)
-                    or not 0.0 <= confidence <= 1.0):
+            try:
+                predictions[model_id] = Prediction(norm, entry.get("confidence"))
+            except errors.InvalidConfidence as exc:
                 raise errors.InvalidConfidence(
-                    f"{where}: model {model_id!r}: confidence {confidence!r} outside [0, 1]"
-                )
-            predictions[model_id] = Prediction(norm, float(confidence))
+                    f"{where}: model {model_id!r}: {exc}"
+                ) from None
         samples.append(Sample(sample_id, dataset, ground_truth, predictions))
     if not samples:
         raise errors.EmptyFile("no prediction records found")

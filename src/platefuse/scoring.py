@@ -175,13 +175,15 @@ def sweep_top_n(samples: Sequence[Sample],
     rows = []
     for n in range(1, len(ranking) + 1):
         members = ranking[:n]
+        # In id order, the order fusion sorts an ensemble into, so that
+        # sort finds the entries already in place.
+        in_id_order = sorted(members)
+        top_n = [{m: s.predictions[m] for m in in_id_order} for s in samples]
         rates: dict[str, float] = {}
         for strategy in strategies:
             fused = {
-                s.sample_id: apply_strategy(
-                    {m: s.predictions[m] for m in members}, strategy
-                ).text
-                for s in samples
+                s.sample_id: apply_strategy(predictions, strategy).text
+                for s, predictions in zip(samples, top_n)
             }
             rates[strategy.name] = macro_average(recognition_rate(samples, fused))
         latency, _ = ensemble_latency(ordered, n)

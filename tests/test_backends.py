@@ -1,15 +1,45 @@
 """Parity between the compiled kernels and the pure-Python reference."""
 
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_ensemble
 from platefuse import _kernels_py, backend_name, core
 
+KERNELS_C = Path(core.__file__).with_name("_kernels.c")
 
-@pytest.fixture
-def compiled():
-    return pytest.importorskip("platefuse._kernels", reason="compiled kernels not built")
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The kernels compiled from the committed ``_kernels.c``.
+
+    The module is loaded from a temporary directory and never registered as
+    ``platefuse._kernels``, so ``core`` keeps the backend it chose at import.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not shutil.which(cc[0]):
+        pytest.skip(f"no C compiler ({cc[0]!r}) to build the compiled kernels")
+    include = Path(sysconfig.get_paths()["include"])
+    if not (include / "Python.h").exists():
+        pytest.skip(f"no Python headers in {include}")
+    target = (tmp_path_factory.mktemp("kernels")
+              / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX")))
+    build = subprocess.run([*cc, "-O1", "-shared", "-fPIC", f"-I{include}",
+                            str(KERNELS_C), "-o", str(target)],
+                           capture_output=True, text=True)
+    if build.returncode != 0:
+        pytest.fail(f"compiling {KERNELS_C.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("_kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _kernel_inputs(rng):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import logging
 
 import pytest
 
@@ -123,6 +124,39 @@ def test_eval_on_the_fly_matches_fused_route(tmp_path):
     run("eval", "--input", str(SHOWCASE_PATH), "--strategy", "mv-hc",
         "--output", str(via_strategy))
     assert via_fused.read_bytes() == via_strategy.read_bytes()
+
+
+def _one_sample_with_extra_fused_id(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "sample_id": "s1", "dataset": "d", "ground_truth": "AB12",
+        "predictions": {"m": {"text": "AB12", "confidence": 0.5}},
+    }) + "\n")
+    fused = tmp_path / "fused.jsonl"
+    fused.write_text("".join(
+        json.dumps({"sample_id": sample_id, "dataset": "d", "text": "AB12",
+                    "winning_votes": 1, "tie_broken": False,
+                    "contributors": ["m"]}) + "\n"
+        for sample_id in ("s1", "zz")
+    ))
+    return corpus, fused
+
+
+def test_eval_strict_rejects_fused_id_missing_from_corpus(tmp_path, capsys):
+    corpus, fused = _one_sample_with_extra_fused_id(tmp_path)
+    assert run("eval", "--input", str(corpus), "--fused", str(fused),
+               "--strict") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'zz'" in err
+
+
+def test_eval_tolerant_warns_once_per_unmatched_fused_id(tmp_path, capsys, caplog):
+    corpus, fused = _one_sample_with_extra_fused_id(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="platefuse.cli"):
+        assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "platefuse.cli"]
+    assert len(warnings) == 1 and "'zz'" in warnings[0]
+    assert capsys.readouterr().out.splitlines()[1] == "d,1,1,100.0"
 
 
 # --- sweep ------------------------------------------------------------------------

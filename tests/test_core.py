@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P, TB_HC, TOP5_RANKING, tb_bm
+from conftest import P, TB_HC, TOP5_RANKING, random_ensemble, tb_bm
+from oracles import oracle_mv, oracle_mvcp_lengths, oracle_mvcp_positions
 from platefuse import (
     DEFAULT_ALPHABET,
     FusionStrategy,
@@ -303,6 +305,45 @@ def test_mvcp_positional_tie_uses_sequence_confidence():
 def test_mvcp_empty_ensemble():
     with pytest.raises(errors.EmptyEnsemble):
         mvcp_fuse({}, TB_HC)
+
+
+# --- provenance against the brute-force oracles ------------------------------------
+
+def test_tie_flags_and_contributors_match_oracles():
+    rng = np.random.default_rng(4242)
+    tied_mv = tied_mvcp = 0
+    for _ in range(2000):
+        predictions, ranking = random_ensemble(rng)
+        top_conf = max(p.confidence for p in predictions.values())
+        hc = hc_fuse(predictions, ranking)
+        assert hc.tie_broken == (
+            sum(p.confidence == top_conf for p in predictions.values()) > 1)
+        assert hc.contributors == {
+            m for m, p in predictions.items() if p.text == hc.text}
+        for tiebreak in (TB_HC, tb_bm(ranking)):
+            mv = mv_fuse(predictions, tiebreak)
+            tied_texts, _ = oracle_mv(predictions)
+            assert mv.tie_broken == (len(tied_texts) > 1)
+            assert mv.contributors == {
+                m for m, p in predictions.items() if p.text == mv.text}
+            tied_mv += mv.tie_broken
+
+            mvcp = mvcp_fuse(predictions, tiebreak)
+            length_tied = len(oracle_mvcp_lengths(predictions)) > 1
+            position_tied = any(
+                len(chars) > 1
+                for chars in oracle_mvcp_positions(predictions, len(mvcp.text)))
+            assert mvcp.tie_broken == (length_tied or position_tied)
+            assert mvcp.contributors == {
+                m for m, p in predictions.items()
+                if any(i < len(p.text) and p.text[i] == ch
+                       for i, ch in enumerate(mvcp.text))
+            }
+            assert mvcp.winning_votes == sum(
+                p.text == mvcp.text for p in predictions.values())
+            tied_mvcp += mvcp.tie_broken
+    # Both outcomes of each flag must occur for the check to mean anything.
+    assert 0 < tied_mv < 4000 and 0 < tied_mvcp < 4000
 
 
 # --- strategy dispatch --------------------------------------------------------------

@@ -63,6 +63,41 @@ def test_out_of_range_confidence_names_line_and_model(tmp_path):
         fileio.load_predictions(path)
 
 
+@pytest.mark.parametrize("confidence,reason", [
+    ("x", "not a number"),
+    (True, "not a number"),
+    (float("nan"), r"outside \[0, 1\]"),
+    (-0.1, r"outside \[0, 1\]"),
+])
+def test_bad_confidence_names_line_model_and_reason(tmp_path, confidence, reason):
+    path = tmp_path / "p.jsonl"
+    lines = [
+        json.dumps({"sample_id": "s1", "dataset": "d",
+                    "predictions": {"m": {"text": "AB", "confidence": 0.5}}}),
+        json.dumps({"sample_id": "s2", "dataset": "d",
+                    "predictions": {"m": {"text": "AB", "confidence": 0.5},
+                                    "m2": {"text": "AB", "confidence": confidence}}}),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(errors.InvalidConfidence,
+                       match=rf"^line 2: model 'm2': confidence .* {reason}$"):
+        fileio.load_predictions(path)
+
+
+def test_integer_confidence_loads_as_float(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({
+        "sample_id": "s1", "dataset": "d",
+        "predictions": {"m": {"text": "AB", "confidence": 1}},
+    }) + "\n")
+    (sample,) = fileio.load_predictions(path)
+    confidence = sample.predictions["m"].confidence
+    assert type(confidence) is float and confidence == 1.0
+    out = tmp_path / "out.jsonl"
+    fileio.dump_predictions([sample], out)
+    assert '"confidence":1.0' in out.read_text()
+
+
 def test_bad_symbol_names_line(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Unit tests for exact-match scoring, ranking, latency, and sweeps."""
 
+import numpy as np
 import pytest
 
 from conftest import P
@@ -7,6 +8,7 @@ from platefuse import (
     DatasetReport,
     ModelProfile,
     Sample,
+    apply_strategy,
     ensemble_latency,
     errors,
     is_correct,
@@ -17,6 +19,7 @@ from platefuse import (
     recognition_rate,
     sweep_top_n,
 )
+from platefuse.core import STRATEGY_NAMES
 
 ACCURACY_ORDER = [
     "ViTSTR-Base", "STAR-Net", "TRBA", "CR-NET", "RARE", "Fast-OCR",
@@ -259,6 +262,50 @@ def test_sweep_full_ensemble_row_matches_direct_eval(stock_profiles,
                          [parse_strategy("mv-hc")], "accuracy")
     assert report.rows[-1].n == 5
     assert report.rows[-1].per_strategy_rate["mv-hc"] == pytest.approx(5 / 8)
+
+
+def _tie_rich_corpus(rng, n_samples=150, n_models=6):
+    """Samples over two datasets whose predictions share few symbols and
+    confidences, so vote and confidence ties are frequent at every n."""
+    models = [f"m{j}" for j in range(n_models)]
+    samples = []
+    for i in range(n_samples):
+        truth = "".join(rng.choice(list("ABC"), size=4))
+        predictions = {}
+        for m in models:
+            length = int(rng.integers(3, 6))
+            text = "".join(rng.choice(list("ABC"), size=length))
+            if rng.random() < 0.4:
+                text = truth
+            predictions[m] = P(text, float(rng.choice([0.25, 0.5, 0.75, 1.0])))
+        samples.append(Sample(f"s{i}", f"d{i % 2}", truth, predictions))
+    # Equal latencies make the speed order fall back to model ids.
+    latencies = [3.0, 1.0, 2.0, 1.0, 5.0, 4.0]
+    profiles = [ModelProfile(m, latencies[j], n_models - j)
+                for j, m in enumerate(models)]
+    return samples, profiles
+
+
+@pytest.mark.parametrize("mode", ["accuracy", "speed"])
+def test_every_sweep_row_matches_direct_evaluation(mode):
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(31))
+    accuracy_ranking = rank_models(profiles, "accuracy")
+    strategies = [parse_strategy(name, accuracy_ranking) for name in STRATEGY_NAMES]
+    report = sweep_top_n(samples, profiles, strategies, mode)
+    ranking = rank_models(profiles, mode)
+    assert [row.n for row in report.rows] == list(range(1, len(ranking) + 1))
+    for row in report.rows:
+        members = ranking[:row.n]
+        assert row.added_model == members[-1]
+        for strategy in strategies:
+            fused = {
+                s.sample_id: apply_strategy(
+                    {m: s.predictions[m] for m in members}, strategy).text
+                for s in samples
+            }
+            expected = macro_average(recognition_rate(samples, fused))
+            assert row.per_strategy_rate[strategy.name] == expected, \
+                (mode, row.n, strategy.name)
 
 
 def test_sweep_missing_model_prediction(stock_profiles, showcase_samples):
