@@ -1,8 +1,4 @@
-"""Pure-Python vote/selection kernels.
-
-These functions are the reference semantics for the fusion primitives;
-``platefuse._kernels`` is a compiled twin with identical behavior, used by
-``platefuse.core`` in place of this module whenever the extension is built.
+"""Vote/selection kernels: the fusion primitives ``platefuse.core`` calls.
 
 All kernels take parallel lists describing one ensemble, already put in
 canonical order by the caller (sorted by model id):

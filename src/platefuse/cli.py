@@ -75,7 +75,7 @@ def _write(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        fileio.write_atomic(output, (text,))
 
 
 def _cmd_fuse(parser, args) -> int:

@@ -24,12 +24,8 @@ from enum import Enum
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
+from . import _kernels_py as kernels
 from . import errors
-
-try:
-    from . import _kernels as kernels
-except ImportError:  # extension not built: use the pure-Python reference
-    from . import _kernels_py as kernels
 
 DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -42,8 +38,8 @@ NORMALIZE_PER_MODEL_MEAN = "per_model_mean_scaling"
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
-    return "python" if kernels.__name__.endswith("_kernels_py") else "compiled"
+    """Name of the kernel implementation, for run records: always 'python'."""
+    return "python"
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
@@ -47,6 +49,54 @@ _ERROR_MODEL_KEYS = {"per_char_sub_rate", "insertion_rate", "deletion_rate",
 
 def _read_text(path) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 concatenation of ``chunks`` to ``path`` in one step.
+
+    The chunks are written, as they come, to a new uniquely named file in the
+    destination's directory, which then replaces ``path`` (``os.replace``):
+    readers see the old file or the whole new one. On any exception the
+    temporary file is removed and ``path`` is left as it was. As with
+    ``Path.write_text``, a new file gets mode ``0o666`` less the umask, an
+    existing one keeps its mode, a symlink is written through, and a
+    destination that is not a regular file (a pipe, a device) is written in
+    place.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one compact JSON object per line; no records give one newline."""
+    def lines():
+        empty = True
+        for record in records:
+            empty = False
+            yield json.dumps(record, separators=(",", ":")) + "\n"
+        if empty:
+            yield "\n"
+    write_atomic(path, lines())
+
 
 def _records(text: str):
     """Yield (line_number, parsed_object) for each non-blank line."""
@@ -147,17 +197,17 @@ def load_predictions(path, *, strict: bool = True,
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
     """Write samples as line-delimited JSON; inverse of :func:`load_predictions`."""
-    lines = []
-    for s in samples:
-        record = {"sample_id": s.sample_id, "dataset": s.dataset}
-        if s.ground_truth is not None:
-            record["ground_truth"] = s.ground_truth
-        record["predictions"] = {
-            m: {"text": p.text, "confidence": p.confidence}
-            for m, p in sorted(s.predictions.items())
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def records():
+        for s in samples:
+            record = {"sample_id": s.sample_id, "dataset": s.dataset}
+            if s.ground_truth is not None:
+                record["ground_truth"] = s.ground_truth
+            record["predictions"] = {
+                m: {"text": p.text, "confidence": p.confidence}
+                for m, p in sorted(s.predictions.items())
+            }
+            yield record
+    _write_jsonl(path, records())
 
 
 # --- profiles ------------------------------------------------------------------
@@ -201,14 +251,14 @@ def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
 
 
 def dump_profiles(profiles: Iterable[ModelProfile], path) -> None:
-    lines = []
-    for p in profiles:
-        record = {"id": p.model_id}
-        if p.accuracy_rank is not None:
-            record["accuracy_rank"] = p.accuracy_rank
-        record["latency_ms"] = p.latency_ms
-        lines.append(json.dumps(record, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def records():
+        for p in profiles:
+            record = {"id": p.model_id}
+            if p.accuracy_rank is not None:
+                record["accuracy_rank"] = p.accuracy_rank
+            record["latency_ms"] = p.latency_ms
+            yield record
+    _write_jsonl(path, records())
 
 
 def load_stock_profiles() -> list[ModelProfile]:
@@ -250,18 +300,14 @@ class FusedRecord:
 
 
 def dump_fused(records: Iterable[FusedRecord], path) -> None:
-    lines = [
-        json.dumps({
-            "sample_id": r.sample_id,
-            "dataset": r.dataset,
-            "text": r.text,
-            "winning_votes": r.winning_votes,
-            "tie_broken": r.tie_broken,
-            "contributors": list(r.contributors),
-        }, separators=(",", ":"))
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_jsonl(path, ({
+        "sample_id": r.sample_id,
+        "dataset": r.dataset,
+        "text": r.text,
+        "winning_votes": r.winning_votes,
+        "tie_broken": r.tie_broken,
+        "contributors": list(r.contributors),
+    } for r in records))
 
 
 def load_fused(path, *, strict: bool = True,
@@ -343,8 +389,11 @@ def parse_synth_config(text: str) -> SynthConfig:
         raise errors.InvalidConfig(
             f"config: unknown field(s) {', '.join(map(repr, unknown))}"
         )
+    entries = record.get("per_model", [])
+    if not isinstance(entries, list):
+        raise errors.InvalidConfig(f"per_model must be a list, got {entries!r}")
     per_model = []
-    for index, entry in enumerate(record.get("per_model", [])):
+    for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise errors.InvalidConfig(f"per_model[{index}] must be an object")
         unknown = sorted(set(entry) - _ERROR_MODEL_KEYS)
@@ -352,11 +401,10 @@ def parse_synth_config(text: str) -> SynthConfig:
             raise errors.InvalidConfig(
                 f"per_model[{index}]: unknown field(s) {', '.join(map(repr, unknown))}"
             )
-        kwargs = dict(entry)
-        for key in ("confidence_when_correct", "confidence_when_wrong"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        per_model.append(ErrorModel(**kwargs))
+        try:
+            per_model.append(ErrorModel(**entry))
+        except errors.InvalidConfig as exc:
+            raise errors.InvalidConfig(f"per_model[{index}]: {exc}") from None
     kwargs = {k: record[k] for k in ("seed", "n_models", "n_samples", "plate_length")
               if k in record}
     missing = [k for k in ("seed", "n_models", "n_samples", "plate_length")

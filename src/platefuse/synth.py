@@ -51,6 +51,13 @@ _SAMPLE_STRIDE = 1 << 64
 _ESTIMATOR_COUNTER = 1 << 128
 
 
+def _number(value, name: str):
+    """``value`` itself if it is an int or float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise errors.InvalidConfig(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Noise profile of one synthetic recognizer.
@@ -70,26 +77,32 @@ class ErrorModel:
     overconfident: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.per_char_sub_rate < 0.5:
+        if not 0.0 <= _number(self.per_char_sub_rate, "per_char_sub_rate") < 0.5:
             raise errors.InvalidConfig(
                 f"per_char_sub_rate must be in [0, 0.5), got {self.per_char_sub_rate!r}"
             )
         for name in ("insertion_rate", "deletion_rate"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 0.2:
+            if not 0.0 <= _number(v, name) <= 0.2:
                 raise errors.InvalidConfig(
                     f"{name} must be in [0, 0.2], got {v!r}"
                 )
         for name in ("confidence_when_correct", "confidence_when_wrong"):
             pair = getattr(self, name)
-            if len(pair) != 2:
-                raise errors.InvalidConfig(f"{name} must be a (mean, spread) pair")
-            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
-            mean, spread = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise errors.InvalidConfig(
+                    f"{name} must be a (mean, spread) pair, got {pair!r}"
+                )
+            mean, spread = (float(_number(v, name)) for v in pair)
+            object.__setattr__(self, name, (mean, spread))
             if not 0.0 < mean <= 1.0:
                 raise errors.InvalidConfig(f"{name} mean must be in (0, 1]")
             if not 0.0 <= spread <= 1.0:
                 raise errors.InvalidConfig(f"{name} spread must be in [0, 1]")
+        if not isinstance(self.overconfident, bool):
+            raise errors.InvalidConfig(
+                f"overconfident must be a boolean, got {self.overconfident!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,18 +118,25 @@ class SynthConfig:
     dataset: str = "synthetic"
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < 2 ** 64):
             raise errors.InvalidConfig("seed must be a 64-bit unsigned integer")
         for name in ("n_models", "n_samples", "plate_length"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise errors.InvalidConfig(f"{name} must be a positive integer")
+        if not isinstance(self.alphabet, str):
+            raise errors.InvalidConfig(
+                f"alphabet must be a string, got {self.alphabet!r}"
+            )
         if len(self.alphabet) < 2:
             raise errors.InvalidConfig("alphabet needs at least two symbols")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise errors.InvalidConfig("alphabet symbols must be unique")
-        if not self.dataset:
-            raise errors.InvalidConfig("dataset must be non-empty")
+        if not isinstance(self.dataset, str) or not self.dataset:
+            raise errors.InvalidConfig(
+                f"dataset must be a non-empty string, got {self.dataset!r}"
+            )
         per_model = tuple(self.per_model)
         if not per_model:
             per_model = tuple(ErrorModel() for _ in range(self.n_models))

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, TB_HC, TOP5_RANKING, random_ensemble, tb_bm
-from oracles import oracle_mv, oracle_mvcp_lengths, oracle_mvcp_positions
+from oracles import (
+    oracle_mv,
+    oracle_mvcp_lengths,
+    oracle_mvcp_positions,
+    resolve_hc,
+    resolve_mv,
+    resolve_mvcp,
+)
 from platefuse import (
     DEFAULT_ALPHABET,
     FusionStrategy,
@@ -26,6 +33,7 @@ from platefuse import (
     normalize_text,
     parse_strategy,
 )
+from platefuse import _kernels_py, backend_name, core
 
 
 # --- normalize_text ---------------------------------------------------------
@@ -309,26 +317,49 @@ def test_mvcp_empty_ensemble():
 
 # --- provenance against the brute-force oracles ------------------------------------
 
+def _curated_ensemble(texts, confs, prio):
+    """An ensemble whose i-th model (in id order) has ranking position prio[i]."""
+    ids = [f"m{i:02d}" for i in range(len(texts))]
+    predictions = {m: P(t, c) for m, t, c in zip(ids, texts, confs)}
+    return predictions, tuple(m for _, m in sorted(zip(prio, ids)))
+
+
+# Hand-picked edge cases, added to the random ensembles below.
+CURATED_ENSEMBLES = [
+    _curated_ensemble(["ABCD"], [0.5], [0]),  # singleton
+    # three-way exact-confidence tie
+    _curated_ensemble(["AAAA", "BBBB", "CCCC"], [0.5, 0.5, 0.5], [2, 0, 1]),
+    # length tie between texts of different lengths
+    _curated_ensemble(["AB", "ABCD"], [0.9, 0.9], [1, 0]),
+    # duplicate texts with different confidences
+    _curated_ensemble(["XY", "XY", "ZW", "ZW"], [0.1, 0.9, 0.5, 0.5], [0, 1, 2, 3]),
+]
+
+
 def test_tie_flags_and_contributors_match_oracles():
     rng = np.random.default_rng(4242)
+    ensembles = CURATED_ENSEMBLES + [random_ensemble(rng) for _ in range(2000)]
     tied_mv = tied_mvcp = 0
-    for _ in range(2000):
-        predictions, ranking = random_ensemble(rng)
+    for predictions, ranking in ensembles:
         top_conf = max(p.confidence for p in predictions.values())
         hc = hc_fuse(predictions, ranking)
+        assert hc.text == resolve_hc(predictions, ranking)
         assert hc.tie_broken == (
             sum(p.confidence == top_conf for p in predictions.values()) > 1)
         assert hc.contributors == {
             m for m, p in predictions.items() if p.text == hc.text}
         for tiebreak in (TB_HC, tb_bm(ranking)):
             mv = mv_fuse(predictions, tiebreak)
-            tied_texts, _ = oracle_mv(predictions)
+            tied_texts, top_votes = oracle_mv(predictions)
+            assert mv.text == resolve_mv(predictions, tiebreak)
+            assert mv.winning_votes == top_votes
             assert mv.tie_broken == (len(tied_texts) > 1)
             assert mv.contributors == {
                 m for m, p in predictions.items() if p.text == mv.text}
             tied_mv += mv.tie_broken
 
             mvcp = mvcp_fuse(predictions, tiebreak)
+            assert mvcp.text == resolve_mvcp(predictions, tiebreak)
             length_tied = len(oracle_mvcp_lengths(predictions)) > 1
             position_tied = any(
                 len(chars) > 1
@@ -343,7 +374,15 @@ def test_tie_flags_and_contributors_match_oracles():
                 p.text == mvcp.text for p in predictions.values())
             tied_mvcp += mvcp.tie_broken
     # Both outcomes of each flag must occur for the check to mean anything.
-    assert 0 < tied_mv < 4000 and 0 < tied_mvcp < 4000
+    runs = 2 * len(ensembles)
+    assert 0 < tied_mv < runs and 0 < tied_mvcp < runs
+
+
+# --- kernel implementation ----------------------------------------------------------
+
+def test_backend_reports_a_name():
+    assert core.kernels is _kernels_py
+    assert backend_name() == "python"
 
 
 # --- strategy dispatch --------------------------------------------------------------

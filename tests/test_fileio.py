@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import stat
+import threading
 
 import pytest
 
@@ -252,6 +255,62 @@ def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
     assert any("duplicate" in record.message for record in caplog.records)
 
 
+# --- atomic writes ---------------------------------------------------------------
+
+def test_dump_fused_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = _write_fused(tmp_path, _FUSED)
+    old = path.read_bytes()
+    records = [fileio.FusedRecord(f"s{i}", "d", "AB", 1, False, ("m1",))
+               for i in range(3)]
+    real_dumps = json.dumps
+    calls = []
+
+    def failing_dumps(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("disk on fire")
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(fileio.json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        fileio.dump_fused(records, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["fused.jsonl"]
+
+
+def test_write_atomic_modes_and_links(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    new = tmp_path / "new.txt"
+    fileio.write_atomic(new, ["a\n", "b\n"])
+    assert new.read_bytes() == b"a\nb\n"
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+    new.chmod(0o600)
+    fileio.write_atomic(new, ["c\n"])
+    assert new.read_bytes() == b"c\n"
+    assert stat.S_IMODE(new.stat().st_mode) == 0o600
+
+    link = tmp_path / "link.txt"
+    link.symlink_to(new)
+    fileio.write_atomic(link, ["d\n"])
+    assert link.is_symlink() and new.read_bytes() == b"d\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "new.txt"]
+
+
+def test_write_atomic_writes_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    fileio.write_atomic(fifo, ["x\n"])
+    reader.join(timeout=10)
+    assert received == [b"x\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
 # --- synth config ---------------------------------------------------------------
 
 def test_load_synth_config(tmp_path):
@@ -278,6 +337,30 @@ def test_synth_config_rejects_unknown_keys(tmp_path):
     }))
     with pytest.raises(errors.InvalidConfig, match="typo_field"):
         fileio.load_synth_config(path)
+
+
+_CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"seed": True}, r"^seed must be"),
+    ({"per_model": [{}, {"overconfident": "no"}]},
+     r"^per_model\[1\]: overconfident must be a boolean"),
+    ({"per_model": [{"deletion_rate": False}, {}]},
+     r"^per_model\[0\]: deletion_rate must be a number"),
+    ({"dataset": 7}, r"^dataset must be a non-empty string"),
+    ({"alphabet": ["A", "B"]}, r"^alphabet must be a string"),
+    ({"per_model": [{"confidence_when_correct": [True, 0.1]}, {}]},
+     r"^per_model\[0\]: confidence_when_correct must be a number"),
+    ({"per_model": [{"confidence_when_correct": 0.9}, {}]},
+     r"^per_model\[0\]: confidence_when_correct must be a \(mean, spread\) pair"),
+    ({"per_model": [{}, {"per_char_sub_rate": "0.1"}]},
+     r"^per_model\[1\]: per_char_sub_rate must be a number"),
+    ({"per_model": 5}, r"^per_model must be a list"),
+])
+def test_synth_config_rejects_wrong_types(fields, message):
+    with pytest.raises(errors.InvalidConfig, match=message):
+        fileio.parse_synth_config(json.dumps({**_CONFIG, **fields}))
 
 
 # --- display rounding -------------------------------------------------------------
