@@ -40,7 +40,7 @@ from .scoring import (
     recognition_rate,
     sweep_top_n,
 )
-from .synth import ErrorModel, SynthConfig, generate, mvcp_accuracy_estimate
+from .synth import ErrorModel, SynthConfig, generate
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "is_correct",
     "macro_average",
     "mv_fuse",
-    "mvcp_accuracy_estimate",
     "mvcp_fuse",
     "normalize_confidences",
     "normalize_text",

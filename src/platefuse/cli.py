@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from . import errors, fileio
 from .core import (
@@ -137,7 +136,7 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_report(parser, args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = fileio.read_text(args.input)
     _write(fileio.reformat_report(text, args.format), args.output)
     return 0
 

@@ -84,6 +84,20 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     return text
 
 
+def _real(value, name: str, error: type[errors.PlatefuseError]) -> float:
+    """``value`` as a float if it is an int or a float, never a bool.
+
+    An integer too large for a float becomes an infinity of its sign, so
+    the caller's range check rejects it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One model's output for one input: a normalized string plus confidence.
@@ -100,9 +114,7 @@ class Prediction:
             raise errors.EmptyAfterNormalization("prediction text is empty")
         c = self.confidence
         if type(c) is not float:
-            if not isinstance(c, (int, float)) or isinstance(c, bool):
-                raise errors.InvalidConfidence(f"confidence {c!r} is not a number")
-            c = float(c)
+            c = _real(c, "confidence", errors.InvalidConfidence)
             object.__setattr__(self, "confidence", c)
         # NaN fails both comparisons, infinities the range.
         if not 0.0 <= c <= 1.0:
@@ -132,7 +144,11 @@ class Sample:
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """A model's identity, accuracy-rank position (1 = best), and mean latency."""
+    """A model's identity, accuracy-rank position (1 = best), and mean latency.
+
+    The latency must be a positive finite real; an integer is stored as the
+    equal float, as in :class:`Prediction`.
+    """
 
     model_id: str
     latency_ms: float
@@ -141,10 +157,13 @@ class ModelProfile:
     def __post_init__(self):
         if not self.model_id:
             raise errors.InvalidConfig("model id must be non-empty")
-        if not (isinstance(self.latency_ms, (int, float))
-                and math.isfinite(self.latency_ms) and self.latency_ms > 0):
+        latency = self.latency_ms
+        if type(latency) is not float:
+            latency = _real(latency, "latency_ms", errors.InvalidConfig)
+            object.__setattr__(self, "latency_ms", latency)
+        if not (math.isfinite(latency) and latency > 0):
             raise errors.InvalidConfig(
-                f"latency_ms must be a positive real, got {self.latency_ms!r}"
+                f"latency_ms must be a positive real, got {latency!r}"
             )
         if self.accuracy_rank is not None and (
             not isinstance(self.accuracy_rank, int)

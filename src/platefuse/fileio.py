@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 from pathlib import Path
@@ -38,17 +38,27 @@ _PREDICTION_KEYS = {"text", "confidence"}
 _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
 _FUSED_KEYS = {"sample_id", "dataset", "text", "winning_votes", "tie_broken",
                "contributors"}
-_CONFIG_KEYS = {"seed", "n_models", "n_samples", "plate_length", "alphabet",
-                "per_model", "dataset"}
-_ERROR_MODEL_KEYS = {"per_char_sub_rate", "insertion_rate", "deletion_rate",
-                     "confidence_when_correct", "confidence_when_wrong",
-                     "overconfident"}
+_CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
+_REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
+_ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
 
 
 # --- shared parsing helpers --------------------------------------------------
 
-def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def read_text(path) -> str:
+    """Content of the UTF-8 file ``path``.
+
+    Bytes that are not UTF-8 raise :class:`~platefuse.errors.ParseError`
+    naming their line, instead of a bare ``UnicodeDecodeError``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise errors.ParseError(
+            f"line {line}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
@@ -122,10 +132,21 @@ def _check_keys(record: dict, known: set, where: str, strict: bool) -> None:
     logger.warning("%s (ignored)", message)
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise errors.ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def _identifier(value, name: str, where: str) -> str:
+    """``value`` if it is a non-empty string that UTF-8 can encode.
+
+    JSON's ``\\ud800`` escapes decode to lone surrogates, which no output
+    file can hold; they are rejected here rather than at write time.
+    """
+    if not isinstance(value, str) or not value:
+        raise errors.ParseError(f"{where}: {name} must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise errors.ParseError(
+            f"{where}: {name} {value!r} is not encodable as UTF-8"
+        ) from None
+    return value
 
 
 # --- predictions --------------------------------------------------------------
@@ -135,15 +156,12 @@ def parse_predictions(text: str, *, strict: bool = True,
     """Parse a prediction corpus from line-delimited JSON content."""
     samples = []
     seen_ids: set[str] = set()
+    model_ids: set[str] = set()
     for number, record in _records(text):
         where = f"line {number}"
         _check_keys(record, _SAMPLE_KEYS, where, strict)
-        sample_id = record.get("sample_id")
-        dataset = record.get("dataset")
-        if not isinstance(sample_id, str) or not sample_id:
-            raise errors.ParseError(f"{where}: sample_id must be a non-empty string")
-        if not isinstance(dataset, str) or not dataset:
-            raise errors.ParseError(f"{where}: dataset must be a non-empty string")
+        sample_id = _identifier(record.get("sample_id"), "sample_id", where)
+        dataset = _identifier(record.get("dataset"), "dataset", where)
         if sample_id in seen_ids:
             message = f"{where}: duplicate sample_id {sample_id!r}"
             if strict:
@@ -163,8 +181,8 @@ def parse_predictions(text: str, *, strict: bool = True,
             raise errors.ParseError(f"{where}: predictions must be a non-empty object")
         predictions = {}
         for model_id, entry in raw_predictions.items():
-            if not model_id:
-                raise errors.ParseError(f"{where}: model id must be non-empty")
+            if model_id not in model_ids:
+                model_ids.add(_identifier(model_id, "model id", where))
             if not isinstance(entry, dict):
                 raise errors.ParseError(
                     f"{where}: model {model_id!r}: prediction must be an object"
@@ -192,7 +210,7 @@ def parse_predictions(text: str, *, strict: bool = True,
 def load_predictions(path, *, strict: bool = True,
                      alphabet: str = DEFAULT_ALPHABET) -> list[Sample]:
     """Read a prediction corpus from a line-delimited JSON file."""
-    return parse_predictions(_read_text(path), strict=strict, alphabet=alphabet)
+    return parse_predictions(read_text(path), strict=strict, alphabet=alphabet)
 
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
@@ -220,13 +238,10 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
     for number, record in _records(text):
         where = f"line {number}"
         _check_keys(record, _PROFILE_KEYS, where, strict)
-        model_id = record.get("id")
-        if not isinstance(model_id, str) or not model_id:
-            raise errors.ParseError(f"{where}: id must be a non-empty string")
+        model_id = _identifier(record.get("id"), "id", where)
         if model_id in ids:
             raise errors.DuplicateModelId(f"{where}: duplicate model id {model_id!r}")
         ids.add(model_id)
-        latency = _number(record.get("latency_ms"), f"{where}: latency_ms")
         rank = record.get("accuracy_rank")
         if rank is not None:
             if isinstance(rank, bool) or not isinstance(rank, int):
@@ -237,7 +252,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
                 )
             ranks[rank] = model_id
         try:
-            profiles.append(ModelProfile(model_id, latency, rank))
+            profiles.append(ModelProfile(model_id, record.get("latency_ms"), rank))
         except errors.InvalidConfig as exc:
             raise errors.ParseError(f"{where}: {exc}") from None
     if not profiles:
@@ -247,7 +262,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
     """Read model profiles from a line-delimited JSON file."""
-    return parse_profiles(_read_text(path), strict=strict)
+    return parse_profiles(read_text(path), strict=strict)
 
 
 def dump_profiles(profiles: Iterable[ModelProfile], path) -> None:
@@ -321,7 +336,8 @@ def load_fused(path, *, strict: bool = True,
     """
     records = []
     seen_ids: set[str] = set()
-    for number, record in _records(_read_text(path)):
+    model_ids: set[str] = set()
+    for number, record in _records(read_text(path)):
         where = f"line {number}"
         _check_keys(record, _FUSED_KEYS, where, strict)
         try:
@@ -333,10 +349,8 @@ def load_fused(path, *, strict: bool = True,
             contributors = record["contributors"]
         except KeyError as exc:
             raise errors.ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-        if not isinstance(sample_id, str) or not sample_id:
-            raise errors.ParseError(f"{where}: sample_id must be a non-empty string")
-        if not isinstance(dataset, str) or not dataset:
-            raise errors.ParseError(f"{where}: dataset must be a non-empty string")
+        _identifier(sample_id, "sample_id", where)
+        _identifier(dataset, "dataset", where)
         if not isinstance(text, str):
             raise errors.ParseError(f"{where}: text must be a string")
         try:
@@ -355,12 +369,13 @@ def load_fused(path, *, strict: bool = True,
             raise errors.ParseError(
                 f"{where}: tie_broken must be a boolean, got {tie_broken!r}"
             )
-        if not isinstance(contributors, list) or not all(
-            isinstance(m, str) and m for m in contributors
-        ):
+        if not isinstance(contributors, list):
             raise errors.ParseError(
                 f"{where}: contributors must be a list of model ids, got {contributors!r}"
             )
+        for model_id in contributors:
+            if type(model_id) is not str or model_id not in model_ids:
+                model_ids.add(_identifier(model_id, "contributor", where))
         if sample_id in seen_ids:
             message = f"{where}: duplicate sample_id {sample_id!r}"
             if strict:
@@ -405,22 +420,14 @@ def parse_synth_config(text: str) -> SynthConfig:
             per_model.append(ErrorModel(**entry))
         except errors.InvalidConfig as exc:
             raise errors.InvalidConfig(f"per_model[{index}]: {exc}") from None
-    kwargs = {k: record[k] for k in ("seed", "n_models", "n_samples", "plate_length")
-              if k in record}
-    missing = [k for k in ("seed", "n_models", "n_samples", "plate_length")
-               if k not in kwargs]
+    missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in record]
     if missing:
         raise errors.InvalidConfig(f"config: missing field(s) {', '.join(missing)}")
-    if "alphabet" in record:
-        kwargs["alphabet"] = record["alphabet"]
-    if "dataset" in record:
-        kwargs["dataset"] = record["dataset"]
-    kwargs["per_model"] = tuple(per_model)
-    return SynthConfig(**kwargs)
+    return SynthConfig(**{**record, "per_model": tuple(per_model)})
 
 
 def load_synth_config(path) -> SynthConfig:
-    return parse_synth_config(_read_text(path))
+    return parse_synth_config(read_text(path))
 
 
 # --- display rounding (applied at the rendering boundary only) --------------------

@@ -1,4 +1,4 @@
-"""Seeded synthetic-ensemble generator and a Monte Carlo accuracy estimator.
+"""Seeded synthetic-ensemble generator.
 
 Corpora are reproducible down to the bit from a single 64-bit seed, across
 machines and (given this documented protocol) across reimplementations.
@@ -33,9 +33,11 @@ ground truth, or always when the model is flagged overconfident; otherwise
 the "wrong" one. The numeric confidence defaults below are a construction of
 this package, not measurements.
 
-The Monte Carlo estimator draws from the same keyed generator at counter
-``2**128`` (disjoint from every sample region), so it is statistically
-independent of the corpus while still fully determined by the seed.
+numpy supplies only the Philox bit generator and each sample's block of
+uniforms, which :func:`generate` turns into a Python list; the protocol above
+is then applied to that list as written, one sample at a time. On plates of a
+few symbols this is faster than array code, and it is the one implementation
+of the protocol in the package.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from . import errors
 from .core import DEFAULT_ALPHABET, Prediction, Sample
 
 _SAMPLE_STRIDE = 1 << 64
-_ESTIMATOR_COUNTER = 1 << 128
 
 
 def _number(value, name: str):
@@ -182,29 +183,25 @@ def generate(config: SynthConfig) -> list[Sample]:
     width = len(str(config.n_samples))
     samples = []
     for i in range(config.n_samples):
-        block = _sample_rng(config.seed, i).random(total)
-        gt_codes = (block[:L] * A).astype(np.int64)
-        gt_text = "".join(map(alphabet.__getitem__, gt_codes.tolist()))
+        u = _sample_rng(config.seed, i).random(total).tolist()
+        gt = [int(x * A) for x in u[:L]]
+        gt_text = "".join(map(alphabet.__getitem__, gt))
         off = L
         predictions = {}
         for model_id, em in zip(ids, config.per_model):
-            sub_u = block[off:off + L]
-            offsets = block[off + L:off + 2 * L]
+            rate = em.per_char_sub_rate
+            events = u[off:off + L]
+            offsets = u[off + L:off + 2 * L]
             off += 2 * L
-            codes = gt_codes.copy()
-            mask = sub_u < em.per_char_sub_rate
-            if mask.any():
-                codes[mask] = (
-                    gt_codes[mask] + 1 + (offsets[mask] * (A - 1)).astype(np.int64)
-                ) % A
-            symbols = codes.tolist()
+            symbols = [(g + 1 + int(o * (A - 1))) % A if e < rate else g
+                       for g, e, o in zip(gt, events, offsets)]
             if em.insertion_rate > 0:
-                ue, up, uc = block[off], block[off + 1], block[off + 2]
+                ue, up, uc = u[off:off + 3]
                 off += 3
                 if ue < em.insertion_rate:
                     symbols.insert(int(up * (len(symbols) + 1)), int(uc * A))
             if em.deletion_rate > 0:
-                ue, up = block[off], block[off + 1]
+                ue, up = u[off:off + 2]
                 off += 2
                 if ue < em.deletion_rate and len(symbols) > 1:
                     del symbols[int(up * len(symbols))]
@@ -214,7 +211,7 @@ def generate(config: SynthConfig) -> list[Sample]:
                 if (text == gt_text or em.overconfident)
                 else em.confidence_when_wrong
             )
-            conf = float(min(1.0, max(0.0, mean + (2.0 * block[off] - 1.0) * spread)))
+            conf = min(1.0, max(0.0, mean + (2.0 * u[off] - 1.0) * spread))
             off += 1
             predictions[model_id] = Prediction(text, conf)
         samples.append(Sample(
@@ -224,72 +221,3 @@ def generate(config: SynthConfig) -> list[Sample]:
             predictions=predictions,
         ))
     return samples
-
-
-def mvcp_accuracy_estimate(config: SynthConfig) -> float:
-    """Monte Carlo estimate of per-position-vote sequence accuracy.
-
-    Simulates the error process of ``config`` directly on integer symbol
-    grids and tallies positional votes with plain array counting, without
-    touching the fusion kernels: an independent oracle for the pipeline that
-    generates a corpus and fuses it per position with confidence tie-breaks.
-    Only length-preserving configs are supported (insertion and deletion
-    rates must be zero).
-    """
-    for em in config.per_model:
-        if em.insertion_rate > 0 or em.deletion_rate > 0:
-            raise errors.InvalidConfig(
-                "the estimator supports only zero insertion/deletion rates"
-            )
-    S, K, L, A = (config.n_samples, config.n_models,
-                  config.plate_length, len(config.alphabet))
-    rng = np.random.Generator(
-        np.random.Philox(key=config.seed, counter=_ESTIMATOR_COUNTER)
-    )
-    gt = (rng.random((S, L)) * A).astype(np.int64)
-    sub_u = rng.random((S, K, L))
-    offsets = (rng.random((S, K, L)) * (A - 1)).astype(np.int64)
-    conf_u = rng.random((S, K))
-
-    rates = np.array([em.per_char_sub_rate for em in config.per_model])
-    wrong = (gt[:, None, :] + 1 + offsets) % A
-    pred = np.where(sub_u < rates[None, :, None], wrong, gt[:, None, :])
-
-    correct = (pred == gt[:, None, :]).all(axis=2)
-    means_c = np.array([em.confidence_when_correct[0] for em in config.per_model])
-    spreads_c = np.array([em.confidence_when_correct[1] for em in config.per_model])
-    means_w = np.array([em.confidence_when_wrong[0] for em in config.per_model])
-    spreads_w = np.array([em.confidence_when_wrong[1] for em in config.per_model])
-    overconf = np.array([em.overconfident for em in config.per_model])
-    use_c = correct | overconf[None, :]
-    mean = np.where(use_c, means_c[None, :], means_w[None, :])
-    spread = np.where(use_c, spreads_c[None, :], spreads_w[None, :])
-    conf = np.clip(mean + (2.0 * conf_u - 1.0) * spread, 0.0, 1.0)
-
-    counts = np.zeros((S, L, A), dtype=np.int32)
-    flat = counts.reshape(S * L, A)
-    rows = np.arange(S * L)
-    for k in range(K):
-        flat[rows, pred[:, k, :].reshape(-1)] += 1
-    winner_count = counts.max(axis=2)
-    true_count = np.take_along_axis(counts, gt[..., None], axis=2)[..., 0]
-    holders = (counts == winner_count[..., None]).sum(axis=2)
-
-    pos_ok = (true_count == winner_count) & (holders == 1)
-    # Tied positions are rare; resolve them exactly: among tied symbols the
-    # one backed by the highest confidence wins, then lowest model index
-    # (matching model-id order, since generated ids sort by index).
-    tie_mask = (true_count == winner_count) & (holders > 1)
-    for s_idx, p_idx in zip(*np.nonzero(tie_mask)):
-        tied = np.nonzero(counts[s_idx, p_idx] == winner_count[s_idx, p_idx])[0]
-        best_sym = -1
-        best_key = None
-        for sym in tied:
-            backers = np.nonzero(pred[s_idx, :, p_idx] == sym)[0]
-            k_best = max(backers, key=lambda k: (conf[s_idx, k], -k))
-            key = (conf[s_idx, k_best], -k_best)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_sym = sym
-        pos_ok[s_idx, p_idx] = best_sym == gt[s_idx, p_idx]
-    return float(pos_ok.all(axis=1).mean())

@@ -5,6 +5,13 @@ Deliberately naive and structurally unlike :mod:`platefuse.core`: exhaustive
 no shared code. The ``oracle_*`` functions expose the full tied sets so tests
 can assert that a kernel's choice is a member; the ``resolve_*`` functions
 re-derive the final answer from the tie-break rules on their own.
+
+:func:`mvcp_accuracy_estimate` is the generator's counterpart: a vectorized
+Monte Carlo re-implementation of the noise protocol of
+:mod:`platefuse.synth` with its own positional vote. It draws from the same
+keyed generator at counter ``2**128`` (disjoint from every sample region), so
+it is statistically independent of the corpus while still fully determined by
+the seed.
 """
 
 from __future__ import annotations
@@ -12,8 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
+import numpy as np
+
 from platefuse import errors
 from platefuse.core import Prediction, TieBreak, TieBreakKind
+from platefuse.synth import SynthConfig
+
+_ESTIMATOR_COUNTER = 1 << 128
 
 
 def _require(predictions: Mapping[str, Prediction]) -> None:
@@ -115,3 +127,72 @@ def resolve_mvcp(predictions: Mapping[str, Prediction],
             eligible=lambda p: len(p.text) > pos,
         ))
     return "".join(chars)
+
+
+def mvcp_accuracy_estimate(config: SynthConfig) -> float:
+    """Monte Carlo estimate of per-position-vote sequence accuracy.
+
+    Simulates the error process of ``config`` directly on integer symbol
+    grids and tallies positional votes with plain array counting, without
+    touching the fusion kernels: an independent oracle for the pipeline that
+    generates a corpus and fuses it per position with confidence tie-breaks.
+    Only length-preserving configs are supported (insertion and deletion
+    rates must be zero).
+    """
+    for em in config.per_model:
+        if em.insertion_rate > 0 or em.deletion_rate > 0:
+            raise errors.InvalidConfig(
+                "the estimator supports only zero insertion/deletion rates"
+            )
+    S, K, L, A = (config.n_samples, config.n_models,
+                  config.plate_length, len(config.alphabet))
+    rng = np.random.Generator(
+        np.random.Philox(key=config.seed, counter=_ESTIMATOR_COUNTER)
+    )
+    gt = (rng.random((S, L)) * A).astype(np.int64)
+    sub_u = rng.random((S, K, L))
+    offsets = (rng.random((S, K, L)) * (A - 1)).astype(np.int64)
+    conf_u = rng.random((S, K))
+
+    rates = np.array([em.per_char_sub_rate for em in config.per_model])
+    wrong = (gt[:, None, :] + 1 + offsets) % A
+    pred = np.where(sub_u < rates[None, :, None], wrong, gt[:, None, :])
+
+    correct = (pred == gt[:, None, :]).all(axis=2)
+    means_c = np.array([em.confidence_when_correct[0] for em in config.per_model])
+    spreads_c = np.array([em.confidence_when_correct[1] for em in config.per_model])
+    means_w = np.array([em.confidence_when_wrong[0] for em in config.per_model])
+    spreads_w = np.array([em.confidence_when_wrong[1] for em in config.per_model])
+    overconf = np.array([em.overconfident for em in config.per_model])
+    use_c = correct | overconf[None, :]
+    mean = np.where(use_c, means_c[None, :], means_w[None, :])
+    spread = np.where(use_c, spreads_c[None, :], spreads_w[None, :])
+    conf = np.clip(mean + (2.0 * conf_u - 1.0) * spread, 0.0, 1.0)
+
+    counts = np.zeros((S, L, A), dtype=np.int32)
+    flat = counts.reshape(S * L, A)
+    rows = np.arange(S * L)
+    for k in range(K):
+        flat[rows, pred[:, k, :].reshape(-1)] += 1
+    winner_count = counts.max(axis=2)
+    true_count = np.take_along_axis(counts, gt[..., None], axis=2)[..., 0]
+    holders = (counts == winner_count[..., None]).sum(axis=2)
+
+    pos_ok = (true_count == winner_count) & (holders == 1)
+    # Tied positions are rare; resolve them exactly: among tied symbols the
+    # one backed by the highest confidence wins, then lowest model index
+    # (matching model-id order, since generated ids sort by index).
+    tie_mask = (true_count == winner_count) & (holders > 1)
+    for s_idx, p_idx in zip(*np.nonzero(tie_mask)):
+        tied = np.nonzero(counts[s_idx, p_idx] == winner_count[s_idx, p_idx])[0]
+        best_sym = -1
+        best_key = None
+        for sym in tied:
+            backers = np.nonzero(pred[s_idx, :, p_idx] == sym)[0]
+            k_best = max(backers, key=lambda k: (conf[s_idx, k], -k))
+            key = (conf[s_idx, k_best], -k_best)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_sym = sym
+        pos_ok[s_idx, p_idx] = best_sym == gt[s_idx, p_idx]
+    return float(pos_ok.all(axis=1).mean())

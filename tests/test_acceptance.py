@@ -29,6 +29,7 @@ import numpy as np
 
 from conftest import SHOWCASE_PATH, TB_HC, P, random_ensemble, tb_bm
 from oracles import (
+    mvcp_accuracy_estimate,
     oracle_mv,
     oracle_mvcp_lengths,
     oracle_mvcp_positions,
@@ -48,7 +49,6 @@ from platefuse import (
     hc_fuse,
     macro_average,
     mv_fuse,
-    mvcp_accuracy_estimate,
     mvcp_fuse,
     normalize_confidences,
     per_model_accuracy,

@@ -88,6 +88,25 @@ def test_fuse_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    # A byte that is not UTF-8.
+    b'{"sample_id": "s1", "dataset": "d\xff", "ground_truth": "AB", '
+    b'"predictions": {"m": {"text": "AB", "confidence": 0.5}}}\n',
+    # A JSON escape that decodes to a lone surrogate.
+    b'{"sample_id": "s1", "dataset": "d\\ud800", "ground_truth": "AB", '
+    b'"predictions": {"m": {"text": "AB", "confidence": 0.5}}}\n',
+], ids=["non-utf8", "lone-surrogate"])
+def test_eval_rejects_unencodable_input_with_line(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(line)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old report\n")
+    assert run("eval", "--input", str(corpus), "--strategy", "mv-hc",
+               "--output", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: line 1:")
+    assert out.read_bytes() == b"old report\n"
+
+
 def test_fuse_is_idempotent(tmp_path):
     out1 = tmp_path / "fused1.jsonl"
     out2 = tmp_path / "fused2.jsonl"
@@ -244,3 +263,10 @@ def test_report_renders_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["dataset", "total", "correct", "rate"]
     assert "62.5" in out
+
+
+def test_report_rejects_non_utf8_input_with_line(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"dataset,total,correct,rate\nd\xe9,1,1,100.0\n")
+    assert run("report", "--input", str(report)) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")

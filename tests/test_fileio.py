@@ -12,6 +12,7 @@ from conftest import SHOWCASE_PATH
 from platefuse import (
     DatasetReport,
     ErrorModel,
+    ModelProfile,
     SynthConfig,
     errors,
     generate,
@@ -71,6 +72,7 @@ def test_out_of_range_confidence_names_line_and_model(tmp_path):
     (True, "not a number"),
     (float("nan"), r"outside \[0, 1\]"),
     (-0.1, r"outside \[0, 1\]"),
+    pytest.param(10 ** 400, r"outside \[0, 1\]", id="int-beyond-float"),
 ])
 def test_bad_confidence_names_line_model_and_reason(tmp_path, confidence, reason):
     path = tmp_path / "p.jsonl"
@@ -99,6 +101,35 @@ def test_integer_confidence_loads_as_float(tmp_path):
     out = tmp_path / "out.jsonl"
     fileio.dump_predictions([sample], out)
     assert '"confidence":1.0' in out.read_text()
+
+
+def test_non_utf8_bytes_name_their_line(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": "\xc3("}\n')
+    with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
+        fileio.load_predictions(path)
+    with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
+        fileio.load_fused(path)
+
+
+_SAMPLE = {"sample_id": "s1", "dataset": "d",
+           "predictions": {"m": {"text": "AB", "confidence": 0.5}}}
+
+
+@pytest.mark.parametrize("record,message", [
+    ({**_SAMPLE, "sample_id": "s\ud800"}, r"sample_id 's\\ud800'"),
+    ({**_SAMPLE, "sample_id": "s2", "dataset": "\udfff"}, r"dataset '\\udfff'"),
+    ({**_SAMPLE, "sample_id": "s2",
+      "predictions": {"m\ud800": {"text": "AB", "confidence": 0.5}}},
+     r"model id 'm\\ud800'"),
+])
+def test_predictions_reject_unencodable_identifiers(tmp_path, record, message):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(_SAMPLE) + "\n" + json.dumps(record) + "\n")
+    for strict in (True, False):
+        with pytest.raises(errors.ParseError,
+                           match=rf"^line 2: {message} is not encodable as UTF-8$"):
+            fileio.load_predictions(path, strict=strict)
 
 
 def test_bad_symbol_names_line(tmp_path):
@@ -200,6 +231,38 @@ def test_profiles_single_entry(tmp_path):
     assert profile.latency_ms == 4.5
 
 
+def test_profiles_reject_unencodable_id(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text('{"id":"a","latency_ms":1.0}\n{"id":"b\\ud800","latency_ms":2.0}\n')
+    with pytest.raises(errors.ParseError,
+                       match=r"^line 2: id 'b\\ud800' is not encodable"):
+        fileio.load_profiles(path)
+
+
+@pytest.mark.parametrize("latency", [True, "7", None, 0, float("inf")])
+def test_profile_latency_must_be_a_positive_number(latency):
+    with pytest.raises(errors.InvalidConfig, match="latency_ms"):
+        ModelProfile("m", latency)
+
+
+def test_profile_integer_latency_is_stored_as_float(tmp_path):
+    profile = ModelProfile("m", 7, 1)
+    assert type(profile.latency_ms) is float and profile.latency_ms == 7.0
+    path = tmp_path / "profiles.jsonl"
+    path.write_text('{"id":"m","accuracy_rank":1,"latency_ms":7}\n')
+    assert fileio.load_profiles(path) == [profile]
+    fileio.dump_profiles([profile], path)
+    assert path.read_text() == '{"id":"m","accuracy_rank":1,"latency_ms":7.0}\n'
+
+
+def test_profile_bad_latency_names_line(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text('{"id":"a","latency_ms":1.0}\n{"id":"b","latency_ms":true}\n')
+    with pytest.raises(errors.ParseError,
+                       match=r"^line 2: latency_ms True is not a number$"):
+        fileio.load_profiles(path)
+
+
 def test_profiles_round_trip(tmp_path):
     profiles = fileio.load_stock_profiles()
     path = tmp_path / "profiles.jsonl"
@@ -230,6 +293,11 @@ def test_fused_round_trip(tmp_path):
     ("tie_broken", "no", "line 2: tie_broken must be"),
     ("contributors", "m1", "line 2: contributors must be"),
     ("text", "ab-1", "line 2: text 'ab-1' is not normalized"),
+    ("sample_id", "s\ud800", r"line 2: sample_id 's\\ud800' is not encodable"),
+    ("dataset", "d\ud800", r"line 2: dataset 'd\\ud800' is not encodable"),
+    ("contributors", [["m1"]], "line 2: contributor"),
+    ("contributors", ["m1", "\udc80"],
+     r"line 2: contributor '\\udc80' is not encodable"),
 ])
 def test_fused_rejects_bad_field_in_both_modes(tmp_path, field, value, message):
     path = _write_fused(tmp_path, _FUSED, {**_FUSED, "sample_id": "s2", field: value})
@@ -337,6 +405,16 @@ def test_synth_config_rejects_unknown_keys(tmp_path):
     }))
     with pytest.raises(errors.InvalidConfig, match="typo_field"):
         fileio.load_synth_config(path)
+
+
+def test_synth_config_names_missing_fields_in_field_order():
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^config: missing field\(s\) seed, n_samples$"):
+        fileio.parse_synth_config(json.dumps({"plate_length": 5, "n_models": 2}))
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^config: missing field\(s\) seed, n_models, "
+                             r"n_samples, plate_length$"):
+        fileio.parse_synth_config(json.dumps({"dataset": "d"}))
 
 
 _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}

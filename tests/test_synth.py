@@ -1,10 +1,13 @@
 """Unit tests for the synthetic generator, its estimator, and the oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import P, TB_HC, random_ensemble, tb_bm
 from oracles import (
+    mvcp_accuracy_estimate,
     oracle_mv,
     oracle_mvcp_lengths,
     oracle_mvcp_positions,
@@ -16,9 +19,9 @@ from platefuse import (
     SynthConfig,
     apply_strategy,
     errors,
+    fileio,
     generate,
     mv_fuse,
-    mvcp_accuracy_estimate,
     mvcp_fuse,
     parse_strategy,
 )
@@ -118,6 +121,59 @@ def test_overconfident_uses_correct_distribution():
         if p.text != s.ground_truth
     ]
     assert wrong_confs and min(wrong_confs) > 0.9
+
+
+# Corpus bytes pinned per config. Together the configs exercise substitution,
+# insertion, deletion (and the guard that keeps a one-symbol prediction), an
+# overconfident model, confidences clamped at 0 and at 1, a non-default
+# alphabet, integer rates of 0 and zero-padded sample ids.
+PINNED_CORPORA = {
+    "mixed": (
+        SynthConfig(
+            seed=2024, n_models=4, n_samples=120, plate_length=6,
+            alphabet="XYZ0123", dataset="pins",
+            per_model=(
+                ErrorModel(per_char_sub_rate=0.3, insertion_rate=0.2,
+                           deletion_rate=0.2,
+                           confidence_when_correct=(0.9, 0.3),
+                           confidence_when_wrong=(0.2, 0.5)),
+                ErrorModel(per_char_sub_rate=0.25, overconfident=True,
+                           confidence_when_wrong=(0.1, 0.2)),
+                ErrorModel(per_char_sub_rate=0, insertion_rate=0,
+                           deletion_rate=0.15),
+                ErrorModel(per_char_sub_rate=0.1, insertion_rate=0.1),
+            ),
+        ),
+        "7fa739183ad5a2b2be9497ca539d103ad097192e3c053ae288724dda3fe96ed4",
+    ),
+    "single_symbol": (
+        SynthConfig(
+            seed=7, n_models=3, n_samples=60, plate_length=1,
+            per_model=(
+                ErrorModel(deletion_rate=0.2),
+                ErrorModel(insertion_rate=0.2, deletion_rate=0.2),
+                ErrorModel(per_char_sub_rate=0.4),
+            ),
+        ),
+        "6c4d4e9ff6e83e66b2a5f5b7df62dc35a8587f68faaec3d35bcf7bdbfb159c89",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
+def test_generated_corpus_bytes_are_pinned(name, tmp_path):
+    config, digest = PINNED_CORPORA[name]
+    samples = generate(config)
+    path = tmp_path / "corpus.jsonl"
+    fileio.dump_predictions(samples, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    width = len(str(config.n_samples))
+    assert samples[0].sample_id == "s" + "0" * width
+    if name == "mixed":
+        confs = {p.confidence for s in samples for p in s.predictions.values()}
+        assert {0.0, 1.0} <= confs
+        lengths = {len(p.text) for s in samples for p in s.predictions.values()}
+        assert lengths == {5, 6, 7}
 
 
 def test_estimator_requires_length_preserving_config():
