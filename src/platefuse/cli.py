@@ -47,7 +47,7 @@ def _add_corpus_options(parser):
                         help="confidence rescaling before fusing (default: off)")
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown fields, duplicate ids and unmatched "
-                             "fused ids instead of warning")
+                             "fused ids instead of ignoring them with a warning")
 
 
 def _load_corpus(args):

@@ -8,7 +8,7 @@ millisecond, FPS to a half-up integer) while all internal values stay
 unrounded. Rendering is deterministic: identical inputs give identical bytes.
 
 Strict parsing (the default) rejects unknown fields and duplicate sample ids;
-the CLI loads tolerantly and logs warnings instead.
+the CLI loads tolerantly and instead warns and ignores them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import errors
 from .core import DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample, normalize_text
-from .scoring import DatasetReport, SweepReport
+from .scoring import DatasetReport, SweepReport, macro_average
 from .synth import ErrorModel, SynthConfig
 
 logger = logging.getLogger(__name__)
@@ -36,8 +36,6 @@ FORMAT_TABLE = "table"
 _SAMPLE_KEYS = {"sample_id", "dataset", "ground_truth", "predictions"}
 _PREDICTION_KEYS = {"text", "confidence"}
 _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
-_FUSED_KEYS = {"sample_id", "dataset", "text", "winning_votes", "tie_broken",
-               "contributors"}
 _CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
 _REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
 _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
@@ -71,7 +69,8 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     ``Path.write_text``, a new file gets mode ``0o666`` less the umask, an
     existing one keeps its mode, a symlink is written through, and a
     destination that is not a regular file (a pipe, a device) is written in
-    place.
+    place. Nothing is ``fsync``-ed: an interrupted command leaves the old
+    file, but after a power loss neither version may be on disk.
     """
     target = os.path.realpath(path)
     try:
@@ -108,45 +107,100 @@ def _write_jsonl(path, records: Iterable[dict]) -> None:
     write_atomic(path, lines())
 
 
-def _records(text: str):
-    """Yield (line_number, parsed_object) for each non-blank line."""
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+def _lines(text: str):
+    """Yield (line_number, line) for each non-blank line of ``text``.
+
+    Lines end at ``"\\n"`` only, so numbers match those of
+    :func:`read_text`'s decode errors and characters such as U+2028 stay
+    inside their line. One ``"\\r"`` before the ``"\\n"`` is dropped; any
+    other carriage return (a ``"\\r"``-only file, say) is rejected.
+    """
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if "\r" in line:
+            raise errors.ParseError(f"line {number}: carriage return inside a line")
+        if line.strip():
+            yield number, line
+
+
+def _parse_records(text: str, what: str, parse_record) -> list:
+    """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
+
+    A rejection it raises is re-raised as its own class with the line number.
+    """
+    results = []
+    for number, line in _lines(text):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise errors.ParseError(f"line {number}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):
             raise errors.ParseError(f"line {number}: record is not an object")
-        yield number, record
+        try:
+            result = parse_record(record, f"line {number}")
+        except errors.PlatefuseError as exc:
+            raise type(exc)(f"line {number}: {exc}") from None
+        if result is not None:
+            results.append(result)
+    if not results:
+        raise errors.EmptyFile(f"no {what} records found")
+    return results
+
+
+def _tolerate(message: str, where: str, strict: bool) -> None:
+    """Reject ``message`` when ``strict``; otherwise warn that it is ignored."""
+    if strict:
+        raise errors.ParseError(message)
+    logger.warning("%s: %s (ignored)", where, message)
 
 
 def _check_keys(record: dict, known: set, where: str, strict: bool) -> None:
-    unknown = sorted(set(record) - known)
-    if not unknown:
+    if record.keys() <= known:
         return
-    message = f"{where}: unknown field(s) {', '.join(map(repr, unknown))}"
-    if strict:
-        raise errors.ParseError(message)
-    logger.warning("%s (ignored)", message)
+    unknown = ", ".join(map(repr, sorted(record.keys() - known)))
+    _tolerate(f"unknown field(s) {unknown}", where, strict)
 
 
-def _identifier(value, name: str, where: str) -> str:
+def _first(sample_id: str, seen: set, where: str, strict: bool) -> bool:
+    """Whether ``sample_id`` is new; a repeat goes through :func:`_tolerate`."""
+    if sample_id not in seen:
+        seen.add(sample_id)
+        return True
+    _tolerate(f"duplicate sample_id {sample_id!r}", where, strict)
+    return False
+
+
+def _identifier(value, name: str) -> str:
     """``value`` if it is a non-empty string that UTF-8 can encode.
 
     JSON's ``\\ud800`` escapes decode to lone surrogates, which no output
     file can hold; they are rejected here rather than at write time.
     """
     if not isinstance(value, str) or not value:
-        raise errors.ParseError(f"{where}: {name} must be a non-empty string")
+        raise errors.ParseError(f"{name} must be a non-empty string")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise errors.ParseError(
-            f"{where}: {name} {value!r} is not encodable as UTF-8"
-        ) from None
+        raise errors.ParseError(f"{name} {value!r} is not encodable as UTF-8") from None
     return value
+
+
+def _cell(value, name: str) -> str:
+    """An :func:`_identifier` that fits one cell of a delimited report."""
+    value = _identifier(value, name)
+    if "," in value or "\r" in value or "\n" in value:
+        raise errors.ParseError(f"{name} {value!r} holds a comma or line break")
+    return value
+
+
+def _normalized(value, name: str, alphabet: str) -> str:
+    """The string ``value`` normalized under ``alphabet``."""
+    if not isinstance(value, str):
+        raise errors.ParseError(f"{name} must be a string")
+    try:
+        return normalize_text(value, alphabet)
+    except errors.PlatefuseError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 # --- predictions --------------------------------------------------------------
@@ -154,57 +208,33 @@ def _identifier(value, name: str, where: str) -> str:
 def parse_predictions(text: str, *, strict: bool = True,
                       alphabet: str = DEFAULT_ALPHABET) -> list[Sample]:
     """Parse a prediction corpus from line-delimited JSON content."""
-    samples = []
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
-    for number, record in _records(text):
-        where = f"line {number}"
+    def sample(record, where):
         _check_keys(record, _SAMPLE_KEYS, where, strict)
-        sample_id = _identifier(record.get("sample_id"), "sample_id", where)
-        dataset = _identifier(record.get("dataset"), "dataset", where)
-        if sample_id in seen_ids:
-            message = f"{where}: duplicate sample_id {sample_id!r}"
-            if strict:
-                raise errors.ParseError(message)
-            logger.warning("%s", message)
-        seen_ids.add(sample_id)
+        sample_id = _identifier(record.get("sample_id"), "sample_id")
+        dataset = _cell(record.get("dataset"), "dataset")
         ground_truth = record.get("ground_truth")
         if ground_truth is not None:
-            if not isinstance(ground_truth, str):
-                raise errors.ParseError(f"{where}: ground_truth must be a string")
-            try:
-                ground_truth = normalize_text(ground_truth, alphabet)
-            except errors.PlatefuseError as exc:
-                raise type(exc)(f"{where}: ground truth: {exc}") from None
+            ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
         raw_predictions = record.get("predictions")
         if not isinstance(raw_predictions, dict) or not raw_predictions:
-            raise errors.ParseError(f"{where}: predictions must be a non-empty object")
+            raise errors.ParseError("predictions must be a non-empty object")
         predictions = {}
         for model_id, entry in raw_predictions.items():
             if model_id not in model_ids:
-                model_ids.add(_identifier(model_id, "model id", where))
-            if not isinstance(entry, dict):
-                raise errors.ParseError(
-                    f"{where}: model {model_id!r}: prediction must be an object"
-                )
-            _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}", strict)
-            raw_text = entry.get("text")
-            if not isinstance(raw_text, str):
-                raise errors.ParseError(f"{where}: model {model_id!r}: text must be a string")
+                model_ids.add(_identifier(model_id, "model id"))
             try:
-                norm = normalize_text(raw_text, alphabet)
+                if not isinstance(entry, dict):
+                    raise errors.ParseError("prediction must be an object")
+                _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}", strict)
+                text = _normalized(entry.get("text"), "text", alphabet)
+                predictions[model_id] = Prediction(text, entry.get("confidence"))
             except errors.PlatefuseError as exc:
-                raise type(exc)(f"{where}: model {model_id!r}: {exc}") from None
-            try:
-                predictions[model_id] = Prediction(norm, entry.get("confidence"))
-            except errors.InvalidConfidence as exc:
-                raise errors.InvalidConfidence(
-                    f"{where}: model {model_id!r}: {exc}"
-                ) from None
-        samples.append(Sample(sample_id, dataset, ground_truth, predictions))
-    if not samples:
-        raise errors.EmptyFile("no prediction records found")
-    return samples
+                raise type(exc)(f"model {model_id!r}: {exc}") from None
+        if _first(sample_id, seen_ids, where, strict):
+            return Sample(sample_id, dataset, ground_truth, predictions)
+    return _parse_records(text, "prediction", sample)
 
 
 def load_predictions(path, *, strict: bool = True,
@@ -232,32 +262,26 @@ def dump_predictions(samples: Iterable[Sample], path) -> None:
 
 def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
     """Parse model profiles from line-delimited JSON content."""
-    profiles = []
     ids: set[str] = set()
     ranks: dict[int, str] = {}
-    for number, record in _records(text):
-        where = f"line {number}"
+    def profile(record, where):
         _check_keys(record, _PROFILE_KEYS, where, strict)
-        model_id = _identifier(record.get("id"), "id", where)
+        model_id = _cell(record.get("id"), "id")
         if model_id in ids:
-            raise errors.DuplicateModelId(f"{where}: duplicate model id {model_id!r}")
+            raise errors.DuplicateModelId(f"duplicate model id {model_id!r}")
         ids.add(model_id)
         rank = record.get("accuracy_rank")
         if rank is not None:
             if isinstance(rank, bool) or not isinstance(rank, int):
-                raise errors.ParseError(f"{where}: accuracy_rank must be an integer")
+                raise errors.ParseError("accuracy_rank must be an integer")
             if rank in ranks:
-                raise errors.DuplicateRank(
-                    f"{where}: rank {rank} already used by {ranks[rank]!r}"
-                )
+                raise errors.DuplicateRank(f"rank {rank} already used by {ranks[rank]!r}")
             ranks[rank] = model_id
         try:
-            profiles.append(ModelProfile(model_id, record.get("latency_ms"), rank))
+            return ModelProfile(model_id, record.get("latency_ms"), rank)
         except errors.InvalidConfig as exc:
-            raise errors.ParseError(f"{where}: {exc}") from None
-    if not profiles:
-        raise errors.EmptyFile("no profile records found")
-    return profiles
+            raise errors.ParseError(str(exc)) from None
+    return _parse_records(text, "profile", profile)
 
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
@@ -314,15 +338,13 @@ class FusedRecord:
         )
 
 
+_FUSED_FIELDS = tuple(f.name for f in fields(FusedRecord))
+_FUSED_KEYS = set(_FUSED_FIELDS)
+
+
 def dump_fused(records: Iterable[FusedRecord], path) -> None:
-    _write_jsonl(path, ({
-        "sample_id": r.sample_id,
-        "dataset": r.dataset,
-        "text": r.text,
-        "winning_votes": r.winning_votes,
-        "tie_broken": r.tie_broken,
-        "contributors": list(r.contributors),
-    } for r in records))
+    _write_jsonl(path, ({name: getattr(r, name) for name in _FUSED_FIELDS}
+                        for r in records))
 
 
 def load_fused(path, *, strict: bool = True,
@@ -331,62 +353,40 @@ def load_fused(path, *, strict: bool = True,
 
     Every field must have its written type and ``text`` must already be
     normalized under ``alphabet``; violations are rejected with the line
-    number in both modes. Duplicate sample ids are an error when ``strict``
-    and a warning otherwise.
+    number in both modes. A repeated sample id is an error when ``strict``;
+    otherwise the first record is kept and each repeat warned about and ignored.
     """
-    records = []
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
-    for number, record in _records(read_text(path)):
-        where = f"line {number}"
+    def fused(record, where):
         _check_keys(record, _FUSED_KEYS, where, strict)
         try:
-            sample_id = record["sample_id"]
-            dataset = record["dataset"]
-            text = record["text"]
-            votes = record["winning_votes"]
-            tie_broken = record["tie_broken"]
-            contributors = record["contributors"]
+            sample_id, dataset, text, votes, tie_broken, contributors = [
+                record[name] for name in _FUSED_FIELDS]
         except KeyError as exc:
-            raise errors.ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-        _identifier(sample_id, "sample_id", where)
-        _identifier(dataset, "dataset", where)
-        if not isinstance(text, str):
-            raise errors.ParseError(f"{where}: text must be a string")
-        try:
-            norm = normalize_text(text, alphabet)
-        except errors.PlatefuseError as exc:
-            raise type(exc)(f"{where}: text: {exc}") from None
+            raise errors.ParseError(f"missing field {exc.args[0]!r}") from None
+        _identifier(sample_id, "sample_id")
+        _cell(dataset, "dataset")
+        norm = _normalized(text, "text", alphabet)
         if norm != text:
-            raise errors.ParseError(
-                f"{where}: text {text!r} is not normalized (expected {norm!r})"
-            )
+            raise errors.ParseError(f"text {text!r} is not normalized (expected {norm!r})")
         if isinstance(votes, bool) or not isinstance(votes, int) or votes < 0:
             raise errors.ParseError(
-                f"{where}: winning_votes must be a non-negative integer, got {votes!r}"
+                f"winning_votes must be a non-negative integer, got {votes!r}"
             )
         if not isinstance(tie_broken, bool):
-            raise errors.ParseError(
-                f"{where}: tie_broken must be a boolean, got {tie_broken!r}"
-            )
+            raise errors.ParseError(f"tie_broken must be a boolean, got {tie_broken!r}")
         if not isinstance(contributors, list):
             raise errors.ParseError(
-                f"{where}: contributors must be a list of model ids, got {contributors!r}"
+                f"contributors must be a list of model ids, got {contributors!r}"
             )
         for model_id in contributors:
             if type(model_id) is not str or model_id not in model_ids:
-                model_ids.add(_identifier(model_id, "contributor", where))
-        if sample_id in seen_ids:
-            message = f"{where}: duplicate sample_id {sample_id!r}"
-            if strict:
-                raise errors.ParseError(message)
-            logger.warning("%s", message)
-        seen_ids.add(sample_id)
-        records.append(FusedRecord(sample_id, dataset, text, votes, tie_broken,
-                                   tuple(contributors)))
-    if not records:
-        raise errors.EmptyFile("no fused records found")
-    return records
+                model_ids.add(_identifier(model_id, "contributor"))
+        if _first(sample_id, seen_ids, where, strict):
+            return FusedRecord(sample_id, dataset, text, votes, tie_broken,
+                               tuple(contributors))
+    return _parse_records(read_text(path), "fused", fused)
 
 
 # --- synthetic config -------------------------------------------------------------
@@ -468,8 +468,6 @@ def render_report(report, fmt: str = FORMAT_DELIMITED) -> str:
 
 
 def _render_datasets(reports: Sequence[DatasetReport], fmt: str) -> str:
-    from .scoring import macro_average
-
     average = macro_average(reports)
     rows = [[r.dataset, str(r.total), str(r.correct), _percent_digits(r.rate)]
             for r in reports]
@@ -533,18 +531,18 @@ def reformat_report(text: str, fmt: str) -> str:
 
     Values are display strings already; they are laid out, not recomputed.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = list(_lines(text))
     if not lines:
         raise errors.EmptyFile("no report content found")
-    rows = [line.split(",") for line in lines]
+    rows = [line.split(",") for _, line in lines]
     width = len(rows[0])
-    for number, row in enumerate(rows, start=1):
+    for (number, _), row in zip(lines, rows):
         if len(row) != width:
             raise errors.ParseError(
                 f"line {number}: expected {width} columns, found {len(row)}"
             )
     if fmt == FORMAT_DELIMITED:
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for _, line in lines)
     if fmt != FORMAT_TABLE:
         raise errors.InvalidConfig(f"unknown report format {fmt!r}")
     return _align(rows[0], rows[1:])

@@ -178,6 +178,65 @@ def test_eval_tolerant_warns_once_per_unmatched_fused_id(tmp_path, capsys, caplo
     assert capsys.readouterr().out.splitlines()[1] == "d,1,1,100.0"
 
 
+def test_duplicate_sample_id_keeps_the_first_record(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"sample_id": "s1", "dataset": "d", "ground_truth": truth,
+                    "predictions": {"m": {"text": "AB", "confidence": 0.5}}}) + "\n"
+        for truth in ("AB", "CD")
+    ))
+    assert run("eval", "--input", str(corpus), "--strategy", "hc") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "d,1,1,100.0"
+    fused = tmp_path / "fused.jsonl"
+    assert run("fuse", "--input", str(corpus), "--strategy", "hc",
+               "--output", str(fused)) == 0
+    assert len(fused.read_text().splitlines()) == 1
+    assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "d,1,1,100.0"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+def test_eval_then_report_round_trips_a_unicode_separator(tmp_path, separator):
+    corpus = tmp_path / "corpus.jsonl"
+    dataset = f"gate{separator}cam"
+    corpus.write_text(json.dumps({
+        "sample_id": "s1", "dataset": dataset, "ground_truth": "AB",
+        "predictions": {"m": {"text": "AB", "confidence": 0.5}},
+    }, ensure_ascii=False) + "\n", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert run("eval", "--input", str(corpus), "--strategy", "mv-hc",
+               "--output", str(report)) == 0
+    assert report.read_text(encoding="utf-8").split("\n")[1] == f"{dataset},1,1,100.0"
+    again = tmp_path / "again.csv"
+    assert run("report", "--input", str(report), "--format", "delimited",
+               "--output", str(again)) == 0
+    assert again.read_bytes() == report.read_bytes()
+
+
+def test_eval_rejects_a_dataset_that_breaks_the_report(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "sample_id": "s1", "dataset": "gate,cam", "ground_truth": "AB",
+        "predictions": {"m": {"text": "AB", "confidence": 0.5}},
+    }) + "\n")
+    assert run("eval", "--input", str(corpus), "--strategy", "hc") == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: dataset 'gate,cam' holds a comma or line break\n")
+
+
+@pytest.mark.parametrize("ending,accepted", [("\r\n", True), ("\r", False)])
+def test_report_line_endings(tmp_path, capsys, ending, accepted):
+    report = tmp_path / "report.csv"
+    report.write_bytes(ending.join(["dataset,total,correct,rate", "d,1,1,100.0",
+                                    "average,,,100.0", ""]).encode())
+    assert run("report", "--input", str(report)) == (0 if accepted else 1)
+    out, err = capsys.readouterr()
+    if accepted:
+        assert out.splitlines()[2].split() == ["d", "1", "1", "100.0"]
+    else:
+        assert err.startswith("error: line 1: carriage return")
+
+
 # --- sweep ------------------------------------------------------------------------
 
 def _showcase_top5(tmp_path, stock_profiles):

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import stat
 import threading
 
@@ -163,14 +164,17 @@ def test_unknown_field_strict_vs_tolerant(tmp_path, caplog):
     assert any("source" in record.message for record in caplog.records)
 
 
-def test_duplicate_sample_id_strict(tmp_path):
+def test_duplicate_sample_id_strict(tmp_path, caplog):
     line = json.dumps({"sample_id": "s1", "dataset": "d",
                        "predictions": {"m": {"text": "AB", "confidence": 0.5}}})
     path = tmp_path / "p.jsonl"
     path.write_text(line + "\n" + line + "\n")
     with pytest.raises(errors.ParseError, match="duplicate"):
         fileio.load_predictions(path)
-    assert len(fileio.load_predictions(path, strict=False)) == 2
+    with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
+        assert len(fileio.load_predictions(path, strict=False)) == 1
+    assert [r.message for r in caplog.records] == [
+        "line 2: duplicate sample_id 's1' (ignored)"]
 
 
 def test_predictions_round_trip(tmp_path):
@@ -319,8 +323,144 @@ def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
         fileio.load_fused(path, strict=True)
     with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
         records = fileio.load_fused(path, strict=False)
-    assert len(records) == 2
-    assert any("duplicate" in record.message for record in caplog.records)
+    assert len(records) == 1
+    assert [r.message for r in caplog.records] == [
+        "line 2: duplicate sample_id 's1' (ignored)"]
+
+
+# --- line rule and line context ----------------------------------------------------
+
+def _record(kind, i):
+    """The i-th valid record of a file read by loader ``kind``."""
+    if kind == "predictions":
+        return {"sample_id": f"s{i}", "dataset": "d",
+                "predictions": {"m": {"text": "AB", "confidence": 0.5}}}
+    if kind == "profiles":
+        return {"id": f"m{i}", "accuracy_rank": i + 1, "latency_ms": 1.0}
+    return {**_FUSED, "sample_id": f"s{i}"}
+
+
+_LOADERS = {"predictions": fileio.load_predictions,
+            "profiles": fileio.load_profiles,
+            "fused": fileio.load_fused}
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _prediction(record, **entry):
+    return {**record, "predictions": {"m": {"text": "AB", "confidence": 0.5, **entry}}}
+
+
+# Loader -> rejection kind -> (line 2 from a valid record, error class).
+_CORRUPTIONS = {
+    "predictions": {
+        "bad-json": (lambda r: '{"sample_id": "s1"', errors.ParseError),
+        "not-an-object": (lambda r: "[1]", errors.ParseError),
+        "wrong-type": (lambda r: {**r, "dataset": 7}, errors.ParseError),
+        "ground-truth-type": (lambda r: {**r, "ground_truth": ["AB"]}, errors.ParseError),
+        "bad-symbol": (lambda r: _prediction(r, text="A#B"), errors.SymbolOutsideAlphabet),
+        "empty-text": (lambda r: {**r, "ground_truth": "-"},
+                       errors.EmptyAfterNormalization),
+        "bad-confidence": (lambda r: _prediction(r, confidence=1.5),
+                           errors.InvalidConfidence),
+        "unknown-field": (lambda r: _prediction(r, source="cam"), errors.ParseError),
+        "missing-field": (lambda r: _without(r, "predictions"), errors.ParseError),
+        "duplicate-id": (lambda r: {**r, "sample_id": "s0"}, errors.ParseError),
+        "report-character": (lambda r: {**r, "dataset": "gate,cam"}, errors.ParseError),
+    },
+    "profiles": {
+        "bad-json": (lambda r: '{"id": "m1",', errors.ParseError),
+        "wrong-type": (lambda r: {**r, "accuracy_rank": "2"}, errors.ParseError),
+        "bad-latency": (lambda r: {**r, "latency_ms": -1.0}, errors.ParseError),
+        "missing-field": (lambda r: _without(r, "latency_ms"), errors.ParseError),
+        "unknown-field": (lambda r: {**r, "note": 1}, errors.ParseError),
+        "duplicate-id": (lambda r: {**r, "id": "m0"}, errors.DuplicateModelId),
+        "duplicate-rank": (lambda r: {**r, "accuracy_rank": 1}, errors.DuplicateRank),
+        "report-character": (lambda r: {**r, "id": "m\n1"}, errors.ParseError),
+    },
+    "fused": {
+        "bad-json": (lambda r: '{"sample_id": "s1",', errors.ParseError),
+        "wrong-type": (lambda r: {**r, "winning_votes": "2"}, errors.ParseError),
+        "bad-symbol": (lambda r: {**r, "text": "A#"}, errors.SymbolOutsideAlphabet),
+        "missing-field": (lambda r: _without(r, "tie_broken"), errors.ParseError),
+        "unknown-field": (lambda r: {**r, "extra": 1}, errors.ParseError),
+        "duplicate-id": (lambda r: {**r, "sample_id": "s0"}, errors.ParseError),
+        "report-character": (lambda r: {**r, "dataset": "d\r"}, errors.ParseError),
+    },
+}
+
+
+@pytest.mark.parametrize("kind,case", [
+    pytest.param(kind, case, id=f"{kind}-{case}")
+    for kind, cases in _CORRUPTIONS.items() for case in cases
+])
+def test_every_rejection_names_its_line(tmp_path, kind, case):
+    corrupt, error = _CORRUPTIONS[kind][case]
+    bad = corrupt(_record(kind, 1))
+    lines = [json.dumps(_record(kind, 0)),
+             bad if isinstance(bad, str) else json.dumps(bad),
+             json.dumps(_record(kind, 2))]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as exc:
+        _LOADERS[kind](path, strict=True)
+    assert str(exc.value).startswith("line 2: ")
+    assert not str(exc.value).startswith("line 2: line")
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_unicode_line_separators_stay_inside_their_line(tmp_path, kind, separator):
+    path = tmp_path / "records.jsonl"
+    first = _record(kind, 0)
+    if kind == "profiles":
+        first["id"] = f"m{separator}0"
+    else:
+        first["dataset"] = f"d{separator}x"
+    path.write_text(json.dumps(first, ensure_ascii=False) + "\n"
+                    + '{"bad": \n', encoding="utf-8")
+    with pytest.raises(errors.ParseError, match="^line 2: invalid JSON"):
+        _LOADERS[kind](path)
+    path.write_text(json.dumps(first, ensure_ascii=False) + "\n", encoding="utf-8")
+    (loaded,) = _LOADERS[kind](path)
+    assert separator in (loaded.model_id if kind == "profiles" else loaded.dataset)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_crlf_accepted_and_bare_cr_rejected(tmp_path, kind):
+    lines = [json.dumps(_record(kind, i)) for i in range(2)]
+    path = tmp_path / "records.jsonl"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n\r\n")
+    assert len(_LOADERS[kind](path)) == 2
+    path.write_bytes("\r".join(lines).encode() + b"\r")
+    with pytest.raises(errors.ParseError, match="^line 1: carriage return"):
+        _LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("name", ["gate,cam", "gate\ncam", "gate\rcam"])
+def test_report_breaking_names_rejected_in_both_modes(tmp_path, name):
+    for kind, field in (("predictions", "dataset"), ("fused", "dataset"),
+                        ("profiles", "id")):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(json.dumps(_record(kind, 0)) + "\n"
+                        + json.dumps({**_record(kind, 1), field: name}) + "\n")
+        message = rf"^line 2: {field} {re.escape(repr(name))} holds a comma or line break$"
+        for strict in (True, False):
+            with pytest.raises(errors.ParseError, match=message):
+                _LOADERS[kind](path, strict=strict)
+
+
+def test_reformat_report_line_rule():
+    text = "dataset,total,correct,rate\n\nd\u2028x,1,1,100.0\n"
+    assert fileio.reformat_report(text, "delimited") == text.replace("\n\n", "\n")
+    crlf = text.replace("\n", "\r\n")
+    assert fileio.reformat_report(crlf, "table") == fileio.reformat_report(text, "table")
+    with pytest.raises(errors.ParseError, match="^line 1: carriage return"):
+        fileio.reformat_report(text.replace("\n", "\r"), "table")
+    with pytest.raises(errors.ParseError, match="^line 3: expected 4 columns, found 5$"):
+        fileio.reformat_report(text.replace("x,", "x,,"), "table")
 
 
 # --- atomic writes ---------------------------------------------------------------
