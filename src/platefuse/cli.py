@@ -26,6 +26,7 @@ from .core import (
     NORMALIZE_OFF,
     NORMALIZE_PER_MODEL_MEAN,
     STRATEGY_NAMES,
+    Sample,
     apply_strategy,
     normalize_confidences,
     parse_strategy,
@@ -79,17 +80,23 @@ def _write(text: str, output: str | None) -> None:
 
 def _cmd_fuse(parser, args) -> int:
     strategy = _strategy(parser, args)
-    samples = _load_corpus(args)
-    records = [
+    # Each record is fused and written as it is read.
+    fileio.dump_fused((
         fileio.FusedRecord.from_result(s, apply_strategy(s.predictions, strategy))
-        for s in samples
-    ]
-    fileio.dump_fused(records, args.output)
+        for s in _load_corpus(args)
+    ), args.output)
     return 0
 
 
 def _cmd_eval(parser, args) -> int:
-    samples = _load_corpus(args)
+    strategy = None if args.fused else _strategy(parser, args)
+    # Scoring reads only these fields, so the predictions are dropped as each
+    # sample is read; with --strategy the sample is fused first.
+    samples, fused = [], {}
+    for s in _load_corpus(args):
+        samples.append(Sample(s.sample_id, s.dataset, s.ground_truth, {}))
+        if strategy is not None:
+            fused[s.sample_id] = apply_strategy(s.predictions, strategy).text
     if args.fused:
         fused = {r.sample_id: r.text
                  for r in fileio.load_fused(args.fused, strict=args.strict,
@@ -102,19 +109,13 @@ def _cmd_eval(parser, args) -> int:
                 if args.strict:
                     raise errors.UnknownSample(message)
                 logger.warning("%s (ignored)", message)
-    else:
-        strategy = _strategy(parser, args)
-        fused = {
-            s.sample_id: apply_strategy(s.predictions, strategy).text
-            for s in samples
-        }
     reports = recognition_rate(samples, fused)
     _write(fileio.render_report(reports, args.format), args.output)
     return 0
 
 
 def _cmd_sweep(parser, args) -> int:
-    samples = _load_corpus(args)
+    samples = list(_load_corpus(args))
     profiles = fileio.load_profiles(args.profiles, strict=args.strict)
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     for name in names:

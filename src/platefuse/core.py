@@ -61,6 +61,12 @@ def _symbol_table(alphabet: str) -> dict[str, str]:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _kept(alphabet: str) -> str:
+    """The characters that :func:`_symbol_table` maps to themselves."""
+    return "".join(ch for ch, norm in _symbol_table(alphabet).items() if ch == norm)
+
+
 def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Uppercase ``raw`` and strip separator characters.
 
@@ -70,6 +76,9 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
             raw character).
         EmptyAfterNormalization: nothing is left.
     """
+    # Already normalized: every character maps to itself.
+    if raw and not raw.strip(_kept(alphabet)):
+        return raw
     table = _symbol_table(alphabet)
     try:
         text = "".join([table[ch] for ch in raw])
@@ -373,19 +382,20 @@ def apply_strategy(predictions: Mapping[str, Prediction],
 
 
 def normalize_confidences(samples: Iterable[Sample],
-                          mode: str = NORMALIZE_OFF) -> list[Sample]:
+                          mode: str = NORMALIZE_OFF) -> Iterable[Sample]:
     """Optionally rescale confidences before fusing.
 
-    ``off`` returns the samples unchanged (the default: rescaling has not
-    proved helpful). ``per_model_mean_scaling`` divides each model's
-    confidences by that model's corpus-wide mean and clamps to [0, 1]. A model
-    whose mean is zero is left unscaled.
+    ``off`` returns ``samples`` itself, unread (the default: rescaling has not
+    proved helpful). ``per_model_mean_scaling`` reads all of ``samples``,
+    divides each model's confidences by that model's corpus-wide mean and
+    clamps to [0, 1], and returns a list. A model whose mean is zero is left
+    unscaled.
     """
-    samples = list(samples)
     if mode == NORMALIZE_OFF:
         return samples
     if mode != NORMALIZE_PER_MODEL_MEAN:
         raise errors.InvalidConfig(f"unknown normalization mode {mode!r}")
+    samples = list(samples)
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for s in samples:

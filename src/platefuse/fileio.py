@@ -20,8 +20,7 @@ import stat
 from dataclasses import MISSING, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import errors
 from .core import DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample, normalize_text
@@ -49,14 +48,41 @@ def read_text(path) -> str:
     Bytes that are not UTF-8 raise :class:`~platefuse.errors.ParseError`
     naming their line, instead of a bare ``UnicodeDecodeError``.
     """
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise errors.ParseError(
-            f"line {line}: not UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
+    return "".join(_read_lines(path))
+
+
+def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
+    """Each ``"\\n"``-ended byte line, with its ``"\\n"``, decoded as UTF-8.
+
+    ``"\\n"`` is ASCII, so a decode error reads as it would for the whole
+    file: its line, its reason, and its byte offset in the file.
+    """
+    offset = 0
+    for number, line in enumerate(lines, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise errors.ParseError(
+                f"line {number}: not UTF-8 ({exc.reason} at byte {offset + exc.start})"
+            ) from None
+        offset += len(line)
+
+
+def _read_lines(path) -> Iterator[str]:
+    """The lines of the UTF-8 file ``path``, each with its ``"\\n"``, read lazily.
+
+    The whole file is checked to be UTF-8 before the first line is yielded,
+    so a bad byte is reported before any record is read. A regular file is
+    read twice for that, one line at a time; a pipe, which can be read only
+    once, is held whole.
+    """
+    with open(path, "rb") as f:
+        lines = f if f.seekable() else f.readlines()
+        for _ in _decoded(lines):
+            pass
+        if lines is f:
+            f.seek(0)
+        yield from _decoded(lines)
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
@@ -107,29 +133,34 @@ def _write_jsonl(path, records: Iterable[dict]) -> None:
     write_atomic(path, lines())
 
 
-def _lines(text: str):
-    """Yield (line_number, line) for each non-blank line of ``text``.
+def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, line) for each non-blank line.
 
-    Lines end at ``"\\n"`` only, so numbers match those of
-    :func:`read_text`'s decode errors and characters such as U+2028 stay
-    inside their line. One ``"\\r"`` before the ``"\\n"`` is dropped; any
-    other carriage return (a ``"\\r"``-only file, say) is rejected.
+    ``lines`` is a whole text, or its lines as :func:`_read_lines` yields them.
+    Lines end at ``"\\n"`` only, so numbers match those of :func:`read_text`'s
+    decode errors and characters such as U+2028 stay inside their line. One
+    ``"\\r"`` before the ``"\\n"`` is dropped; any other carriage return (a
+    ``"\\r"``-only file, say) is rejected.
     """
-    for number, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
+    if isinstance(lines, str):
+        lines = lines.split("\n")
+    for number, line in enumerate(lines, start=1):
+        line = line.removesuffix("\n").removesuffix("\r")
         if "\r" in line:
             raise errors.ParseError(f"line {number}: carriage return inside a line")
         if line.strip():
             yield number, line
 
 
-def _parse_records(text: str, what: str, parse_record) -> list:
+def _parse_records(lines: str | Iterable[str], what: str, parse_record) -> Iterator:
     """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
 
-    A rejection it raises is re-raised as its own class with the line number.
+    A generator: a record is read when the one before it has been consumed.
+    A rejection it raises is re-raised as its own class with the line number;
+    a file with no records raises :class:`~platefuse.errors.EmptyFile` at its end.
     """
-    results = []
-    for number, line in _lines(text):
+    empty = True
+    for number, line in _lines(lines):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -141,10 +172,10 @@ def _parse_records(text: str, what: str, parse_record) -> list:
         except errors.PlatefuseError as exc:
             raise type(exc)(f"line {number}: {exc}") from None
         if result is not None:
-            results.append(result)
-    if not results:
+            empty = False
+            yield result
+    if empty:
         raise errors.EmptyFile(f"no {what} records found")
-    return results
 
 
 def _tolerate(message: str, where: str, strict: bool) -> None:
@@ -205,9 +236,15 @@ def _normalized(value, name: str, alphabet: str) -> str:
 
 # --- predictions --------------------------------------------------------------
 
-def parse_predictions(text: str, *, strict: bool = True,
-                      alphabet: str = DEFAULT_ALPHABET) -> list[Sample]:
-    """Parse a prediction corpus from line-delimited JSON content."""
+def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
+                      alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
+    """Parse a prediction corpus from line-delimited JSON content, lazily.
+
+    ``text`` is the whole content, or its lines split at ``"\\n"`` (each may
+    keep its ``"\\n"``). The result is a generator: each record is read,
+    validated and yielded only when the sample before it has been consumed,
+    so a rejection surfaces after the samples on the lines before it.
+    """
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
     def sample(record, where):
@@ -238,9 +275,14 @@ def parse_predictions(text: str, *, strict: bool = True,
 
 
 def load_predictions(path, *, strict: bool = True,
-                     alphabet: str = DEFAULT_ALPHABET) -> list[Sample]:
-    """Read a prediction corpus from a line-delimited JSON file."""
-    return parse_predictions(read_text(path), strict=strict, alphabet=alphabet)
+                     alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
+    """Read a prediction corpus from a line-delimited JSON file, lazily.
+
+    The file is read line by line as the samples are consumed (see
+    :func:`parse_predictions`), after a first pass that checks all of it is
+    UTF-8; a pipe is held in memory instead.
+    """
+    return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet)
 
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
@@ -281,7 +323,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
             return ModelProfile(model_id, record.get("latency_ms"), rank)
         except errors.InvalidConfig as exc:
             raise errors.ParseError(str(exc)) from None
-    return _parse_records(text, "profile", profile)
+    return list(_parse_records(text, "profile", profile))
 
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
@@ -386,7 +428,7 @@ def load_fused(path, *, strict: bool = True,
         if _first(sample_id, seen_ids, where, strict):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))
-    return _parse_records(read_text(path), "fused", fused)
+    return list(_parse_records(_read_lines(path), "fused", fused))
 
 
 # --- synthetic config -------------------------------------------------------------

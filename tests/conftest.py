@@ -27,7 +27,7 @@ def P(text: str, confidence: float) -> Prediction:
 
 @pytest.fixture(scope="session")
 def showcase_samples():
-    return fileio.load_predictions(SHOWCASE_PATH, strict=True)
+    return list(fileio.load_predictions(SHOWCASE_PATH, strict=True))
 
 
 @pytest.fixture(scope="session")

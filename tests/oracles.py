@@ -5,6 +5,7 @@ Deliberately naive and structurally unlike :mod:`platefuse.core`: exhaustive
 no shared code. The ``oracle_*`` functions expose the full tied sets so tests
 can assert that a kernel's choice is a member; the ``resolve_*`` functions
 re-derive the final answer from the tie-break rules on their own.
+:func:`normalize_by_table` is text normalization without its shortcut.
 
 :func:`mvcp_accuracy_estimate` is the generator's counterpart: a vectorized
 Monte Carlo re-implementation of the noise protocol of
@@ -22,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from platefuse import errors
-from platefuse.core import Prediction, TieBreak, TieBreakKind
+from platefuse.core import Prediction, TieBreak, TieBreakKind, _symbol_table
 from platefuse.synth import SynthConfig
 
 _ESTIMATOR_COUNTER = 1 << 128
@@ -127,6 +128,27 @@ def resolve_mvcp(predictions: Mapping[str, Prediction],
             eligible=lambda p: len(p.text) > pos,
         ))
     return "".join(chars)
+
+
+def normalize_by_table(raw: str, alphabet: str) -> str:
+    """:func:`platefuse.core.normalize_text` with no already-normalized shortcut.
+
+    Every character is looked up in the symbol table. The table is shared
+    with the code under test on purpose: this checks the shortcut, and other
+    tests check the table.
+    """
+    table = _symbol_table(alphabet)
+    out = []
+    for ch in raw:
+        if ch not in table:
+            raise errors.SymbolOutsideAlphabet(
+                f"symbol {ch!r} in {raw!r} is not in the alphabet")
+        out.append(table[ch])
+    text = "".join(out)
+    if not text:
+        raise errors.EmptyAfterNormalization(
+            f"nothing left of {raw!r} after normalization")
+    return text
 
 
 def mvcp_accuracy_estimate(config: SynthConfig) -> float:

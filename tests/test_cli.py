@@ -2,11 +2,23 @@
 
 import json
 import logging
+import os
+import threading
+import tracemalloc
 
 import pytest
 
 from conftest import SHOWCASE_PATH
-from platefuse import cli, fileio
+from platefuse import (
+    ErrorModel,
+    SynthConfig,
+    apply_strategy,
+    cli,
+    fileio,
+    generate,
+    normalize_confidences,
+    parse_strategy,
+)
 
 
 def run(*argv):
@@ -117,6 +129,99 @@ def test_fuse_is_idempotent(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _corpus_lines(count):
+    return [json.dumps({"sample_id": f"s{i}", "dataset": "d", "ground_truth": "AB",
+                        "predictions": {"m": {"text": "AB", "confidence": 0.5}}})
+            for i in range(count)]
+
+
+def test_fuse_rejection_on_the_last_line_keeps_the_old_output(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([*_corpus_lines(2), '{"sample_id": "s2"']) + "\n")
+    out = tmp_path / "fused.jsonl"
+    out.write_bytes(b"old fused\n")
+    assert run("fuse", "--input", str(corpus), "--strategy", "hc",
+               "--output", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: invalid JSON")
+    assert out.read_bytes() == b"old fused\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "fused.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["fuse", "eval"])
+def test_unranked_model_on_an_earlier_line_wins_over_a_later_bad_line(
+        tmp_path, capsys, profiles_path, command):
+    # Records are fused as they are read, so the ranking error of line 1 is
+    # met before the invalid JSON of line 2.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_corpus_lines(1)[0] + "\n" + '{"sample_id": "s1"' + "\n")
+    out = tmp_path / "out"
+    out.write_bytes(b"old output\n")
+    assert run(command, "--input", str(corpus), "--strategy", "mv-bm",
+               "--profiles", str(profiles_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == \
+        "error: model 'm' is missing from the ranking\n"
+    assert out.read_bytes() == b"old output\n"
+
+
+def test_per_model_mean_from_a_file_and_from_a_pipe(tmp_path, caplog):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = [json.dumps(json.loads(line) | {"camera": "c3"})  # an unknown field
+             for line in SHOWCASE_PATH.read_text().splitlines()]
+    corpus.write_text("\n".join(lines) + "\n")
+    strategy = parse_strategy("hc")
+    def fused(samples):
+        return [fileio.FusedRecord.from_result(s, apply_strategy(s.predictions, strategy))
+                for s in samples]
+    expected = fused(normalize_confidences(fileio.load_predictions(SHOWCASE_PATH),
+                                           "per_model_mean_scaling"))
+    assert expected != fused(fileio.load_predictions(SHOWCASE_PATH))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    for source in (corpus, fifo):
+        out = tmp_path / "fused.jsonl"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
+            assert run("fuse", "--input", str(source), "--normalize", "per-model-mean",
+                       "--strategy", "hc", "--output", str(out)) == 0
+        assert fileio.load_fused(out) == expected
+        # Each unknown field is warned about once.
+        assert len(caplog.records) == len(lines)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def _fuse_peak_bytes(corpus, out):
+    """Peak memory that Python allocated while ``fuse`` ran."""
+    tracemalloc.start()
+    try:
+        assert run("fuse", "--input", str(corpus), "--strategy", "mvcp-hc",
+                   "--output", str(out)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path):
+    corpora = []
+    for size in (1000, 4000):
+        config = SynthConfig(seed=21, n_models=12, n_samples=size, plate_length=7,
+                             per_model=tuple(ErrorModel(per_char_sub_rate=0.1,
+                                                        insertion_rate=0.04,
+                                                        deletion_rate=0.04)
+                                             for _ in range(12)))
+        corpora.append(tmp_path / f"corpus-{size}.jsonl")
+        fileio.dump_predictions(generate(config), corpora[-1])
+    out = tmp_path / "fused.jsonl"
+    # Untraced first, so that one-time set-up (caches, imports) is not counted.
+    assert run("fuse", "--input", str(corpora[0]), "--strategy", "mvcp-hc",
+               "--output", str(out)) == 0
+    small, large = (_fuse_peak_bytes(corpus, out) for corpus in corpora)
+    assert abs(large - small) < 1_000_000, (small, large)
+
+
 # --- eval ------------------------------------------------------------------------
 
 def test_eval_with_precomputed_fused(tmp_path):
@@ -159,6 +264,27 @@ def _one_sample_with_extra_fused_id(tmp_path):
         for sample_id in ("s1", "zz")
     ))
     return corpus, fused
+
+
+def test_eval_bm_without_profiles_is_a_usage_error_before_a_corpus_error(
+        tmp_path, capsys):
+    # The strategy is built before the corpus is streamed, so the missing
+    # --profiles (exit 2) is reported ahead of the corpus's invalid JSON.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"sample_id": "s0"\n')
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--input", str(corpus), "--strategy", "mv-bm")
+    assert exc.value.code == 2
+    assert "requires --profiles" in capsys.readouterr().err
+
+
+def test_eval_reports_a_corpus_error_before_a_fused_file_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_corpus_lines(1)[0] + "\n[1]\n")
+    fused = tmp_path / "fused.jsonl"
+    fused.write_text('{"sample_id": "s0"\n')
+    assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 1
+    assert capsys.readouterr().err == "error: line 2: record is not an object\n"
 
 
 def test_eval_strict_rejects_fused_id_missing_from_corpus(tmp_path, capsys):

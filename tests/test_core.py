@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import P, TB_HC, TOP5_RANKING, random_ensemble, tb_bm
 from oracles import (
+    normalize_by_table,
     oracle_mv,
     oracle_mvcp_lengths,
     oracle_mvcp_positions,
@@ -89,6 +90,32 @@ def test_normalize_text_only_drops_separators(raw):
     except (errors.SymbolOutsideAlphabet, errors.EmptyAfterNormalization):
         return
     assert len(text) == len(raw) - sum(ch in "-. \t" for ch in raw)
+
+
+def _outcome(normalize, raw, alphabet):
+    try:
+        return normalize(raw, alphabet)
+    except errors.PlatefuseError as exc:
+        return type(exc), str(exc)
+
+
+# Separators, characters whose case mapping is not one symbol to one symbol,
+# and a Unicode line separator.
+_NOT_SYMBOLS = "-. \t\r\n\f\vßıſﬁ\u2028"
+
+
+# The custom alphabets hold "-", which is still dropped as a separator, and a
+# lowercase letter, which the symbol table never maps.
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, "AB-c1", "x-Y9"])
+@given(data=st.data())
+@settings(max_examples=300)
+def test_normalize_text_matches_the_table_reference(alphabet, data):
+    raw = data.draw(st.one_of(
+        st.text(alphabet=alphabet, max_size=10),
+        st.text(alphabet=alphabet + alphabet.lower() + _NOT_SYMBOLS, max_size=10),
+    ))
+    assert _outcome(normalize_text, raw, alphabet) == \
+        _outcome(normalize_by_table, raw, alphabet)
 
 
 # --- domain type validation --------------------------------------------------

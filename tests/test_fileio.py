@@ -27,7 +27,7 @@ from platefuse import fileio
 # --- predictions ------------------------------------------------------------
 
 def test_load_showcase_corpus():
-    samples = fileio.load_predictions(SHOWCASE_PATH)
+    samples = list(fileio.load_predictions(SHOWCASE_PATH))
     assert len(samples) == 8
     case_a = samples[0]
     assert case_a.sample_id == "case-a"
@@ -43,7 +43,7 @@ def test_load_predictions_normalizes(tmp_path):
         "sample_id": "s1", "dataset": "d", "ground_truth": "ab-12",
         "predictions": {"m": {"text": "a b.12", "confidence": 0.5}},
     }) + "\n")
-    (sample,) = fileio.load_predictions(path)
+    (sample,) = list(fileio.load_predictions(path))
     assert sample.ground_truth == "AB12"
     assert sample.predictions["m"].text == "AB12"
 
@@ -52,7 +52,7 @@ def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(errors.EmptyFile):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
 
 
 def test_out_of_range_confidence_names_line_and_model(tmp_path):
@@ -65,7 +65,7 @@ def test_out_of_range_confidence_names_line_and_model(tmp_path):
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(errors.InvalidConfidence, match=r"line 2.*m2"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
 
 
 @pytest.mark.parametrize("confidence,reason", [
@@ -87,7 +87,7 @@ def test_bad_confidence_names_line_model_and_reason(tmp_path, confidence, reason
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(errors.InvalidConfidence,
                        match=rf"^line 2: model 'm2': confidence .* {reason}$"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
 
 
 def test_integer_confidence_loads_as_float(tmp_path):
@@ -96,7 +96,7 @@ def test_integer_confidence_loads_as_float(tmp_path):
         "sample_id": "s1", "dataset": "d",
         "predictions": {"m": {"text": "AB", "confidence": 1}},
     }) + "\n")
-    (sample,) = fileio.load_predictions(path)
+    (sample,) = list(fileio.load_predictions(path))
     confidence = sample.predictions["m"].confidence
     assert type(confidence) is float and confidence == 1.0
     out = tmp_path / "out.jsonl"
@@ -108,9 +108,57 @@ def test_non_utf8_bytes_name_their_line(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_bytes(b'{"a": 1}\n{"b": "\xc3("}\n')
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
         fileio.load_fused(path)
+
+
+@pytest.mark.parametrize("bad", [
+    b"\xc3\n",          # a sequence cut short by the line's end
+    b"\xe2\x82",        # a sequence cut short by the file's end
+    b"\xff",             # a byte that starts no sequence
+    b"\xed\xa0\x80",    # an encoded surrogate
+])
+def test_non_utf8_error_matches_whole_file_decoding(tmp_path, bad):
+    data = b'{"a": 1}\n{"b": "' + bad + (b'"}\n' if not bad.endswith(b"\n") else b"")
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decoded:
+        data.decode("utf-8")
+    expected = (f"line 2: not UTF-8 ({decoded.value.reason} "
+                f"at byte {decoded.value.start})")
+    for load in (fileio.load_predictions, fileio.load_fused, fileio.read_text):
+        with pytest.raises(errors.ParseError) as exc:
+            list(load(path))
+        assert str(exc.value) == expected
+
+
+def test_parse_predictions_yields_each_sample_before_reading_the_next():
+    lines = [json.dumps({**_SAMPLE, "sample_id": f"s{i}"}) for i in range(2)]
+    samples = fileio.parse_predictions("\n".join([*lines, '{"sample_id": "s2"']))
+    assert next(samples).sample_id == "s0"
+    assert next(samples).sample_id == "s1"
+    with pytest.raises(errors.ParseError, match="^line 3: invalid JSON"):
+        next(samples)
+
+
+def test_load_predictions_reads_a_pipe(tmp_path):
+    lines = [json.dumps({**_SAMPLE, "sample_id": f"s{i}"}) for i in range(3)]
+    for data, outcome in ((("\n".join(lines) + "\n").encode(), None),
+                          (b'{"a": 1}\n\xff\n', "^line 2: not UTF-8")):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        if outcome is None:
+            assert [s.sample_id for s in fileio.load_predictions(fifo)] == \
+                ["s0", "s1", "s2"]
+        else:
+            with pytest.raises(errors.ParseError, match=outcome):
+                list(fileio.load_predictions(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        fifo.unlink()
 
 
 _SAMPLE = {"sample_id": "s1", "dataset": "d",
@@ -130,7 +178,7 @@ def test_predictions_reject_unencodable_identifiers(tmp_path, record, message):
     for strict in (True, False):
         with pytest.raises(errors.ParseError,
                            match=rf"^line 2: {message} is not encodable as UTF-8$"):
-            fileio.load_predictions(path, strict=strict)
+            list(fileio.load_predictions(path, strict=strict))
 
 
 def test_bad_symbol_names_line(tmp_path):
@@ -140,14 +188,14 @@ def test_bad_symbol_names_line(tmp_path):
         "predictions": {"m": {"text": "A#B", "confidence": 0.5}},
     }) + "\n")
     with pytest.raises(errors.SymbolOutsideAlphabet, match="line 1"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
 
 
 def test_invalid_json_names_line(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text('{"sample_id": "s1"\n')
     with pytest.raises(errors.ParseError, match="line 1"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
 
 
 def test_unknown_field_strict_vs_tolerant(tmp_path, caplog):
@@ -157,9 +205,9 @@ def test_unknown_field_strict_vs_tolerant(tmp_path, caplog):
         "predictions": {"m": {"text": "AB", "confidence": 0.5}},
     }) + "\n")
     with pytest.raises(errors.ParseError, match="'source'"):
-        fileio.load_predictions(path, strict=True)
+        list(fileio.load_predictions(path, strict=True))
     with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
-        samples = fileio.load_predictions(path, strict=False)
+        samples = list(fileio.load_predictions(path, strict=False))
     assert len(samples) == 1
     assert any("source" in record.message for record in caplog.records)
 
@@ -170,9 +218,9 @@ def test_duplicate_sample_id_strict(tmp_path, caplog):
     path = tmp_path / "p.jsonl"
     path.write_text(line + "\n" + line + "\n")
     with pytest.raises(errors.ParseError, match="duplicate"):
-        fileio.load_predictions(path)
+        list(fileio.load_predictions(path))
     with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
-        assert len(fileio.load_predictions(path, strict=False)) == 1
+        assert len(list(fileio.load_predictions(path, strict=False))) == 1
     assert [r.message for r in caplog.records] == [
         "line 2: duplicate sample_id 's1' (ignored)"]
 
@@ -189,7 +237,7 @@ def test_predictions_round_trip(tmp_path):
     samples = generate(cfg)
     path = tmp_path / "corpus.jsonl"
     fileio.dump_predictions(samples, path)
-    assert fileio.load_predictions(path) == samples
+    assert list(fileio.load_predictions(path)) == samples
     # Serialization itself is deterministic.
     first = path.read_bytes()
     fileio.dump_predictions(samples, path)
@@ -340,7 +388,8 @@ def _record(kind, i):
     return {**_FUSED, "sample_id": f"s{i}"}
 
 
-_LOADERS = {"predictions": fileio.load_predictions,
+_LOADERS = {"predictions": lambda *args, **kwargs: list(
+                fileio.load_predictions(*args, **kwargs)),
             "profiles": fileio.load_profiles,
             "fused": fileio.load_fused}
 
