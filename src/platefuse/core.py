@@ -93,13 +93,18 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     return text
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(value, name: str, error: type[errors.PlatefuseError]) -> float:
-    """``value`` as a float if it is an int or a float, never a bool.
+    """``value`` as a float if it is a number (see :func:`is_number`).
 
     An integer too large for a float becomes an infinity of its sign, so
     the caller's range check rejects it.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise error(f"{name} {value!r} is not a number")
     try:
         return float(value)

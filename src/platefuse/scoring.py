@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import errors
-from .core import FusionStrategy, ModelProfile, Sample, apply_strategy
+from .core import (
+    FusionStrategy,
+    ModelProfile,
+    Prediction,
+    Sample,
+    StrategyKind,
+    apply_strategy,
+)
 
 RANK_BY_ACCURACY = "accuracy"
 RANK_BY_SPEED = "speed"
@@ -150,6 +157,40 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
+def _fused_texts(predictions: Mapping[str, Prediction],
+                 strategies: Sequence[FusionStrategy],
+                 reuse: bool) -> list[str]:
+    """The text each of ``strategies`` fuses ``predictions`` to, in order.
+
+    Two exact rules fix some texts without fusing again:
+
+    * a result that needed no tie-break is the text every strategy of the
+      same kind gives, whatever its tie-break, since a tie-break is read
+      only when several values share the top count;
+    * an mv text with a strict majority (``2 * winning_votes > n``) is also
+      the mvcp text for either tie-break: it wins the length vote and the
+      vote at every position outright.
+
+    With ``reuse`` such a text is taken instead of calling
+    :func:`apply_strategy`; without it every strategy is fused. The second
+    rule needs the mv strategies ahead of the mvcp ones.
+    """
+    settled: dict[StrategyKind, str] = {}
+    texts = []
+    for strategy in strategies:
+        text = settled.get(strategy.kind) if reuse else None
+        if text is None:
+            result = apply_strategy(predictions, strategy)
+            text = result.text
+            if not result.tie_broken:
+                settled[strategy.kind] = text
+                if (strategy.kind is StrategyKind.MV
+                        and 2 * result.winning_votes > len(predictions)):
+                    settled[StrategyKind.MVCP] = text
+        texts.append(text)
+    return texts
+
+
 def sweep_top_n(samples: Sequence[Sample],
                 profiles: Sequence[ModelProfile],
                 strategies: Sequence[FusionStrategy],
@@ -160,6 +201,13 @@ def sweep_top_n(samples: Sequence[Sample],
     predictions are restricted to the first N models, fused per strategy,
     scored per dataset, and macro-averaged. Each row also carries the summed
     per-image latency of its members and the resulting FPS.
+
+    A sample's texts come from :func:`_fused_texts`, which skips a fusion
+    whose text an earlier result of the same sample already fixes: a vote
+    that needed no tie-break gives the same text under the other tie-break,
+    and a strict mv majority is also the mvcp text. Either rule is exact, so
+    the report is the one that fusing every strategy gives, whatever the
+    order of ``strategies`` and whichever of them are present.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -172,20 +220,30 @@ def sweep_top_n(samples: Sequence[Sample],
                 raise errors.MissingModelPrediction(
                     f"sample {s.sample_id!r} has no prediction for model {m!r}"
                 )
+    # Each distinct strategy once, mvcp last so that an mv majority is known
+    # when the mvcp texts are needed.
+    distinct = sorted(dict.fromkeys(strategies),
+                      key=lambda x: x.kind is StrategyKind.MVCP)
     rows = []
     for n in range(1, len(ranking) + 1):
         members = ranking[:n]
         # In id order, the order fusion sorts an ensemble into, so that
         # sort finds the entries already in place.
         in_id_order = sorted(members)
-        top_n = [{m: s.predictions[m] for m in in_id_order} for s in samples]
-        rates: dict[str, float] = {}
-        for strategy in strategies:
-            fused = {
-                s.sample_id: apply_strategy(predictions, strategy).text
-                for s, predictions in zip(samples, top_n)
-            }
-            rates[strategy.name] = macro_average(recognition_rate(samples, fused))
+        columns: list[dict[str, str]] = [{} for _ in distinct]
+        for i, s in enumerate(samples):
+            top_n = {m: s.predictions[m] for m in in_id_order}
+            # Every strategy fuses the first sample, so a ranking that misses
+            # a member raises IncompleteRanking even where a text could be
+            # reused; every sample has the same members.
+            for column, text in zip(columns,
+                                    _fused_texts(top_n, distinct, i > 0)):
+                column[s.sample_id] = text
+        fused = dict(zip(distinct, columns))
+        rates = {
+            strategy.name: macro_average(recognition_rate(samples, fused[strategy]))
+            for strategy in strategies
+        }
         latency, _ = ensemble_latency(ordered, n)
         rows.append(SweepRow(
             n=n,

@@ -47,14 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core import DEFAULT_ALPHABET, Prediction, Sample
+from .core import DEFAULT_ALPHABET, Prediction, Sample, is_number
 
 _SAMPLE_STRIDE = 1 << 64
 
 
 def _number(value, name: str):
-    """``value`` itself if it is an int or float (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` itself if it is a number (see :func:`core.is_number`)."""
+    if not is_number(value):
         raise errors.InvalidConfig(f"{name} must be a number, got {value!r}")
     return value
 

@@ -405,6 +405,50 @@ def test_tie_flags_and_contributors_match_oracles():
     assert 0 < tied_mv < runs and 0 < tied_mvcp < runs
 
 
+# Two symbols, short texts and four confidences, so that vote ties, length
+# ties and strict majorities are all common.
+TIE_RICH_ENSEMBLES = st.dictionaries(
+    st.sampled_from([f"m{j}" for j in range(8)]),
+    st.builds(Prediction, st.text(alphabet="AB", min_size=1, max_size=3),
+              st.sampled_from([0.25, 0.5, 0.75, 1.0])),
+    min_size=1,
+)
+
+
+@given(predictions=TIE_RICH_ENSEMBLES, data=st.data())
+@settings(max_examples=500)
+def test_sweep_reuse_rules(predictions, data):
+    # The two rules sweep_top_n uses to skip a fusion, checked against
+    # apply_strategy and the independent resolvers.
+    ranking = tuple(data.draw(st.permutations(sorted(predictions))))
+    tiebreaks = (TB_HC, tb_bm(ranking))
+    resolvers = {StrategyKind.MV: resolve_mv, StrategyKind.MVCP: resolve_mvcp}
+    # Rule 1: a vote that needed no tie-break gives its text under either.
+    for kind, resolve in resolvers.items():
+        for tiebreak in tiebreaks:
+            result = apply_strategy(predictions, FusionStrategy(kind, tiebreak))
+            assert result.text == resolve(predictions, tiebreak)
+            if not result.tie_broken:
+                for other in tiebreaks:
+                    assert apply_strategy(
+                        predictions, FusionStrategy(kind, other)).text == result.text
+                    assert resolve(predictions, other) == result.text
+    # The same holds for hc with and without a ranking.
+    hc = apply_strategy(predictions, FusionStrategy(StrategyKind.HC))
+    if not hc.tie_broken:
+        assert hc_fuse(predictions, ranking).text == hc.text
+        assert resolve_hc(predictions, ranking) == hc.text
+    # Rule 2: a strict mv majority is the mvcp text, with no tie-break.
+    for tiebreak in tiebreaks:
+        mv = apply_strategy(predictions, FusionStrategy(StrategyKind.MV, tiebreak))
+        if 2 * mv.winning_votes > len(predictions):
+            for other in tiebreaks:
+                mvcp = apply_strategy(
+                    predictions, FusionStrategy(StrategyKind.MVCP, other))
+                assert mvcp.text == mv.text and not mvcp.tie_broken
+                assert resolve_mvcp(predictions, other) == mv.text
+
+
 # --- kernel implementation ----------------------------------------------------------
 
 def test_backend_reports_a_name():

@@ -286,11 +286,27 @@ def _tie_rich_corpus(rng, n_samples=150, n_models=6):
     return samples, profiles
 
 
-@pytest.mark.parametrize("mode", ["accuracy", "speed"])
-def test_every_sweep_row_matches_direct_evaluation(mode):
+# The sweep reuses a text another strategy of the same sample already fixes,
+# so the rows must not depend on which strategies are asked for, or in what
+# order. Keyed by test id suffix.
+SWEEP_STRATEGY_LISTS = {
+    "": STRATEGY_NAMES,
+    "-reversed": STRATEGY_NAMES[::-1],
+    "-mvcp-bm": ("mvcp-bm",),
+    "-mvcp-hc+mv-bm": ("mvcp-hc", "mv-bm"),
+    "-repeated": ("mv-hc", "mvcp-bm", "mv-hc"),
+}
+
+
+@pytest.mark.parametrize("mode,names", [
+    pytest.param(mode, names, id=mode + suffix)
+    for mode in ("accuracy", "speed")
+    for suffix, names in SWEEP_STRATEGY_LISTS.items()
+])
+def test_every_sweep_row_matches_direct_evaluation(mode, names):
     samples, profiles = _tie_rich_corpus(np.random.default_rng(31))
     accuracy_ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, accuracy_ranking) for name in STRATEGY_NAMES]
+    strategies = [parse_strategy(name, accuracy_ranking) for name in names]
     report = sweep_top_n(samples, profiles, strategies, mode)
     ranking = rank_models(profiles, mode)
     assert [row.n for row in report.rows] == list(range(1, len(ranking) + 1))
@@ -306,6 +322,18 @@ def test_every_sweep_row_matches_direct_evaluation(mode):
             expected = macro_average(recognition_rate(samples, fused))
             assert row.per_strategy_rate[strategy.name] == expected, \
                 (mode, row.n, strategy.name)
+
+
+def test_sweep_rejects_an_incomplete_ranking_without_ties():
+    # Unanimous ensembles never read the mv-bm tie-break, yet its ranking,
+    # which lacks m3, must still cover the members.
+    models = ("m1", "m2", "m3")
+    samples = [Sample(f"s{i}", "lab", "AB", {m: P("AB", 0.5) for m in models})
+               for i in range(3)]
+    profiles = [ModelProfile(m, 1.0, rank) for rank, m in enumerate(models, 1)]
+    strategies = [parse_strategy("mv-hc"), parse_strategy("mv-bm", ("m1", "m2"))]
+    with pytest.raises(errors.IncompleteRanking, match="'m3'"):
+        sweep_top_n(samples, profiles, strategies, "accuracy")
 
 
 def test_sweep_missing_model_prediction(stock_profiles, showcase_samples):
