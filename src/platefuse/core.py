@@ -292,27 +292,25 @@ def _prepare(predictions: Mapping[str, Prediction],
              ranking: Sequence[str] | None):
     """Canonicalize an ensemble into the parallel kernel inputs.
 
-    Entries are sorted by model id so results never depend on map iteration
-    order. ``prio`` is the ranking position when a ranking is given, the
-    id-sorted position otherwise.
+    Entries come out in tie-break order, the order the kernels settle ties
+    by: ranking order when a ranking is given, model-id order otherwise, so
+    results never depend on map iteration order. Sorting by id first makes a
+    ranking that misses several models name the smallest of them.
     """
     if not predictions:
         raise errors.EmptyEnsemble("no predictions to fuse")
     ids = sorted(predictions)
-    entries = [predictions[m] for m in ids]
-    texts = [p.text for p in entries]
-    confs = [p.confidence for p in entries]
-    if ranking is None:
-        prio = list(range(len(ids)))
-    else:
-        pos = _positions(tuple(ranking))
+    if ranking is not None:
         try:
-            prio = [pos[m] for m in ids]
+            ids.sort(key=_positions(tuple(ranking)).__getitem__)
         except KeyError as exc:
             raise errors.IncompleteRanking(
                 f"model {exc.args[0]!r} is missing from the ranking"
             ) from None
-    return ids, texts, confs, prio
+    entries = [predictions[m] for m in ids]
+    texts = [p.text for p in entries]
+    confs = [p.confidence for p in entries]
+    return ids, texts, confs
 
 
 def hc_fuse(predictions: Mapping[str, Prediction],
@@ -323,8 +321,8 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     or to the smallest model id when ``ranking`` is None; ``tie_broken``
     reports whether that happened.
     """
-    ids, texts, confs, prio = _prepare(predictions, ranking)
-    idx, tie = kernels.hc_select(confs, prio)
+    ids, texts, confs = _prepare(predictions, ranking)
+    idx, tie = kernels.hc_select(confs)
     text = texts[idx]
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, 0, tie, contributors)
@@ -344,9 +342,8 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     are settled by ``tiebreak``: highest confidence backing a tied text, or
     the tied text predicted by the best-ranked model among their predictors.
     """
-    (ids, texts, confs, prio), use_conf = _tiebreak_prepared(predictions, tiebreak)
-    rep, votes, tie = kernels.mv_select(texts, confs, prio, use_conf)
-    text = texts[rep]
+    (ids, texts, confs), use_conf = _tiebreak_prepared(predictions, tiebreak)
+    text, votes, tie = kernels.mv_select(texts, confs, use_conf)
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
@@ -360,8 +357,8 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     vote there. Positional and length ties use ``tiebreak`` with the
     sequence-level confidence (or rank) of the contributing prediction.
     """
-    (ids, texts, confs, prio), use_conf = _tiebreak_prepared(predictions, tiebreak)
-    fused, tie = kernels.mvcp_select(texts, confs, prio, use_conf)
+    (ids, texts, confs), use_conf = _tiebreak_prepared(predictions, tiebreak)
+    fused, tie = kernels.mvcp_select(texts, confs, use_conf)
     votes = texts.count(fused)
     contributors = frozenset(compress(
         ids, [t == fused or any(map(str.__eq__, t, fused)) for t in texts]

@@ -152,6 +152,20 @@ def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
+def _json(text: str, where: str):
+    """``json.loads(text)``, with any failure a ParseError naming ``where``.
+
+    Besides malformed JSON, this covers an integer longer than Python's
+    digit limit (a ValueError) and nesting deep enough to exhaust the
+    interpreter's recursion limit (a RecursionError).
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise errors.ParseError(f"{where}: invalid JSON ({reason})") from None
+
+
 def _parse_records(lines: str | Iterable[str], what: str, parse_record) -> Iterator:
     """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
 
@@ -161,10 +175,7 @@ def _parse_records(lines: str | Iterable[str], what: str, parse_record) -> Itera
     """
     empty = True
     for number, line in _lines(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise errors.ParseError(f"line {number}: invalid JSON ({exc.msg})") from None
+        record = _json(line, f"line {number}")
         if not isinstance(record, dict):
             raise errors.ParseError(f"line {number}: record is not an object")
         try:
@@ -435,10 +446,7 @@ def load_fused(path, *, strict: bool = True,
 
 def parse_synth_config(text: str) -> SynthConfig:
     """Parse a generator config from a JSON document."""
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise errors.ParseError(f"config: invalid JSON ({exc.msg})") from None
+    record = _json(text, "config")
     if not isinstance(record, dict):
         raise errors.ParseError("config: document is not an object")
     unknown = sorted(set(record) - _CONFIG_KEYS)

@@ -227,12 +227,9 @@ def sweep_top_n(samples: Sequence[Sample],
     rows = []
     for n in range(1, len(ranking) + 1):
         members = ranking[:n]
-        # In id order, the order fusion sorts an ensemble into, so that
-        # sort finds the entries already in place.
-        in_id_order = sorted(members)
         columns: list[dict[str, str]] = [{} for _ in distinct]
         for i, s in enumerate(samples):
-            top_n = {m: s.predictions[m] for m in in_id_order}
+            top_n = {m: s.predictions[m] for m in members}
             # Every strategy fuses the first sample, so a ranking that misses
             # a member raises IncompleteRanking even where a text could be
             # reused; every sample has the same members.

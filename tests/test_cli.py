@@ -147,6 +147,16 @@ def test_fuse_rejection_on_the_last_line_keeps_the_old_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "fused.jsonl"]
 
 
+def test_eval_rejects_a_confidence_past_the_integer_digit_limit(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, for an integer of
+    # more than 4300 digits; without that limit the value is out of range.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_corpus_lines(1)[0] + "\n" + _corpus_lines(2)[1].replace(
+        '"confidence": 0.5', '"confidence": ' + "1" * 5000) + "\n")
+    assert run("eval", "--input", str(corpus), "--strategy", "hc") == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 @pytest.mark.parametrize("command", ["fuse", "eval"])
 def test_unranked_model_on_an_earlier_line_wins_over_a_later_bad_line(
         tmp_path, capsys, profiles_path, command):

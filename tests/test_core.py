@@ -449,6 +449,14 @@ def test_sweep_reuse_rules(predictions, data):
                 assert resolve_mvcp(predictions, other) == mv.text
 
 
+@given(predictions=TIE_RICH_ENSEMBLES)
+@settings(max_examples=300)
+def test_hc_without_a_ranking_settles_confidence_ties_by_model_id(predictions):
+    # The ensembles are built in arbitrary key order, so an exact confidence
+    # tie must go to the smallest model id, not to the first one inserted.
+    assert hc_fuse(predictions, None).text == resolve_hc(predictions, sorted(predictions))
+
+
 # --- kernel implementation ----------------------------------------------------------
 
 def test_backend_reports_a_name():

@@ -402,10 +402,19 @@ def _prediction(record, **entry):
     return {**record, "predictions": {"m": {"text": "AB", "confidence": 0.5, **entry}}}
 
 
+# JSON that json.loads cannot decode: an integer past Python's 4300-digit
+# limit (ValueError) and nesting past its recursion limit (RecursionError).
+# Each sits where a decoded value would be rejected as a ParseError too, so
+# the cases hold on a Python without the digit limit.
+_HUGE_INT = "1" * 5000
+_DEEP = "[" * 100_000
+
 # Loader -> rejection kind -> (line 2 from a valid record, error class).
 _CORRUPTIONS = {
     "predictions": {
         "bad-json": (lambda r: '{"sample_id": "s1"', errors.ParseError),
+        "huge-integer": (lambda r: f'{{"sample_id": {_HUGE_INT}}}', errors.ParseError),
+        "deep-nesting": (lambda r: _DEEP, errors.ParseError),
         "not-an-object": (lambda r: "[1]", errors.ParseError),
         "wrong-type": (lambda r: {**r, "dataset": 7}, errors.ParseError),
         "ground-truth-type": (lambda r: {**r, "ground_truth": ["AB"]}, errors.ParseError),
@@ -421,6 +430,8 @@ _CORRUPTIONS = {
     },
     "profiles": {
         "bad-json": (lambda r: '{"id": "m1",', errors.ParseError),
+        "huge-integer": (lambda r: f'{{"id": {_HUGE_INT}}}', errors.ParseError),
+        "deep-nesting": (lambda r: _DEEP, errors.ParseError),
         "wrong-type": (lambda r: {**r, "accuracy_rank": "2"}, errors.ParseError),
         "bad-latency": (lambda r: {**r, "latency_ms": -1.0}, errors.ParseError),
         "missing-field": (lambda r: _without(r, "latency_ms"), errors.ParseError),
@@ -431,6 +442,8 @@ _CORRUPTIONS = {
     },
     "fused": {
         "bad-json": (lambda r: '{"sample_id": "s1",', errors.ParseError),
+        "huge-integer": (lambda r: f'{{"sample_id": {_HUGE_INT}}}', errors.ParseError),
+        "deep-nesting": (lambda r: _DEEP, errors.ParseError),
         "wrong-type": (lambda r: {**r, "winning_votes": "2"}, errors.ParseError),
         "bad-symbol": (lambda r: {**r, "text": "A#"}, errors.SymbolOutsideAlphabet),
         "missing-field": (lambda r: _without(r, "tie_broken"), errors.ParseError),
@@ -604,6 +617,13 @@ def test_synth_config_names_missing_fields_in_field_order():
                        match=r"^config: missing field\(s\) seed, n_models, "
                              r"n_samples, plate_length$"):
         fileio.parse_synth_config(json.dumps({"dataset": "d"}))
+
+
+@pytest.mark.parametrize("document", [f"[{_HUGE_INT}]", _DEEP],
+                         ids=["huge-integer", "deep-nesting"])
+def test_synth_config_rejects_json_python_cannot_decode(document):
+    with pytest.raises(errors.ParseError, match="^config: "):
+        fileio.parse_synth_config(document)
 
 
 _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
