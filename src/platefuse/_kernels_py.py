@@ -1,12 +1,12 @@
 """Vote/selection kernels: the fusion primitives ``platefuse.core`` calls.
 
-All kernels take parallel lists describing one ensemble:
+Each kernel takes one list over an ensemble's entries: :func:`hc_select`
+their confidences (floats in [0, 1]), :func:`mv_select` and
+:func:`mvcp_select` their normalized prediction texts.
 
-* ``texts[i]``  normalized prediction string of entry ``i``
-* ``confs[i]``  its confidence (float in [0, 1])
-
-Entries arrive in tie-break order (ranking order when the caller has a
-ranking, model-id order otherwise; see ``core._prepare``); the earliest wins.
+Entries arrive in tie-break order (see ``core._prepare``): ranking order,
+most confident first, or model-id order. Every kernel settles a tie by that
+order alone: the earliest entry wins.
 
 Every vote is one plurality round over the values the entries cast (whole
 texts, lengths, or the characters of one position), counted first and
@@ -15,12 +15,9 @@ resolved lazily, in this order:
 1. the first value wins outright when it holds a strict majority;
 2. otherwise the votes are counted, and a unique maximal count wins;
 3. only when several values share the maximal count is a tied value chosen:
-   with ``use_conf=True`` the one cast by the most confident entry voting for
-   a tied value; with ``use_conf=False`` the one cast by the earliest such
-   entry. Either way the earliest entry wins among equals.
+   the one whose earliest voter comes first.
 
-Most columns are unanimous or have a clear majority, so confidences are
-rarely looked at. Callers guarantee non-empty inputs and non-empty texts.
+Callers guarantee non-empty inputs and non-empty texts.
 """
 
 from __future__ import annotations
@@ -36,13 +33,13 @@ def hc_select(confs):
     return confs.index(top), confs.count(top) > 1
 
 
-def _plurality(values, confs, use_conf):
+def _plurality(values):
     """One plurality round; the shared primitive of every vote kernel.
 
-    ``values`` and ``confs`` are parallel: entry ``i`` votes for
-    ``values[i]``. Returns ``(winner, votes, tied)``: the winning value, its
-    count, and whether several values shared the maximal count. The steps are
-    taken in the order the module docstring gives.
+    Entry ``i`` votes for ``values[i]``. Returns ``(winner, votes, tied)``:
+    the winning value, its count, and whether several values shared the
+    maximal count. The steps are taken in the order the module docstring
+    gives.
     """
     first = values[0]
     top = values.count(first)
@@ -54,24 +51,19 @@ def _plurality(values, confs, use_conf):
     top = max(counts.values())
     # In order of each value's earliest voter.
     tied = [v for v, c in counts.items() if c == top]
-    if len(tied) == 1:
-        return tied[0], top, False
-    if use_conf:
-        pool = [i for i, v in enumerate(values) if counts[v] == top]
-        return values[max(pool, key=confs.__getitem__)], top, True
-    return tied[0], top, True
+    return tied[0], top, len(tied) > 1
 
 
-def mv_select(texts, confs, use_conf):
+def mv_select(texts):
     """Whole-sequence plurality vote.
 
     Returns ``(text, votes, tied)``: the winning text, its count, and whether
     several texts shared the maximal count.
     """
-    return _plurality(texts, confs, use_conf)
+    return _plurality(texts)
 
 
-def mvcp_select(texts, confs, use_conf):
+def mvcp_select(texts):
     """Per-position plurality vote.
 
     The output length is itself chosen by plurality over prediction lengths;
@@ -80,17 +72,15 @@ def mvcp_select(texts, confs, use_conf):
     the length vote or any position needed tie-breaking.
     """
     lengths = [len(t) for t in texts]
-    length, _, any_tie = _plurality(lengths, confs, use_conf)
+    length, _, any_tie = _plurality(lengths)
     out = []
     # Every text votes at the positions the shortest one reaches.
     for column in zip(*texts):
-        ch, _, tie = _plurality(column, confs, use_conf)
+        ch, _, tie = _plurality(column)
         out.append(ch)
         any_tie = any_tie or tie
     for p in range(min(lengths), length):
-        voters = [i for i, n in enumerate(lengths) if n > p]
-        ch, _, tie = _plurality([texts[i][p] for i in voters],
-                                [confs[i] for i in voters], use_conf)
+        ch, _, tie = _plurality([t[p] for t in texts if len(t) > p])
         out.append(ch)
         any_tie = any_tie or tie
     return "".join(out), any_tie

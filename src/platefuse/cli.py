@@ -28,6 +28,7 @@ from .core import (
     STRATEGY_NAMES,
     Sample,
     apply_strategy,
+    check_alphabet,
     normalize_confidences,
     parse_strategy,
 )
@@ -39,9 +40,16 @@ logger = logging.getLogger(__name__)
 _NORMALIZE_CHOICES = {"off": NORMALIZE_OFF, "per-model-mean": NORMALIZE_PER_MODEL_MEAN}
 
 
+def _alphabet(value: str) -> str:
+    try:
+        return check_alphabet(value)
+    except errors.InvalidConfig as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_corpus_options(parser):
     parser.add_argument("--input", required=True, help="prediction corpus (JSONL)")
-    parser.add_argument("--alphabet", default=DEFAULT_ALPHABET,
+    parser.add_argument("--alphabet", default=DEFAULT_ALPHABET, type=_alphabet,
                         help="allowed symbols after normalization")
     parser.add_argument("--normalize", choices=sorted(_NORMALIZE_CHOICES),
                         default="off",

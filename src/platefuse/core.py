@@ -10,9 +10,10 @@ combine it are provided:
 Vote ties are resolved by a :class:`TieBreak`: either the tied candidate
 backed by the highest confidence, or the one predicted by the best model
 under a fixed ranking. Exact confidence ties fall back to the ranking for
-:func:`hc_fuse` and to model-id order elsewhere, so every operation is a pure,
-deterministic function of its inputs and safe to call from any number of
-threads.
+:func:`hc_fuse` and to model-id order elsewhere. Each rule is an order of the
+ensemble's entries, chosen in one place, and every kernel lets the earliest
+entry win, so every operation is a pure, deterministic function of its inputs
+and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -42,18 +43,40 @@ def backend_name() -> str:
     return "python"
 
 
+def check_alphabet(alphabet) -> str:
+    """``alphabet`` itself if it is a valid set of symbols.
+
+    It must be a non-empty string of unique symbols, each its own uppercase
+    and none of them a separator, so that every symbol normalizes to itself.
+    """
+    if not isinstance(alphabet, str):
+        raise errors.InvalidConfig(f"alphabet must be a string, got {alphabet!r}")
+    if not alphabet:
+        raise errors.InvalidConfig("alphabet must not be empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise errors.InvalidConfig("alphabet symbols must be unique")
+    for symbol in alphabet:
+        if symbol in _SEPARATORS:
+            raise errors.InvalidConfig(f"alphabet symbol {symbol!r} is a separator")
+        if symbol.upper() != symbol:
+            raise errors.InvalidConfig(
+                f"alphabet symbol {symbol!r} is not its own uppercase")
+    return alphabet
+
+
 @functools.lru_cache(maxsize=8)
 def _symbol_table(alphabet: str) -> dict[str, str]:
     """Raw character -> its normalized form ('' for separators).
 
-    A symbol is accepted as itself or as its lowercase form whose uppercase is
-    exactly that symbol. Characters whose full case mapping changes length
-    ('ß', 'ﬁ') or that fold onto a symbol without being its lowercase
-    ('ı', 'ſ') are absent, so normalization never changes a text's length
-    other than by dropping separators.
+    ``alphabet`` is checked first (see :func:`check_alphabet`). A symbol is
+    accepted as itself or as its lowercase form whose uppercase is exactly
+    that symbol. Characters whose full case mapping changes length ('ß', 'ﬁ')
+    or that fold onto a symbol without being its lowercase ('ı', 'ſ') are
+    absent, so normalization never changes a text's length other than by
+    dropping separators.
     """
     table = {}
-    for symbol in alphabet:
+    for symbol in check_alphabet(alphabet):
         for ch in (symbol, symbol.lower()):
             if ch.upper() == symbol:
                 table[ch] = symbol
@@ -61,25 +84,20 @@ def _symbol_table(alphabet: str) -> dict[str, str]:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _kept(alphabet: str) -> str:
-    """The characters that :func:`_symbol_table` maps to themselves."""
-    return "".join(ch for ch, norm in _symbol_table(alphabet).items() if ch == norm)
-
-
 def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Uppercase ``raw`` and strip separator characters.
 
     Raises:
+        InvalidConfig: ``alphabet`` is not valid (see :func:`check_alphabet`).
         SymbolOutsideAlphabet: a non-separator character is neither an
             alphabet symbol nor its lowercase form (the message names the
             raw character).
         EmptyAfterNormalization: nothing is left.
     """
-    # Already normalized: every character maps to itself.
-    if raw and not raw.strip(_kept(alphabet)):
-        return raw
     table = _symbol_table(alphabet)
+    # Already normalized: every character is a symbol, which maps to itself.
+    if raw and not raw.strip(alphabet):
+        return raw
     try:
         text = "".join([table[ch] for ch in raw])
     except KeyError as exc:
@@ -91,6 +109,29 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
             f"nothing left of {raw!r} after normalization"
         )
     return text
+
+
+def check_identifier(value, name: str, error: type[errors.PlatefuseError]) -> str:
+    """``value`` if it is a non-empty string that UTF-8 can encode.
+
+    JSON's ``\\ud800`` escapes decode to lone surrogates, which no output
+    file can hold; they are rejected here rather than at write time.
+    """
+    if not isinstance(value, str) or not value:
+        raise error(f"{name} must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{name} {value!r} is not encodable as UTF-8") from None
+    return value
+
+
+def check_cell(value, name: str, error: type[errors.PlatefuseError]) -> str:
+    """A :func:`check_identifier` value that fits one cell of a delimited report."""
+    value = check_identifier(value, name, error)
+    if "," in value or "\r" in value or "\n" in value:
+        raise error(f"{name} {value!r} holds a comma or line break")
+    return value
 
 
 def is_number(value) -> bool:
@@ -289,13 +330,15 @@ def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
 
 
 def _prepare(predictions: Mapping[str, Prediction],
-             ranking: Sequence[str] | None):
+             ranking: Sequence[str] | None, by_confidence: bool = False):
     """Canonicalize an ensemble into the parallel kernel inputs.
 
     Entries come out in tie-break order, the order the kernels settle ties
-    by: ranking order when a ranking is given, model-id order otherwise, so
-    results never depend on map iteration order. Sorting by id first makes a
-    ranking that misses several models name the smallest of them.
+    by: ranking order when a ranking is given, else most confident first when
+    ``by_confidence``, else model-id order. Either sort is stable and follows
+    a sort by id, so results never depend on map iteration order, equal
+    confidences stay in id order, and a ranking that misses several models
+    names the smallest of them.
     """
     if not predictions:
         raise errors.EmptyEnsemble("no predictions to fuse")
@@ -307,6 +350,8 @@ def _prepare(predictions: Mapping[str, Prediction],
             raise errors.IncompleteRanking(
                 f"model {exc.args[0]!r} is missing from the ranking"
             ) from None
+    elif by_confidence:
+        ids.sort(key=lambda m: predictions[m].confidence, reverse=True)
     entries = [predictions[m] for m in ids]
     texts = [p.text for p in entries]
     confs = [p.confidence for p in entries]
@@ -329,9 +374,10 @@ def hc_fuse(predictions: Mapping[str, Prediction],
 
 
 def _tiebreak_prepared(predictions, tiebreak: TieBreak):
-    use_conf = tiebreak.kind is TieBreakKind.HIGHEST_CONFIDENCE
-    ranking = None if use_conf else tiebreak.ranking
-    return _prepare(predictions, ranking), use_conf
+    """:func:`_prepare` in the order that settles ``tiebreak``'s vote ties."""
+    if tiebreak.kind is TieBreakKind.HIGHEST_CONFIDENCE:
+        return _prepare(predictions, None, by_confidence=True)
+    return _prepare(predictions, tiebreak.ranking)
 
 
 def mv_fuse(predictions: Mapping[str, Prediction],
@@ -342,8 +388,8 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     are settled by ``tiebreak``: highest confidence backing a tied text, or
     the tied text predicted by the best-ranked model among their predictors.
     """
-    (ids, texts, confs), use_conf = _tiebreak_prepared(predictions, tiebreak)
-    text, votes, tie = kernels.mv_select(texts, confs, use_conf)
+    ids, texts, _ = _tiebreak_prepared(predictions, tiebreak)
+    text, votes, tie = kernels.mv_select(texts)
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
@@ -357,8 +403,8 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     vote there. Positional and length ties use ``tiebreak`` with the
     sequence-level confidence (or rank) of the contributing prediction.
     """
-    (ids, texts, confs), use_conf = _tiebreak_prepared(predictions, tiebreak)
-    fused, tie = kernels.mvcp_select(texts, confs, use_conf)
+    ids, texts, _ = _tiebreak_prepared(predictions, tiebreak)
+    fused, tie = kernels.mvcp_select(texts)
     votes = texts.count(fused)
     contributors = frozenset(compress(
         ids, [t == fused or any(map(str.__eq__, t, fused)) for t in texts]

@@ -23,7 +23,8 @@ from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .core import DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample, normalize_text
+from .core import (DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample,
+                   check_alphabet, check_cell, check_identifier, normalize_text)
 from .scoring import DatasetReport, SweepReport, macro_average
 from .synth import ErrorModel, SynthConfig
 
@@ -212,29 +213,6 @@ def _first(sample_id: str, seen: set, where: str, strict: bool) -> bool:
     return False
 
 
-def _identifier(value, name: str) -> str:
-    """``value`` if it is a non-empty string that UTF-8 can encode.
-
-    JSON's ``\\ud800`` escapes decode to lone surrogates, which no output
-    file can hold; they are rejected here rather than at write time.
-    """
-    if not isinstance(value, str) or not value:
-        raise errors.ParseError(f"{name} must be a non-empty string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise errors.ParseError(f"{name} {value!r} is not encodable as UTF-8") from None
-    return value
-
-
-def _cell(value, name: str) -> str:
-    """An :func:`_identifier` that fits one cell of a delimited report."""
-    value = _identifier(value, name)
-    if "," in value or "\r" in value or "\n" in value:
-        raise errors.ParseError(f"{name} {value!r} holds a comma or line break")
-    return value
-
-
 def _normalized(value, name: str, alphabet: str) -> str:
     """The string ``value`` normalized under ``alphabet``."""
     if not isinstance(value, str):
@@ -254,14 +232,16 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     ``text`` is the whole content, or its lines split at ``"\\n"`` (each may
     keep its ``"\\n"``). The result is a generator: each record is read,
     validated and yielded only when the sample before it has been consumed,
-    so a rejection surfaces after the samples on the lines before it.
+    so a rejection surfaces after the samples on the lines before it. An
+    invalid ``alphabet`` is rejected at the call, before any record is read.
     """
+    check_alphabet(alphabet)
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
     def sample(record, where):
         _check_keys(record, _SAMPLE_KEYS, where, strict)
-        sample_id = _identifier(record.get("sample_id"), "sample_id")
-        dataset = _cell(record.get("dataset"), "dataset")
+        sample_id = check_identifier(record.get("sample_id"), "sample_id", errors.ParseError)
+        dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
         ground_truth = record.get("ground_truth")
         if ground_truth is not None:
             ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
@@ -271,7 +251,7 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
         predictions = {}
         for model_id, entry in raw_predictions.items():
             if model_id not in model_ids:
-                model_ids.add(_identifier(model_id, "model id"))
+                model_ids.add(check_identifier(model_id, "model id", errors.ParseError))
             try:
                 if not isinstance(entry, dict):
                     raise errors.ParseError("prediction must be an object")
@@ -319,7 +299,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
     ranks: dict[int, str] = {}
     def profile(record, where):
         _check_keys(record, _PROFILE_KEYS, where, strict)
-        model_id = _cell(record.get("id"), "id")
+        model_id = check_cell(record.get("id"), "id", errors.ParseError)
         if model_id in ids:
             raise errors.DuplicateModelId(f"duplicate model id {model_id!r}")
         ids.add(model_id)
@@ -408,7 +388,9 @@ def load_fused(path, *, strict: bool = True,
     normalized under ``alphabet``; violations are rejected with the line
     number in both modes. A repeated sample id is an error when ``strict``;
     otherwise the first record is kept and each repeat warned about and ignored.
+    An invalid ``alphabet`` is rejected before the file is read.
     """
+    check_alphabet(alphabet)
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
     def fused(record, where):
@@ -418,8 +400,8 @@ def load_fused(path, *, strict: bool = True,
                 record[name] for name in _FUSED_FIELDS]
         except KeyError as exc:
             raise errors.ParseError(f"missing field {exc.args[0]!r}") from None
-        _identifier(sample_id, "sample_id")
-        _cell(dataset, "dataset")
+        check_identifier(sample_id, "sample_id", errors.ParseError)
+        check_cell(dataset, "dataset", errors.ParseError)
         norm = _normalized(text, "text", alphabet)
         if norm != text:
             raise errors.ParseError(f"text {text!r} is not normalized (expected {norm!r})")
@@ -435,7 +417,7 @@ def load_fused(path, *, strict: bool = True,
             )
         for model_id in contributors:
             if type(model_id) is not str or model_id not in model_ids:
-                model_ids.add(_identifier(model_id, "contributor"))
+                model_ids.add(check_identifier(model_id, "contributor", errors.ParseError))
         if _first(sample_id, seen_ids, where, strict):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))

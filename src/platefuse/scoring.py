@@ -165,8 +165,9 @@ def _fused_texts(predictions: Mapping[str, Prediction],
     Two exact rules fix some texts without fusing again:
 
     * a result that needed no tie-break is the text every strategy of the
-      same kind gives, whatever its tie-break, since a tie-break is read
-      only when several values share the top count;
+      same kind gives, whatever its tie-break: a tie-break only sets the
+      order of the entries, and the kernels read that order only when
+      several values share the top count;
     * an mv text with a strict majority (``2 * winning_votes > n``) is also
       the mvcp text for either tie-break: it wins the length vote and the
       vote at every position outright.

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core import DEFAULT_ALPHABET, Prediction, Sample, is_number
+from .core import DEFAULT_ALPHABET, Prediction, Sample, check_alphabet, check_cell, is_number
 
 _SAMPLE_STRIDE = 1 << 64
 
@@ -126,18 +126,10 @@ class SynthConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise errors.InvalidConfig(f"{name} must be a positive integer")
-        if not isinstance(self.alphabet, str):
-            raise errors.InvalidConfig(
-                f"alphabet must be a string, got {self.alphabet!r}"
-            )
-        if len(self.alphabet) < 2:
+        if len(check_alphabet(self.alphabet)) < 2:
             raise errors.InvalidConfig("alphabet needs at least two symbols")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise errors.InvalidConfig("alphabet symbols must be unique")
-        if not isinstance(self.dataset, str) or not self.dataset:
-            raise errors.InvalidConfig(
-                f"dataset must be a non-empty string, got {self.dataset!r}"
-            )
+        # The corpus loaders' rule, so that every corpus written loads.
+        check_cell(self.dataset, "dataset", errors.InvalidConfig)
         per_model = tuple(self.per_model)
         if not per_model:
             per_model = tuple(ErrorModel() for _ in range(self.n_models))

@@ -86,6 +86,21 @@ def test_fuse_bm_without_profiles_is_usage_error(tmp_path, capsys):
     assert "requires --profiles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alphabet,message", [
+    ("ab", "alphabet symbol 'a' is not its own uppercase"),
+    ("A-B", "alphabet symbol '-' is a separator"),
+    ("", "alphabet must not be empty"),
+])
+def test_invalid_alphabet_is_a_usage_error(tmp_path, capsys, alphabet, message):
+    out = tmp_path / "fused.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run("fuse", "--input", str(SHOWCASE_PATH), "--strategy", "hc",
+            "--alphabet", alphabet, "--output", str(out))
+    assert exc.value.code == 2
+    assert f"argument --alphabet: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuse_bm_with_profiles(tmp_path, profiles_path):
     out = tmp_path / "fused.jsonl"
     assert run("fuse", "--input", str(SHOWCASE_PATH), "--strategy", "mv-bm",

@@ -104,9 +104,10 @@ def _outcome(normalize, raw, alphabet):
 _NOT_SYMBOLS = "-. \t\r\n\f\vßıſﬁ\u2028"
 
 
-# The custom alphabets hold "-", which is still dropped as a separator, and a
-# lowercase letter, which the symbol table never maps.
-@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, "AB-c1", "x-Y9"])
+# The custom alphabets hold a symbol with no case and non-ASCII letters whose
+# lowercase forms map to them.
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, "AB#1",
+                                      pytest.param("ÄΣ9", id="non-ascii")])
 @given(data=st.data())
 @settings(max_examples=300)
 def test_normalize_text_matches_the_table_reference(alphabet, data):
@@ -116,6 +117,22 @@ def test_normalize_text_matches_the_table_reference(alphabet, data):
     ))
     assert _outcome(normalize_text, raw, alphabet) == \
         _outcome(normalize_by_table, raw, alphabet)
+
+
+@pytest.mark.parametrize("alphabet,message", [
+    ("", r"^alphabet must not be empty$"),
+    ("ABA", r"^alphabet symbols must be unique$"),
+    ("A-B", r"^alphabet symbol '-' is a separator$"),
+    ("AB-c1", r"^alphabet symbol '-' is a separator$"),
+    ("ab", r"^alphabet symbol 'a' is not its own uppercase$"),
+    ("x-Y9", r"^alphabet symbol 'x' is not its own uppercase$"),
+    ("Aß", r"^alphabet symbol 'ß' is not its own uppercase$"),
+])
+def test_normalize_text_rejects_an_invalid_alphabet(alphabet, message):
+    # Every symbol must normalize to itself: a separator would be dropped
+    # from the texts and a lowercase symbol would reject its own texts.
+    with pytest.raises(errors.InvalidConfig, match=message):
+        normalize_text("A", alphabet)
 
 
 # --- domain type validation --------------------------------------------------
@@ -453,8 +470,11 @@ def test_sweep_reuse_rules(predictions, data):
 @settings(max_examples=300)
 def test_hc_without_a_ranking_settles_confidence_ties_by_model_id(predictions):
     # The ensembles are built in arbitrary key order, so an exact confidence
-    # tie must go to the smallest model id, not to the first one inserted.
+    # tie must go to the smallest model id, not to the first one inserted:
+    # in hc without a ranking and among the voters of the -hc tie-break.
     assert hc_fuse(predictions, None).text == resolve_hc(predictions, sorted(predictions))
+    assert mv_fuse(predictions, TB_HC).text == resolve_mv(predictions, TB_HC)
+    assert mvcp_fuse(predictions, TB_HC).text == resolve_mvcp(predictions, TB_HC)
 
 
 # --- kernel implementation ----------------------------------------------------------

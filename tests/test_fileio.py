@@ -365,6 +365,21 @@ def test_fused_text_checked_against_alphabet(tmp_path):
         fileio.load_fused(path, alphabet="01")
 
 
+def test_loaders_reject_an_invalid_alphabet_before_any_record(tmp_path):
+    # The message has no "line N:": no record has been read.
+    fused = _write_fused(tmp_path, {**_FUSED, "text": "AB"})
+    with pytest.raises(errors.InvalidConfig, match=r"^alphabet symbol '-' is a separator$"):
+        fileio.load_fused(fused, alphabet="A-B")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "sample_id": "s1", "dataset": "d", "ground_truth": "aba",
+        "predictions": {"m": {"text": "ab", "confidence": 0.5}},
+    }) + "\n")
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^alphabet symbol 'a' is not its own uppercase$"):
+        fileio.load_predictions(corpus, alphabet="ab")
+
+
 def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
     path = _write_fused(tmp_path, _FUSED, _FUSED)
     with pytest.raises(errors.ParseError, match="line 2: duplicate sample_id 's1'"):
@@ -644,6 +659,9 @@ _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
     ({"per_model": [{}, {"per_char_sub_rate": "0.1"}]},
      r"^per_model\[1\]: per_char_sub_rate must be a number"),
     ({"per_model": 5}, r"^per_model must be a list"),
+    ({"dataset": "gate,cam"}, r"^dataset 'gate,cam' holds a comma or line break$"),
+    ({"dataset": "d\ud800"}, r"^dataset 'd\\ud800' is not encodable as UTF-8$"),
+    ({"alphabet": "ab"}, r"^alphabet symbol 'a' is not its own uppercase$"),
 ])
 def test_synth_config_rejects_wrong_types(fields, message):
     with pytest.raises(errors.InvalidConfig, match=message):
