@@ -25,8 +25,7 @@ from enum import Enum
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from . import _kernels_py as kernels
-from . import errors
+from . import errors, kernels
 
 DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -94,7 +93,13 @@ def normalize_text(raw: str, alphabet: str = DEFAULT_ALPHABET) -> str:
             raw character).
         EmptyAfterNormalization: nothing is left.
     """
-    table = _symbol_table(alphabet)
+    try:
+        table = _symbol_table(alphabet)
+    except TypeError:
+        # An unhashable alphabet, such as a list, never reaches the check
+        # inside the cache; a string is always hashable.
+        check_alphabet(alphabet)
+        raise
     # Already normalized: every character is a symbol, which maps to itself.
     if raw and not raw.strip(alphabet):
         return raw

@@ -1,4 +1,8 @@
-"""Vote/selection kernels: the fusion primitives ``platefuse.core`` calls.
+"""Vote/selection kernels: the fusion primitives of every strategy.
+
+``platefuse.core`` calls them for each fusion, and ``scoring.sweep_top_n``
+calls them directly on the top-N prefixes of each sample's sorted members,
+so ``fuse``, ``eval`` and ``sweep`` vote with the same code.
 
 Each kernel takes one list over an ensemble's entries: :func:`hc_select`
 their confidences (floats in [0, 1]), :func:`mv_select` and

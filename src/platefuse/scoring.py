@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import errors
+from . import errors, kernels
 from .core import (
     FusionStrategy,
     ModelProfile,
-    Prediction,
     Sample,
     StrategyKind,
+    TieBreakKind,
     apply_strategy,
 )
 
@@ -157,39 +157,22 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-def _fused_texts(predictions: Mapping[str, Prediction],
-                 strategies: Sequence[FusionStrategy],
-                 reuse: bool) -> list[str]:
-    """The text each of ``strategies`` fuses ``predictions`` to, in order.
+# Tie-break order key of the ``*-hc`` vote strategies; the other keys are a
+# ranking tuple, or None for model-id order.
+_BY_CONFIDENCE = "confidence"
+_HC, _MV, _MVCP = (StrategyKind.HC.value, StrategyKind.MV.value,
+                   StrategyKind.MVCP.value)
 
-    Two exact rules fix some texts without fusing again:
 
-    * a result that needed no tie-break is the text every strategy of the
-      same kind gives, whatever its tie-break: a tie-break only sets the
-      order of the entries, and the kernels read that order only when
-      several values share the top count;
-    * an mv text with a strict majority (``2 * winning_votes > n``) is also
-      the mvcp text for either tie-break: it wins the length vote and the
-      vote at every position outright.
-
-    With ``reuse`` such a text is taken instead of calling
-    :func:`apply_strategy`; without it every strategy is fused. The second
-    rule needs the mv strategies ahead of the mvcp ones.
-    """
-    settled: dict[StrategyKind, str] = {}
-    texts = []
-    for strategy in strategies:
-        text = settled.get(strategy.kind) if reuse else None
-        if text is None:
-            result = apply_strategy(predictions, strategy)
-            text = result.text
-            if not result.tie_broken:
-                settled[strategy.kind] = text
-                if (strategy.kind is StrategyKind.MV
-                        and 2 * result.winning_votes > len(predictions)):
-                    settled[StrategyKind.MVCP] = text
-        texts.append(text)
-    return texts
+def _tiebreak_order(strategy: FusionStrategy):
+    """The order :func:`apply_strategy` puts an ensemble in to settle the ties
+    of ``strategy`` (see ``core._prepare``): a ranking, :data:`_BY_CONFIDENCE`
+    (most confident first, equal confidences in model-id order), or None for
+    model-id order."""
+    tb = strategy.tiebreak
+    if tb is not None and tb.kind is TieBreakKind.BEST_MODEL:
+        return tb.ranking
+    return None if strategy.kind is StrategyKind.HC else _BY_CONFIDENCE
 
 
 def sweep_top_n(samples: Sequence[Sample],
@@ -203,12 +186,29 @@ def sweep_top_n(samples: Sequence[Sample],
     scored per dataset, and macro-averaged. Each row also carries the summed
     per-image latency of its members and the resulting FPS.
 
-    A sample's texts come from :func:`_fused_texts`, which skips a fusion
-    whose text an earlier result of the same sample already fixes: a vote
-    that needed no tie-break gives the same text under the other tie-break,
-    and a strict mv majority is also the mvcp text. Either rule is exact, so
-    the report is the one that fusing every strategy gives, whatever the
-    order of ``strategies`` and whichever of them are present.
+    The texts are those :func:`apply_strategy` gives, found without a top-N
+    map or a fusion result per sample: the kernels vote on the values
+    directly. A subsequence of a tie-break order is the tie-break order of
+    its entries, so the top-N ensemble in an order is the members in that
+    order whose ``ranking_mode`` position is below N. The order of a ranking
+    and model-id order are the same for every sample, so the members are
+    sorted in each once; the confidence order of a sample's top N is sorted
+    only when an ``*-hc`` vote needs it, so nothing is kept per sample from
+    one N to the next. Two exact rules skip a vote whose text an earlier
+    result of the same sample and N already fixes:
+
+    * a result that needed no tie-break is the text every strategy of the
+      same kind gives, whatever its tie-break: the kernels read the entry
+      order only when several values share the top count;
+    * an mv text with a strict majority (``2 * votes > N``) is also the
+      mvcp text for either tie-break: it wins the length vote and the vote
+      at every position outright.
+
+    So the report does not depend on the order of ``strategies`` or on
+    which of them are present. The first sample of each N is still fused in
+    full by every strategy through :func:`apply_strategy`, so a ranking that
+    misses a member raises ``IncompleteRanking`` even where its tie-break is
+    never read; every sample has the same members.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -225,17 +225,65 @@ def sweep_top_n(samples: Sequence[Sample],
     # when the mvcp texts are needed.
     distinct = sorted(dict.fromkeys(strategies),
                       key=lambda x: x.kind is StrategyKind.MVCP)
+    # Each distinct tie-break order once; a strategy names its kind by value,
+    # since an enum member hashes in Python code, and its order by index.
+    keys = [_tiebreak_order(strategy) for strategy in distinct]
+    orders = list(dict.fromkeys(keys))
+    plan = [(strategy.kind.value, orders.index(key))
+            for strategy, key in zip(distinct, keys)]
+    # Member i is ranking[i]. Model-id order and the order of a ranking are
+    # the same for every sample, so each is sorted once here. A ranking puts
+    # the members it misses last; an N that includes one raises on its first
+    # sample.
+    in_id_order = sorted(range(len(ranking)), key=ranking.__getitem__)
+    member_orders = {None: in_id_order}
+    for key in orders:
+        if key is not None and key is not _BY_CONFIDENCE:
+            position = {m: i for i, m in enumerate(key)}
+            member_orders[key] = sorted(
+                in_id_order, key=lambda i: position.get(ranking[i], len(key)))
     rows = []
     for n in range(1, len(ranking) + 1):
-        members = ranking[:n]
+        top_members = ranking[:n]
+        # The confidence order is each sample's own (None here).
+        prefixes = [None if key is _BY_CONFIDENCE
+                    else [i for i in member_orders[key] if i < n]
+                    for key in orders]
+        top_in_id_order = [i for i in in_id_order if i < n]
         columns: list[dict[str, str]] = [{} for _ in distinct]
-        for i, s in enumerate(samples):
-            top_n = {m: s.predictions[m] for m in members}
-            # Every strategy fuses the first sample, so a ranking that misses
-            # a member raises IncompleteRanking even where a text could be
-            # reused; every sample has the same members.
-            for column, text in zip(columns,
-                                    _fused_texts(top_n, distinct, i > 0)):
+        for j, s in enumerate(samples):
+            if j == 0:
+                top_n = {m: s.predictions[m] for m in top_members}
+                for column, strategy in zip(columns, distinct):
+                    column[s.sample_id] = apply_strategy(top_n, strategy).text
+                continue
+            members = [s.predictions[m] for m in top_members]
+            settled: dict[str, str] = {}
+            voted: list[list[str] | None] = [None] * len(orders)
+            for column, (kind, order) in zip(columns, plan):
+                text = settled.get(kind)
+                if text is None:
+                    top = prefixes[order]
+                    if kind == _HC:
+                        index, tied = kernels.hc_select(
+                            [members[i].confidence for i in top])
+                        text = members[top[index]].text
+                    else:
+                        values = voted[order]
+                        if values is None:
+                            if top is None:
+                                top = sorted(
+                                    top_in_id_order, reverse=True,
+                                    key=lambda i: members[i].confidence)
+                            values = voted[order] = [members[i].text for i in top]
+                        if kind == _MV:
+                            text, votes, tied = kernels.mv_select(values)
+                            if 2 * votes > n:
+                                settled[_MVCP] = text
+                        else:
+                            text, tied = kernels.mvcp_select(values)
+                    if not tied:
+                        settled[kind] = text
                 column[s.sample_id] = text
         fused = dict(zip(distinct, columns))
         rates = {
@@ -245,7 +293,7 @@ def sweep_top_n(samples: Sequence[Sample],
         latency, _ = ensemble_latency(ordered, n)
         rows.append(SweepRow(
             n=n,
-            added_model=members[-1],
+            added_model=ranking[n - 1],
             per_strategy_rate=rates,
             cumulative_latency_ms=latency,
         ))

@@ -34,7 +34,7 @@ from platefuse import (
     normalize_text,
     parse_strategy,
 )
-from platefuse import _kernels_py, backend_name, core
+from platefuse import backend_name, core, kernels
 
 
 # --- normalize_text ---------------------------------------------------------
@@ -127,10 +127,13 @@ def test_normalize_text_matches_the_table_reference(alphabet, data):
     ("ab", r"^alphabet symbol 'a' is not its own uppercase$"),
     ("x-Y9", r"^alphabet symbol 'x' is not its own uppercase$"),
     ("Aß", r"^alphabet symbol 'ß' is not its own uppercase$"),
+    (("A", "B"), r"^alphabet must be a string, got \('A', 'B'\)$"),
+    (["A", "B"], r"^alphabet must be a string, got \['A', 'B'\]$"),
 ])
 def test_normalize_text_rejects_an_invalid_alphabet(alphabet, message):
     # Every symbol must normalize to itself: a separator would be dropped
-    # from the texts and a lowercase symbol would reject its own texts.
+    # from the texts and a lowercase symbol would reject its own texts. A
+    # list cannot be a key of the table cache, yet gets the same error.
     with pytest.raises(errors.InvalidConfig, match=message):
         normalize_text("A", alphabet)
 
@@ -480,7 +483,7 @@ def test_hc_without_a_ranking_settles_confidence_ties_by_model_id(predictions):
 # --- kernel implementation ----------------------------------------------------------
 
 def test_backend_reports_a_name():
-    assert core.kernels is _kernels_py
+    assert core.kernels is kernels
     assert backend_name() == "python"
 
 

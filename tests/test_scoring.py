@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P
 from platefuse import (
@@ -286,27 +288,9 @@ def _tie_rich_corpus(rng, n_samples=150, n_models=6):
     return samples, profiles
 
 
-# The sweep reuses a text another strategy of the same sample already fixes,
-# so the rows must not depend on which strategies are asked for, or in what
-# order. Keyed by test id suffix.
-SWEEP_STRATEGY_LISTS = {
-    "": STRATEGY_NAMES,
-    "-reversed": STRATEGY_NAMES[::-1],
-    "-mvcp-bm": ("mvcp-bm",),
-    "-mvcp-hc+mv-bm": ("mvcp-hc", "mv-bm"),
-    "-repeated": ("mv-hc", "mvcp-bm", "mv-hc"),
-}
-
-
-@pytest.mark.parametrize("mode,names", [
-    pytest.param(mode, names, id=mode + suffix)
-    for mode in ("accuracy", "speed")
-    for suffix, names in SWEEP_STRATEGY_LISTS.items()
-])
-def test_every_sweep_row_matches_direct_evaluation(mode, names):
-    samples, profiles = _tie_rich_corpus(np.random.default_rng(31))
-    accuracy_ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, accuracy_ranking) for name in names]
+def _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode):
+    """Every row of the sweep equals fusing each top-n ensemble through
+    apply_strategy and scoring it directly."""
     report = sweep_top_n(samples, profiles, strategies, mode)
     ranking = rank_models(profiles, mode)
     assert [row.n for row in report.rows] == list(range(1, len(ranking) + 1))
@@ -322,6 +306,68 @@ def test_every_sweep_row_matches_direct_evaluation(mode, names):
             expected = macro_average(recognition_rate(samples, fused))
             assert row.per_strategy_rate[strategy.name] == expected, \
                 (mode, row.n, strategy.name)
+
+
+# The sweep reuses a text another strategy of the same sample already fixes,
+# so the rows must not depend on which strategies are asked for, or in what
+# order. Keyed by test id suffix. "hc-by-id" is hc built without a ranking,
+# whose confidence ties go to the smallest model id: the one tie-break order
+# that neither a ranking nor the confidences give.
+SWEEP_STRATEGY_LISTS = {
+    "": STRATEGY_NAMES,
+    "-reversed": STRATEGY_NAMES[::-1],
+    "-mvcp-bm": ("mvcp-bm",),
+    "-mvcp-hc+mv-bm": ("mvcp-hc", "mv-bm"),
+    "-repeated": ("mv-hc", "mvcp-bm", "mv-hc"),
+    "-hc-by-id": ("mvcp-hc", "hc-by-id", "mv-bm"),
+}
+
+
+def _strategy(name, ranking):
+    return parse_strategy("hc") if name == "hc-by-id" else parse_strategy(name, ranking)
+
+
+@pytest.mark.parametrize("mode,names", [
+    pytest.param(mode, names, id=mode + suffix)
+    for mode in ("accuracy", "speed")
+    for suffix, names in SWEEP_STRATEGY_LISTS.items()
+])
+def test_every_sweep_row_matches_direct_evaluation(mode, names):
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(31))
+    accuracy_ranking = rank_models(profiles, "accuracy")
+    strategies = [_strategy(name, accuracy_ranking) for name in names]
+    _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+
+
+@st.composite
+def tie_rich_sweeps(draw):
+    """A few samples over 1-5 models with texts of 1-3 symbols from ``AB``,
+    four confidences, shuffled accuracy ranks and repeated latencies."""
+    n_models = draw(st.integers(1, 5))
+    models = [f"m{j}" for j in range(n_models)]
+    ranks = draw(st.permutations(range(1, n_models + 1)))
+    profiles = [ModelProfile(m, draw(st.sampled_from([1.0, 2.0])), rank)
+                for m, rank in zip(models, ranks)]
+    texts = st.text(alphabet="AB", min_size=1, max_size=3)
+    samples = [
+        Sample(f"s{i}", draw(st.sampled_from(["d0", "d1"])), draw(texts), {
+            m: P(draw(texts), draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])))
+            for m in models
+        })
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    return samples, profiles
+
+
+@given(sweep=tie_rich_sweeps(),
+       names=st.sampled_from(list(SWEEP_STRATEGY_LISTS.values())))
+@settings(max_examples=200, deadline=None)
+def test_every_sweep_row_matches_direct_evaluation_on_random_corpora(sweep, names):
+    samples, profiles = sweep
+    accuracy_ranking = rank_models(profiles, "accuracy")
+    strategies = [_strategy(name, accuracy_ranking) for name in names]
+    for mode in ("accuracy", "speed"):
+        _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
 
 
 def test_sweep_rejects_an_incomplete_ranking_without_ties():
