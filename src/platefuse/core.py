@@ -246,6 +246,10 @@ class TieBreakKind(Enum):
     BEST_MODEL = "bm"
 
 
+# Most-confident-first order; a bare object, so that no ranking equals it.
+_CONFIDENCE_ORDER = object()
+
+
 @dataclass(frozen=True)
 class TieBreak:
     """How vote ties are resolved.
@@ -264,6 +268,13 @@ class TieBreak:
                 raise errors.InvalidConfig("tie-break ranking contains duplicates")
         if self.kind is TieBreakKind.BEST_MODEL and not self.ranking:
             raise errors.InvalidConfig("best-model tie-break requires a ranking")
+
+    @property
+    def order(self):
+        """The ranking, or most confident first (see :func:`in_tiebreak_order`)."""
+        if self.kind is TieBreakKind.BEST_MODEL:
+            return self.ranking
+        return _CONFIDENCE_ORDER
 
 
 @dataclass(frozen=True)
@@ -285,6 +296,14 @@ class FusionStrategy:
         if self.kind is StrategyKind.HC:
             return "hc"
         return f"{self.kind.value}-{self.tiebreak.kind.value}"
+
+    @property
+    def order(self):
+        """The tie-break order :func:`apply_strategy` puts an ensemble in:
+        ``hc`` settles exact confidence ties by its ranking, else by id."""
+        order = None if self.tiebreak is None else self.tiebreak.order
+        hc_by_id = self.kind is StrategyKind.HC and order is _CONFIDENCE_ORDER
+        return None if hc_by_id else order
 
 
 STRATEGY_NAMES = ("hc", "mv-bm", "mv-hc", "mvcp-bm", "mvcp-hc")
@@ -334,29 +353,34 @@ def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
     return {m: i for i, m in enumerate(ranking)}
 
 
-def _prepare(predictions: Mapping[str, Prediction],
-             ranking: Sequence[str] | None, by_confidence: bool = False):
-    """Canonicalize an ensemble into the parallel kernel inputs.
+def in_tiebreak_order(ids: list[str], order,
+                      predictions: Mapping[str, Prediction] | None = None
+                      ) -> list[str]:
+    """``ids``, given in model-id order, in the tie-break ``order``.
 
-    Entries come out in tie-break order, the order the kernels settle ties
-    by: ranking order when a ranking is given, else most confident first when
-    ``by_confidence``, else model-id order. Either sort is stable and follows
-    a sort by id, so results never depend on map iteration order, equal
-    confidences stay in id order, and a ranking that misses several models
-    names the smallest of them.
+    ``order`` is a strategy's :attr:`~FusionStrategy.order`: a ranking, most
+    confident first (read from ``predictions``), or None for model-id order.
+    Both sorts are stable, so equal confidences stay in id order and a
+    ranking that misses several ids names the smallest of them.
     """
+    if order is None:
+        return ids
+    if order is _CONFIDENCE_ORDER:
+        return sorted(ids, key=lambda m: predictions[m].confidence, reverse=True)
+    try:
+        return sorted(ids, key=_positions(tuple(order)).__getitem__)
+    except KeyError as exc:
+        raise errors.IncompleteRanking(
+            f"model {exc.args[0]!r} is missing from the ranking"
+        ) from None
+
+
+def _prepare(predictions: Mapping[str, Prediction], order):
+    """The ensemble as parallel kernel inputs in tie-break ``order``, so
+    results never depend on map iteration order."""
     if not predictions:
         raise errors.EmptyEnsemble("no predictions to fuse")
-    ids = sorted(predictions)
-    if ranking is not None:
-        try:
-            ids.sort(key=_positions(tuple(ranking)).__getitem__)
-        except KeyError as exc:
-            raise errors.IncompleteRanking(
-                f"model {exc.args[0]!r} is missing from the ranking"
-            ) from None
-    elif by_confidence:
-        ids.sort(key=lambda m: predictions[m].confidence, reverse=True)
+    ids = in_tiebreak_order(sorted(predictions), order, predictions)
     entries = [predictions[m] for m in ids]
     texts = [p.text for p in entries]
     confs = [p.confidence for p in entries]
@@ -378,13 +402,6 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     return FusionResult(text, 0, tie, contributors)
 
 
-def _tiebreak_prepared(predictions, tiebreak: TieBreak):
-    """:func:`_prepare` in the order that settles ``tiebreak``'s vote ties."""
-    if tiebreak.kind is TieBreakKind.HIGHEST_CONFIDENCE:
-        return _prepare(predictions, None, by_confidence=True)
-    return _prepare(predictions, tiebreak.ranking)
-
-
 def mv_fuse(predictions: Mapping[str, Prediction],
             tiebreak: TieBreak) -> FusionResult:
     """Plurality vote over whole sequences.
@@ -393,7 +410,7 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     are settled by ``tiebreak``: highest confidence backing a tied text, or
     the tied text predicted by the best-ranked model among their predictors.
     """
-    ids, texts, _ = _tiebreak_prepared(predictions, tiebreak)
+    ids, texts, _ = _prepare(predictions, tiebreak.order)
     text, votes, tie = kernels.mv_select(texts)
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
@@ -408,7 +425,7 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     vote there. Positional and length ties use ``tiebreak`` with the
     sequence-level confidence (or rank) of the contributing prediction.
     """
-    ids, texts, _ = _tiebreak_prepared(predictions, tiebreak)
+    ids, texts, _ = _prepare(predictions, tiebreak.order)
     fused, tie = kernels.mvcp_select(texts)
     votes = texts.count(fused)
     contributors = frozenset(compress(
@@ -425,10 +442,7 @@ def apply_strategy(predictions: Mapping[str, Prediction],
     model-id order.
     """
     if strategy.kind is StrategyKind.HC:
-        tb = strategy.tiebreak
-        if tb is not None and tb.kind is TieBreakKind.BEST_MODEL:
-            return hc_fuse(predictions, tb.ranking)
-        return hc_fuse(predictions, None)
+        return hc_fuse(predictions, strategy.order)
     if strategy.kind is StrategyKind.MV:
         return mv_fuse(predictions, strategy.tiebreak)
     return mvcp_fuse(predictions, strategy.tiebreak)

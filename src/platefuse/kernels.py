@@ -8,9 +8,9 @@ Each kernel takes one list over an ensemble's entries: :func:`hc_select`
 their confidences (floats in [0, 1]), :func:`mv_select` and
 :func:`mvcp_select` their normalized prediction texts.
 
-Entries arrive in tie-break order (see ``core._prepare``): ranking order,
-most confident first, or model-id order. Every kernel settles a tie by that
-order alone: the earliest entry wins.
+Entries arrive in tie-break order (see ``core.in_tiebreak_order``): ranking
+order, most confident first, or model-id order. Every kernel settles a tie by
+that order alone: the earliest entry wins.
 
 Every vote is one plurality round over the values the entries cast (whole
 texts, lengths, or the characters of one position), counted first and

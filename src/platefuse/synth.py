@@ -133,6 +133,10 @@ class SynthConfig:
         per_model = tuple(self.per_model)
         if not per_model:
             per_model = tuple(ErrorModel() for _ in range(self.n_models))
+        for index, em in enumerate(per_model):
+            if not isinstance(em, ErrorModel):
+                raise errors.InvalidConfig(
+                    f"per_model[{index}] must be an ErrorModel")
         if len(per_model) != self.n_models:
             raise errors.InvalidConfig(
                 f"per_model has {len(per_model)} entries for {self.n_models} models"

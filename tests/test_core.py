@@ -505,6 +505,35 @@ def test_apply_strategy_dispatches_all_five():
         assert apply_strategy(FIG_A, strategy).text == expected, name
 
 
+# Inserted out of id order; b and d share the top confidence, a and c the
+# bottom one.
+TIE_RICH = {"c": P("X", 0.5), "d": P("Y", 0.9), "a": P("X", 0.5),
+            "b": P("Y", 0.9)}
+TIE_RICH_RANKING = ("c", "a", "d", "b")
+
+
+@pytest.mark.parametrize("strategy,expected", [
+    pytest.param(parse_strategy("hc", TIE_RICH_RANKING), ["c", "a", "d", "b"],
+                 id="hc"),
+    pytest.param(parse_strategy("mv-bm", TIE_RICH_RANKING), ["c", "a", "d", "b"],
+                 id="mv-bm"),
+    pytest.param(parse_strategy("mvcp-bm", TIE_RICH_RANKING),
+                 ["c", "a", "d", "b"], id="mvcp-bm"),
+    pytest.param(parse_strategy("mv-hc", TIE_RICH_RANKING), ["b", "d", "a", "c"],
+                 id="mv-hc"),
+    pytest.param(parse_strategy("mvcp-hc", TIE_RICH_RANKING),
+                 ["b", "d", "a", "c"], id="mvcp-hc"),
+    pytest.param(parse_strategy("hc"), ["a", "b", "c", "d"], id="hc-no-ranking"),
+    pytest.param(FusionStrategy(StrategyKind.HC, TB_HC), ["a", "b", "c", "d"],
+                 id="hc-highest-confidence"),
+])
+def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(strategy, expected):
+    ids, texts, confs = core._prepare(TIE_RICH, strategy.order)
+    assert ids == expected
+    assert texts == [TIE_RICH[m].text for m in expected]
+    assert confs == [TIE_RICH[m].confidence for m in expected]
+
+
 # --- confidence normalization ---------------------------------------------------------
 
 def _sample(idx, preds):

@@ -150,6 +150,25 @@ def test_rank_models_duplicate_rank():
         rank_models(profiles, "accuracy")
 
 
+@pytest.mark.parametrize("mode", ["accuracy", "speed"])
+def test_rank_models_rejects_duplicate_model_ids(mode):
+    profiles = [ModelProfile("a", 1.0, 1), ModelProfile("b", 2.0, 2),
+                ModelProfile("a", 3.0, 3)]
+    with pytest.raises(errors.DuplicateModelId, match="'a'"):
+        rank_models(profiles, mode)
+
+
+def test_sweep_rejects_duplicate_model_ids():
+    # A second "a" would count its latency twice and its vote twice, except
+    # on a sample fused through a map, which holds it once.
+    profiles = [ModelProfile("a", 1.0, 1), ModelProfile("b", 2.0, 2),
+                ModelProfile("a", 3.0, 3)]
+    samples = [Sample(f"s{i}", "lab", "X", {"a": P("X", 0.5), "b": P("Y", 0.8)})
+               for i in range(3)]
+    with pytest.raises(errors.DuplicateModelId, match="'a'"):
+        sweep_top_n(samples, profiles, [parse_strategy("mv-hc")], "accuracy")
+
+
 def test_rank_models_missing_rank():
     with pytest.raises(errors.MissingAccuracyRank):
         rank_models([ModelProfile("a", 1.0)], "accuracy")
@@ -371,15 +390,27 @@ def test_every_sweep_row_matches_direct_evaluation_on_random_corpora(sweep, name
 
 
 def test_sweep_rejects_an_incomplete_ranking_without_ties():
-    # Unanimous ensembles never read the mv-bm tie-break, yet its ranking,
-    # which lacks m3, must still cover the members.
-    models = ("m1", "m2", "m3")
-    samples = [Sample(f"s{i}", "lab", "AB", {m: P("AB", 0.5) for m in models})
-               for i in range(3)]
-    profiles = [ModelProfile(m, 1.0, rank) for rank, m in enumerate(models, 1)]
-    strategies = [parse_strategy("mv-hc"), parse_strategy("mv-bm", ("m1", "m2"))]
-    with pytest.raises(errors.IncompleteRanking, match="'m3'"):
-        sweep_top_n(samples, profiles, strategies, "accuracy")
+    # Unanimous ensembles never read the mv-bm tie-break, yet its ranking
+    # must still cover the members. The error names the member missing from
+    # the smallest N: in the second case m3 and m2 are both missing, and m3
+    # joins first although m2 is the smaller id.
+    for models, bm_ranking in [(("m1", "m2", "m3"), ("m1", "m2")),
+                               (("m1", "m3", "m2"), ("m1",))]:
+        samples = [Sample(f"s{i}", "lab", "AB",
+                          {m: P("AB", 0.5) for m in models}) for i in range(3)]
+        profiles = [ModelProfile(m, 1.0, rank)
+                    for rank, m in enumerate(models, 1)]
+        strategies = [parse_strategy("mv-hc"),
+                      parse_strategy("mv-bm", bm_ranking)]
+        with pytest.raises(errors.IncompleteRanking, match="'m3'"):
+            sweep_top_n(samples, profiles, strategies, "accuracy")
+
+
+def test_sweep_without_samples_is_empty_input_before_the_ranking_check():
+    profiles = [ModelProfile("m1", 1.0, 1), ModelProfile("m2", 1.0, 2)]
+    with pytest.raises(errors.EmptyInput):
+        sweep_top_n([], profiles, [parse_strategy("mv-bm", ("m2",))],
+                    "accuracy")
 
 
 def test_sweep_missing_model_prediction(stock_profiles, showcase_samples):

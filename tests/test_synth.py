@@ -59,6 +59,10 @@ def test_synth_config_validation():
     with pytest.raises(errors.InvalidConfig):
         SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1,
                     alphabet="AAB")
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"per_model\[1\] must be an ErrorModel"):
+        SynthConfig(seed=0, n_models=2, n_samples=1, plate_length=1,
+                    per_model=(ErrorModel(), {"per_char_sub_rate": 0.1}))
 
 
 def test_default_error_models_fill_in():
