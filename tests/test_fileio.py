@@ -715,9 +715,25 @@ def test_render_sweep_formats(stock_profiles, showcase_samples):
     assert "14.4 / 69" in table
 
 
-def test_render_rejects_unknown_format():
-    with pytest.raises(errors.InvalidConfig):
-        fileio.render_report([DatasetReport("d", 1, 1)], "yaml")
+def test_render_rejects_unknown_format(stock_profiles, showcase_samples):
+    top2 = [p for p in stock_profiles if p.accuracy_rank <= 2]
+    sweep = sweep_top_n(showcase_samples, top2,
+                        [parse_strategy("mv-hc", rank_models(top2, "accuracy"))],
+                        "accuracy")
+    # render_report checks the format before it reads the report.
+    for report in ([DatasetReport("d", 1, 1)], sweep, [], None):
+        with pytest.raises(errors.InvalidConfig, match="^unknown report format 'yaml'$"):
+            fileio.render_report(report, "yaml")
+    # reformat_report checks the format after the lines and their columns.
+    text = "dataset,total,correct,rate\nd,1,1,100.0\n"
+    with pytest.raises(errors.InvalidConfig, match="^unknown report format 'yaml'$"):
+        fileio.reformat_report(text, "yaml")
+    with pytest.raises(errors.EmptyFile):
+        fileio.reformat_report("\n", "yaml")
+    with pytest.raises(errors.ParseError, match="^line 2: expected 4 columns, found 3$"):
+        fileio.reformat_report(text.replace("d,", ""), "yaml")
+    with pytest.raises(errors.ParseError, match="^line 1: carriage return"):
+        fileio.reformat_report(text.replace("\n", "\r"), "yaml")
 
 
 def test_reformat_report_round_trip():
