@@ -464,98 +464,91 @@ def load_synth_config(path) -> SynthConfig:
 
 # --- display rounding (applied at the rendering boundary only) --------------------
 
+def _half_up(value: float, step: str) -> str:
+    """``value`` rounded half-up to a multiple of ``step`` ('0.1' or '1')."""
+    return str(Decimal(repr(value)).quantize(Decimal(step), rounding=ROUND_HALF_UP))
+
+
+def _percent_digits(rate: float) -> str:
+    return _half_up(rate * 100.0, "0.1")
+
+
 def format_percent(rate: float) -> str:
     """0.92406 -> '92.4%'."""
     return _percent_digits(rate) + "%"
 
 
-def _percent_digits(rate: float) -> str:
-    return str(Decimal(repr(rate * 100.0)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
 def format_latency_ms(latency: float) -> str:
     """59.7000001 -> '59.7'."""
-    return str(Decimal(repr(latency)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return _half_up(latency, "0.1")
 
 
 def format_fps(fps: float) -> str:
     """16.75 -> '17' (half-up)."""
-    return str(Decimal(repr(fps)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    return _half_up(fps, "1")
 
 
 # --- report rendering ---------------------------------------------------------------
 
 def render_report(report, fmt: str = FORMAT_DELIMITED) -> str:
     """Render dataset reports or a sweep report as delimited text or a table."""
-    if fmt not in (FORMAT_DELIMITED, FORMAT_TABLE):
-        raise errors.InvalidConfig(f"unknown report format {fmt!r}")
+    _check_format(fmt)
     if isinstance(report, SweepReport):
-        return _render_sweep(report, fmt)
+        return _layout(*_sweep_cells(report, fmt), fmt)
     reports = list(report)
     if not reports or not all(isinstance(r, DatasetReport) for r in reports):
         raise errors.EmptyInput("nothing to render")
-    return _render_datasets(reports, fmt)
+    return _layout(*_dataset_cells(reports, fmt), fmt)
 
 
-def _render_datasets(reports: Sequence[DatasetReport], fmt: str) -> str:
-    average = macro_average(reports)
-    rows = [[r.dataset, str(r.total), str(r.correct), _percent_digits(r.rate)]
+def _check_format(fmt: str) -> None:
+    if fmt not in (FORMAT_DELIMITED, FORMAT_TABLE):
+        raise errors.InvalidConfig(f"unknown report format {fmt!r}")
+
+
+def _dataset_cells(reports: Sequence[DatasetReport], fmt: str):
+    """Header and rows of per-dataset rates, then their macro average."""
+    percent = format_percent if fmt == FORMAT_TABLE else _percent_digits
+    rows = [[r.dataset, str(r.total), str(r.correct), percent(r.rate)]
             for r in reports]
-    if fmt == FORMAT_DELIMITED:
-        lines = ["dataset,total,correct,rate"]
-        lines += [",".join(row) for row in rows]
-        lines.append(f"average,,,{_percent_digits(average)}")
-        return "\n".join(lines) + "\n"
-    table_rows = [[r.dataset, str(r.total), str(r.correct), format_percent(r.rate)]
-                  for r in reports]
-    table_rows.append(["average", "", "", format_percent(average)])
-    return _align(["dataset", "total", "correct", "rate"], table_rows)
+    rows.append(["average", "", "", percent(macro_average(reports))])
+    return ["dataset", "total", "correct", "rate"], rows
 
 
-def _render_sweep(report: SweepReport, fmt: str) -> str:
+def _sweep_cells(report: SweepReport, fmt: str):
+    """Header and rows of a sweep; a table merges latency and FPS in one cell."""
     strategies = list(report.strategies)
-    if fmt == FORMAT_DELIMITED:
-        lines = ["n,added_model," + ",".join(strategies)
-                 + ",cumulative_latency_ms,fps"]
-        for row in report.rows:
-            cells = [str(row.n), row.added_model]
-            cells += [_percent_digits(row.per_strategy_rate[s]) for s in strategies]
-            cells.append(format_latency_ms(row.cumulative_latency_ms))
-            cells.append(format_fps(row.fps))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-    header = ["top-n", "added model"] + strategies + ["time (ms) / fps"]
-    table_rows = []
+    table = fmt == FORMAT_TABLE
+    percent = format_percent if table else _percent_digits
+    header = (["top-n", "added model", *strategies, "time (ms) / fps"] if table
+              else ["n", "added_model", *strategies, "cumulative_latency_ms", "fps"])
+    rows = []
     for row in report.rows:
-        cells = [str(row.n), row.added_model]
-        cells += [format_percent(row.per_strategy_rate[s]) for s in strategies]
-        cells.append(f"{format_latency_ms(row.cumulative_latency_ms)} / "
-                     f"{format_fps(row.fps)}")
-        table_rows.append(cells)
-    return _align(header, table_rows)
+        latency = format_latency_ms(row.cumulative_latency_ms)
+        fps = format_fps(row.fps)
+        rows.append([str(row.n), row.added_model,
+                     *(percent(row.per_strategy_rate[s]) for s in strategies),
+                     *([f"{latency} / {fps}"] if table else [latency, fps])])
+    return header, rows
 
 
-def _align(header: list[str], rows: list[list[str]]) -> str:
-    """Left-align the leading text columns, right-align the rest."""
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _layout(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    """Comma-join each row, or align the rows as a table under a dashed rule.
+
+    A table left-aligns the leading text columns and right-aligns the rest.
+    """
+    _check_format(fmt)
+    if fmt == FORMAT_DELIMITED:
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     text_cols = 2 if len(header) > 2 else 1
 
     def fit(row):
-        cells = [
-            cell.ljust(widths[i]) if i < text_cols else cell.rjust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        return "  ".join(cells).rstrip()
+        return "  ".join(cell.ljust(w) if i < text_cols else cell.rjust(w)
+                         for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
 
-    lines = [fit(header)]
-    lines.append("  ".join("-" * w for w in widths).rstrip())
-    lines += [fit(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    rule = ["-" * w for w in widths]
+    return "".join(fit(row) + "\n" for row in [header, rule, *rows])
 
 
 def reformat_report(text: str, fmt: str) -> str:
@@ -573,8 +566,4 @@ def reformat_report(text: str, fmt: str) -> str:
             raise errors.ParseError(
                 f"line {number}: expected {width} columns, found {len(row)}"
             )
-    if fmt == FORMAT_DELIMITED:
-        return "".join(line + "\n" for _, line in lines)
-    if fmt != FORMAT_TABLE:
-        raise errors.InvalidConfig(f"unknown report format {fmt!r}")
-    return _align(rows[0], rows[1:])
+    return _layout(rows[0], rows[1:], fmt)
