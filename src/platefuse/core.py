@@ -262,8 +262,18 @@ class TieBreak:
     ranking: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, TieBreakKind):
+            raise errors.InvalidConfig(
+                f"tie-break kind must be a TieBreakKind, got {self.kind!r}")
         if self.ranking is not None:
-            object.__setattr__(self, "ranking", tuple(self.ranking))
+            if isinstance(self.ranking, str) or not isinstance(self.ranking, Iterable):
+                raise errors.InvalidConfig(
+                    f"tie-break ranking must be a sequence of model ids, "
+                    f"got {self.ranking!r}")
+            ranking = tuple(self.ranking)
+            for model_id in ranking:
+                check_identifier(model_id, "tie-break ranking entry", errors.InvalidConfig)
+            object.__setattr__(self, "ranking", ranking)
             if len(set(self.ranking)) != len(self.ranking):
                 raise errors.InvalidConfig("tie-break ranking contains duplicates")
         if self.kind is TieBreakKind.BEST_MODEL and not self.ranking:
@@ -285,6 +295,12 @@ class FusionStrategy:
     tiebreak: TieBreak | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, StrategyKind):
+            raise errors.InvalidConfig(
+                f"strategy kind must be a StrategyKind, got {self.kind!r}")
+        if self.tiebreak is not None and not isinstance(self.tiebreak, TieBreak):
+            raise errors.InvalidConfig(
+                f"tiebreak must be a TieBreak, got {self.tiebreak!r}")
         if self.kind is not StrategyKind.HC and self.tiebreak is None:
             raise errors.InvalidConfig(
                 f"{self.kind.value} fusion requires a tie-break"
@@ -320,7 +336,7 @@ def parse_strategy(name: str, ranking: Sequence[str] | None = None) -> FusionStr
             f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}"
         )
     if name == "hc":
-        tb = TieBreak(TieBreakKind.BEST_MODEL, tuple(ranking)) if ranking else None
+        tb = TieBreak(TieBreakKind.BEST_MODEL, ranking) if ranking else None
         return FusionStrategy(StrategyKind.HC, tb)
     kind_s, _, tb_s = name.partition("-")
     kind = StrategyKind(kind_s)
@@ -328,7 +344,7 @@ def parse_strategy(name: str, ranking: Sequence[str] | None = None) -> FusionStr
         return FusionStrategy(kind, TieBreak(TieBreakKind.HIGHEST_CONFIDENCE))
     if ranking is None:
         raise errors.InvalidConfig(f"strategy {name!r} requires a model ranking")
-    return FusionStrategy(kind, TieBreak(TieBreakKind.BEST_MODEL, tuple(ranking)))
+    return FusionStrategy(kind, TieBreak(TieBreakKind.BEST_MODEL, ranking))
 
 
 @dataclass(frozen=True)

@@ -43,20 +43,17 @@ of the protocol in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import errors
-from .core import DEFAULT_ALPHABET, Prediction, Sample, check_alphabet, check_cell, is_number
+from .core import DEFAULT_ALPHABET, Prediction, Sample, _real, check_alphabet, check_cell
 
 _SAMPLE_STRIDE = 1 << 64
-
-
-def _number(value, name: str):
-    """``value`` itself if it is a number (see :func:`core.is_number`)."""
-    if not is_number(value):
-        raise errors.InvalidConfig(f"{name} must be a number, got {value!r}")
-    return value
+# Without per_model, one default ErrorModel is built per model; the bound
+# keeps a huge n_models from filling memory before any sample is drawn.
+_MAX_MODELS = 1000
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,9 @@ class ErrorModel:
     Confidences are uniform on mean +/- spread, clamped to [0, 1]. An
     overconfident model draws wrong predictions' confidences from the
     "correct" distribution, so its confidence carries no signal.
+    Every rate and pair entry must be a real number (see :func:`core.is_number`);
+    an integer is stored as the equal float, and one too large for a float
+    as an infinity, which the range checks reject.
     """
 
     per_char_sub_rate: float = 0.1
@@ -78,15 +78,18 @@ class ErrorModel:
     overconfident: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= _number(self.per_char_sub_rate, "per_char_sub_rate") < 0.5:
+        for name in ("per_char_sub_rate", "insertion_rate", "deletion_rate"):
+            rate = _real(getattr(self, name), name, errors.InvalidConfig)
+            object.__setattr__(self, name, rate)
+        if not 0.0 <= self.per_char_sub_rate < 0.5:
             raise errors.InvalidConfig(
                 f"per_char_sub_rate must be in [0, 0.5), got {self.per_char_sub_rate!r}"
             )
         for name in ("insertion_rate", "deletion_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= _number(v, name) <= 0.2:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 0.2:
                 raise errors.InvalidConfig(
-                    f"{name} must be in [0, 0.2], got {v!r}"
+                    f"{name} must be in [0, 0.2], got {rate!r}"
                 )
         for name in ("confidence_when_correct", "confidence_when_wrong"):
             pair = getattr(self, name)
@@ -94,7 +97,7 @@ class ErrorModel:
                 raise errors.InvalidConfig(
                     f"{name} must be a (mean, spread) pair, got {pair!r}"
                 )
-            mean, spread = (float(_number(v, name)) for v in pair)
+            mean, spread = (_real(v, name, errors.InvalidConfig) for v in pair)
             object.__setattr__(self, name, (mean, spread))
             if not 0.0 < mean <= 1.0:
                 raise errors.InvalidConfig(f"{name} mean must be in (0, 1]")
@@ -126,10 +129,15 @@ class SynthConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise errors.InvalidConfig(f"{name} must be a positive integer")
+        if self.n_models > _MAX_MODELS:
+            raise errors.InvalidConfig(f"n_models must be at most {_MAX_MODELS}")
         if len(check_alphabet(self.alphabet)) < 2:
             raise errors.InvalidConfig("alphabet needs at least two symbols")
         # The corpus loaders' rule, so that every corpus written loads.
         check_cell(self.dataset, "dataset", errors.InvalidConfig)
+        if isinstance(self.per_model, str) or not isinstance(self.per_model, Iterable):
+            raise errors.InvalidConfig(
+                f"per_model must be a sequence of ErrorModel, got {self.per_model!r}")
         per_model = tuple(self.per_model)
         if not per_model:
             per_model = tuple(ErrorModel() for _ in range(self.n_models))

@@ -465,6 +465,18 @@ def test_simulate_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_rejects_a_confidence_past_float_range(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"seed": 1, "n_models": 1, "n_samples": 1, "plate_length": 3, '
+        '"per_model": [{"confidence_when_correct": [1' + "0" * 400 + ', 0.1]}]}')
+    out = tmp_path / "corpus.jsonl"
+    assert run("simulate", "--config", str(config), "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: per_model[0]: confidence_when_correct mean must be in (0, 1]\n")
+    assert not out.exists()
+
+
 def test_report_renders_table(tmp_path, capsys):
     report = tmp_path / "report.csv"
     run("eval", "--input", str(SHOWCASE_PATH), "--strategy", "mv-hc",

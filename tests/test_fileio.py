@@ -649,15 +649,15 @@ _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
     ({"per_model": [{}, {"overconfident": "no"}]},
      r"^per_model\[1\]: overconfident must be a boolean"),
     ({"per_model": [{"deletion_rate": False}, {}]},
-     r"^per_model\[0\]: deletion_rate must be a number"),
+     r"^per_model\[0\]: deletion_rate False is not a number$"),
     ({"dataset": 7}, r"^dataset must be a non-empty string"),
     ({"alphabet": ["A", "B"]}, r"^alphabet must be a string"),
     ({"per_model": [{"confidence_when_correct": [True, 0.1]}, {}]},
-     r"^per_model\[0\]: confidence_when_correct must be a number"),
+     r"^per_model\[0\]: confidence_when_correct True is not a number$"),
     ({"per_model": [{"confidence_when_correct": 0.9}, {}]},
      r"^per_model\[0\]: confidence_when_correct must be a \(mean, spread\) pair"),
     ({"per_model": [{}, {"per_char_sub_rate": "0.1"}]},
-     r"^per_model\[1\]: per_char_sub_rate must be a number"),
+     r"^per_model\[1\]: per_char_sub_rate '0\.1' is not a number$"),
     ({"per_model": 5}, r"^per_model must be a list"),
     ({"dataset": "gate,cam"}, r"^dataset 'gate,cam' holds a comma or line break$"),
     ({"dataset": "d\ud800"}, r"^dataset 'd\\ud800' is not encodable as UTF-8$"),

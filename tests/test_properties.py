@@ -2,15 +2,23 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TB_HC, tb_bm
 from platefuse import (
     DatasetReport,
+    ErrorModel,
+    FusionStrategy,
     ModelProfile,
     Prediction,
+    StrategyKind,
+    SynthConfig,
+    TieBreak,
+    TieBreakKind,
     apply_strategy,
+    errors,
     hc_fuse,
     macro_average,
     mv_fuse,
@@ -173,3 +181,58 @@ def test_ranking_totality(rows):
     for mode in ("accuracy", "speed"):
         order = rank_models(profiles, mode)
         assert sorted(order) == sorted(p.model_id for p in profiles)
+
+
+# --- constructors ------------------------------------------------------------------
+
+# Field values a decoded JSON document or a careless caller can pass, including
+# integers past float range.
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10 ** 400, -10 ** 400])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=3,
+)
+
+
+def _field(valid):
+    """A field that is often well-formed, so that later checks are reached too."""
+    return valid | JSON_VALUES
+
+
+_IDS = st.text(alphabet="abm1", min_size=1, max_size=3)
+_COUNTS = st.integers(1, 4)
+_RATES = st.floats(0.0, 0.2)
+_PAIRS = st.lists(st.floats(0.0, 1.0) | NUMBERS, min_size=2, max_size=2)
+CONSTRUCTOR_FIELDS = {
+    Prediction: dict(text=_field(st.text(alphabet="AB", min_size=1, max_size=4)),
+                     confidence=_field(NUMBERS)),
+    ModelProfile: dict(model_id=_field(_IDS), latency_ms=_field(NUMBERS),
+                       accuracy_rank=_field(st.integers())),
+    ErrorModel: dict(per_char_sub_rate=_field(_RATES), insertion_rate=_field(_RATES),
+                     deletion_rate=_field(_RATES),
+                     confidence_when_correct=_field(_PAIRS),
+                     confidence_when_wrong=_field(_PAIRS),
+                     overconfident=_field(st.booleans())),
+    SynthConfig: dict(seed=_field(st.integers()), n_models=_field(_COUNTS),
+                      n_samples=_field(_COUNTS), plate_length=_field(_COUNTS),
+                      alphabet=_field(st.just("AB")),
+                      per_model=_field(st.lists(st.builds(ErrorModel), max_size=3)),
+                      dataset=_field(_IDS)),
+    TieBreak: dict(kind=_field(st.sampled_from(TieBreakKind)),
+                   ranking=_field(st.lists(_IDS, max_size=3))),
+    FusionStrategy: dict(kind=_field(st.sampled_from(StrategyKind)),
+                         tiebreak=_field(st.sampled_from([TB_HC, tb_bm(("a", "b"))]))),
+}
+
+
+@pytest.mark.parametrize("constructor", CONSTRUCTOR_FIELDS, ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_constructors_fail_only_with_a_platefuse_error(constructor, data):
+    fields = data.draw(st.fixed_dictionaries(CONSTRUCTOR_FIELDS[constructor]))
+    try:
+        constructor(**fields)
+    except errors.PlatefuseError:
+        pass
