@@ -163,22 +163,17 @@ def test_tiebreak_validation():
         TieBreak(TieBreakKind.BEST_MODEL)
     with pytest.raises(errors.InvalidConfig):
         TieBreak(TieBreakKind.BEST_MODEL, ("a", "a"))
-
-
-@pytest.mark.parametrize("kind,ranking,message", [
-    ("bm", ("a",), r"^tie-break kind must be a TieBreakKind, got 'bm'$"),
-    (TieBreakKind.BEST_MODEL, 5, r"^tie-break ranking must be a sequence of model ids, got 5$"),
-    (TieBreakKind.BEST_MODEL, "m1",
-     r"^tie-break ranking must be a sequence of model ids, got 'm1'$"),
-    (TieBreakKind.BEST_MODEL, [[1]], r"^tie-break ranking entry must be a non-empty string$"),
-    (TieBreakKind.BEST_MODEL, [1, 2], r"^tie-break ranking entry must be a non-empty string$"),
-    (TieBreakKind.HIGHEST_CONFIDENCE, ["a", ""],
-     r"^tie-break ranking entry must be a non-empty string$"),
-], ids=["kind-string", "ranking-int", "ranking-string", "ranking-nested-list",
-        "ranking-int-ids", "ranking-empty-id"])
-def test_tiebreak_rejects_malformed_fields(kind, ranking, message):
-    with pytest.raises(errors.InvalidConfig, match=message):
-        TieBreak(kind, ranking)
+    bm, hc = TieBreakKind.BEST_MODEL, TieBreakKind.HIGHEST_CONFIDENCE
+    for kind, ranking, message in [
+        ("bm", ("a",), r"^tie-break kind must be a TieBreakKind, got 'bm'$"),
+        (bm, 5, r"^tie-break ranking must be a sequence of model ids, got 5$"),
+        (bm, "m1", r"^tie-break ranking must be a sequence of model ids, got 'm1'$"),
+        (bm, [[1]], r"^tie-break ranking entry must be a non-empty string$"),
+        (bm, [1, 2], r"^tie-break ranking entry must be a non-empty string$"),
+        (hc, ["a", ""], r"^tie-break ranking entry must be a non-empty string$"),
+    ]:
+        with pytest.raises(errors.InvalidConfig, match=message):
+            TieBreak(kind, ranking)
 
 
 def test_strategy_rejects_malformed_fields():
@@ -187,13 +182,6 @@ def test_strategy_rejects_malformed_fields():
         FusionStrategy("mv", tb_bm(("a", "b")))
     with pytest.raises(errors.InvalidConfig, match=r"^tiebreak must be a TieBreak, got 'bm'$"):
         FusionStrategy(StrategyKind.MV, "bm")
-
-
-def test_parse_strategy_does_not_split_a_string_ranking():
-    for name in ("hc", "mv-bm", "mvcp-bm"):
-        with pytest.raises(errors.InvalidConfig, match=r"^tie-break ranking must be a sequence"):
-            parse_strategy(name, "m1")
-    assert parse_strategy("mv-bm", ["m1"]).tiebreak.ranking == ("m1",)
 
 
 def test_strategy_requires_tiebreak_for_votes():
@@ -212,6 +200,12 @@ def test_parse_strategy_spellings():
         parse_strategy("mv")
     with pytest.raises(errors.InvalidConfig):
         parse_strategy("mv-bm")
+    # A bare string is not split into one-character model ids.
+    for name in ("hc", "mv-bm", "mvcp-bm"):
+        with pytest.raises(errors.InvalidConfig,
+                           match=r"^tie-break ranking must be a sequence"):
+            parse_strategy(name, "m1")
+    assert parse_strategy("mv-bm", ["m1"]).tiebreak.ranking == ("m1",)
 
 
 # --- highest confidence --------------------------------------------------------

@@ -46,6 +46,17 @@ def test_error_model_ranges():
         ErrorModel(deletion_rate=-0.1)
     with pytest.raises(errors.InvalidConfig):
         ErrorModel(confidence_when_correct=(0.0, 0.1))
+    # An integer past float range is an infinity, which the range checks reject.
+    huge = 10 ** 400
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^confidence_when_correct mean must be in \(0, 1\]$"):
+        ErrorModel(confidence_when_correct=(huge, 0.1))
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^confidence_when_wrong spread must be in \[0, 1\]$"):
+        ErrorModel(confidence_when_wrong=(0.5, -huge))
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^insertion_rate must be in \[0, 0\.2\], got inf$"):
+        ErrorModel(insertion_rate=huge)
 
 
 def test_synth_config_validation():
@@ -63,32 +74,17 @@ def test_synth_config_validation():
                        match=r"per_model\[1\] must be an ErrorModel"):
         SynthConfig(seed=0, n_models=2, n_samples=1, plate_length=1,
                     per_model=(ErrorModel(), {"per_char_sub_rate": 0.1}))
-
-
-def test_error_model_maps_an_integer_past_float_range_to_a_rejected_infinity():
-    huge = 10 ** 400
     with pytest.raises(errors.InvalidConfig,
-                       match=r"^confidence_when_correct mean must be in \(0, 1\]$"):
-        ErrorModel(confidence_when_correct=(huge, 0.1))
-    with pytest.raises(errors.InvalidConfig,
-                       match=r"^confidence_when_wrong spread must be in \[0, 1\]$"):
-        ErrorModel(confidence_when_wrong=(0.5, -huge))
-    with pytest.raises(errors.InvalidConfig, match=r"^insertion_rate must be in \[0, 0.2\], got inf$"):
-        ErrorModel(insertion_rate=huge)
+                       match=r"^per_model must be a sequence of ErrorModel, got 5$"):
+        SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1, per_model=5)
+    with pytest.raises(errors.InvalidConfig, match=r"^n_models must be at most 1000$"):
+        SynthConfig(seed=0, n_models=1001, n_samples=1, plate_length=1)
 
 
 def test_error_model_stores_integer_rates_as_floats():
     em = ErrorModel(per_char_sub_rate=0, confidence_when_correct=[1, 0])
     assert type(em.per_char_sub_rate) is float
     assert em.confidence_when_correct == (1.0, 0.0)
-
-
-def test_synth_config_rejects_malformed_per_model_and_model_count():
-    with pytest.raises(errors.InvalidConfig,
-                       match=r"^per_model must be a sequence of ErrorModel, got 5$"):
-        SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1, per_model=5)
-    with pytest.raises(errors.InvalidConfig, match=r"^n_models must be at most 1000$"):
-        SynthConfig(seed=0, n_models=1001, n_samples=1, plate_length=1)
 
 
 def test_default_error_models_fill_in():
