@@ -59,10 +59,14 @@ def _add_corpus_options(parser):
                              "fused ids instead of ignoring them with a warning")
 
 
-def _load_corpus(args):
+def _load_corpus(args, check_only: bool = False):
+    """The corpus samples; with ``check_only``, without their predictions
+    (see :func:`fileio.parse_predictions`), so with no confidence to rescale."""
     samples = fileio.load_predictions(
-        args.input, strict=args.strict, alphabet=args.alphabet
+        args.input, strict=args.strict, alphabet=args.alphabet, check_only=check_only
     )
+    if check_only:
+        return samples
     return normalize_confidences(samples, _NORMALIZE_CHOICES[args.normalize])
 
 
@@ -98,13 +102,15 @@ def _cmd_fuse(parser, args) -> int:
 
 def _cmd_eval(parser, args) -> int:
     strategy = None if args.fused else _strategy(parser, args)
-    # Scoring reads only these fields, so the predictions are dropped as each
-    # sample is read; with --strategy the sample is fused first.
+    # Scoring reads only the id, dataset and ground truth of each sample. With
+    # --fused the predictions are checked but never built; with --strategy
+    # each sample is fused as it is read, then its predictions are dropped.
     samples, fused = [], {}
-    for s in _load_corpus(args):
-        samples.append(Sample(s.sample_id, s.dataset, s.ground_truth, {}))
+    for s in _load_corpus(args, check_only=strategy is None):
         if strategy is not None:
             fused[s.sample_id] = apply_strategy(s.predictions, strategy).text
+            s = Sample(s.sample_id, s.dataset, s.ground_truth, {})
+        samples.append(s)
     if args.fused:
         fused = {r.sample_id: r.text
                  for r in fileio.load_fused(args.fused, strict=args.strict,

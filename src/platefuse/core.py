@@ -158,27 +158,42 @@ def _real(value, name: str, error: type[errors.PlatefuseError]) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def check_confidence(value) -> float:
+    """``value`` as a float if it is a confidence: a real number in [0, 1].
+
+    An integer is returned as the equal float. This is the one confidence
+    rule: :class:`Prediction` applies it, and so does a loader that checks a
+    prediction without building it.
+    """
+    c = value if type(value) is float else _real(value, "confidence",
+                                                 errors.InvalidConfidence)
+    # NaN fails both comparisons, infinities the range.
+    if not 0.0 <= c <= 1.0:
+        raise errors.InvalidConfidence(f"confidence {c!r} outside [0, 1]")
+    return c
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One model's output for one input: a normalized string plus confidence.
 
-    The confidence must be a real number in [0, 1]; an integer is stored as
-    the equal float. This is the one place a confidence is validated.
+    The confidence must pass :func:`check_confidence`; an integer is stored
+    as the equal float.
     """
 
     text: str
     confidence: float
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise errors.InvalidConfig(
+                f"prediction text must be a string, got {self.text!r}")
         if not self.text:
             raise errors.EmptyAfterNormalization("prediction text is empty")
         c = self.confidence
-        if type(c) is not float:
-            c = _real(c, "confidence", errors.InvalidConfidence)
-            object.__setattr__(self, "confidence", c)
-        # NaN fails both comparisons, infinities the range.
-        if not 0.0 <= c <= 1.0:
-            raise errors.InvalidConfidence(f"confidence {c!r} outside [0, 1]")
+        # A float in range, the common case, needs no call.
+        if type(c) is not float or not 0.0 <= c <= 1.0:
+            object.__setattr__(self, "confidence", check_confidence(c))
 
 
 @dataclass(frozen=True)
@@ -196,10 +211,8 @@ class Sample:
     predictions: Mapping[str, Prediction]
 
     def __post_init__(self):
-        if not self.sample_id:
-            raise errors.InvalidConfig("sample_id must be non-empty")
-        if not self.dataset:
-            raise errors.InvalidConfig("dataset must be non-empty")
+        check_identifier(self.sample_id, "sample_id", errors.InvalidConfig)
+        check_identifier(self.dataset, "dataset", errors.InvalidConfig)
 
 
 @dataclass(frozen=True)
@@ -215,8 +228,7 @@ class ModelProfile:
     accuracy_rank: int | None = None
 
     def __post_init__(self):
-        if not self.model_id:
-            raise errors.InvalidConfig("model id must be non-empty")
+        check_identifier(self.model_id, "model id", errors.InvalidConfig)
         latency = self.latency_ms
         if type(latency) is not float:
             latency = _real(latency, "latency_ms", errors.InvalidConfig)

@@ -20,11 +20,13 @@ import stat
 from dataclasses import MISSING, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
 from .core import (DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample,
-                   check_alphabet, check_cell, check_identifier, normalize_text)
+                   check_alphabet, check_cell, check_confidence, check_identifier,
+                   normalize_text)
 from .scoring import DatasetReport, SweepReport, macro_average
 from .synth import ErrorModel, SynthConfig
 
@@ -39,6 +41,8 @@ _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
 _CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
 _REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
 _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
+# The predictions of every sample that a check-only parse yields.
+_NO_PREDICTIONS = MappingProxyType({})
 
 
 # --- shared parsing helpers --------------------------------------------------
@@ -226,7 +230,8 @@ def _normalized(value, name: str, alphabet: str) -> str:
 # --- predictions --------------------------------------------------------------
 
 def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
-                      alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
+                      alphabet: str = DEFAULT_ALPHABET,
+                      check_only: bool = False) -> Iterator[Sample]:
     """Parse a prediction corpus from line-delimited JSON content, lazily.
 
     ``text`` is the whole content, or its lines split at ``"\\n"`` (each may
@@ -234,6 +239,11 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     validated and yielded only when the sample before it has been consumed,
     so a rejection surfaces after the samples on the lines before it. An
     invalid ``alphabet`` is rejected at the call, before any record is read.
+
+    With ``check_only``, each prediction is checked as it is otherwise, with
+    the same rejections, but no :class:`Prediction` is built: every sample
+    shares one empty, read-only ``predictions`` map. This is for a reader that
+    needs only the ids, datasets and ground truths.
     """
     check_alphabet(alphabet)
     seen_ids: set[str] = set()
@@ -257,23 +267,29 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
                     raise errors.ParseError("prediction must be an object")
                 _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}", strict)
                 text = _normalized(entry.get("text"), "text", alphabet)
-                predictions[model_id] = Prediction(text, entry.get("confidence"))
+                if check_only:
+                    check_confidence(entry.get("confidence"))
+                else:
+                    predictions[model_id] = Prediction(text, entry.get("confidence"))
             except errors.PlatefuseError as exc:
                 raise type(exc)(f"model {model_id!r}: {exc}") from None
         if _first(sample_id, seen_ids, where, strict):
-            return Sample(sample_id, dataset, ground_truth, predictions)
+            return Sample(sample_id, dataset, ground_truth,
+                          _NO_PREDICTIONS if check_only else predictions)
     return _parse_records(text, "prediction", sample)
 
 
-def load_predictions(path, *, strict: bool = True,
-                     alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
+def load_predictions(path, *, strict: bool = True, alphabet: str = DEFAULT_ALPHABET,
+                     check_only: bool = False) -> Iterator[Sample]:
     """Read a prediction corpus from a line-delimited JSON file, lazily.
 
     The file is read line by line as the samples are consumed (see
-    :func:`parse_predictions`), after a first pass that checks all of it is
-    UTF-8; a pipe is held in memory instead.
+    :func:`parse_predictions`, which also explains ``check_only``), after a
+    first pass that checks all of it is UTF-8; a pipe is held in memory
+    instead.
     """
-    return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet)
+    return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet,
+                             check_only=check_only)
 
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
@@ -381,10 +397,12 @@ def dump_fused(records: Iterable[FusedRecord], path) -> None:
 
 
 def load_fused(path, *, strict: bool = True,
-               alphabet: str = DEFAULT_ALPHABET) -> list[FusedRecord]:
-    """Read fused records written by :func:`dump_fused`.
+               alphabet: str = DEFAULT_ALPHABET) -> Iterator[FusedRecord]:
+    """Read fused records written by :func:`dump_fused`, lazily.
 
-    Every field must have its written type and ``text`` must already be
+    As with :func:`load_predictions`, the file is read line by line as the
+    records are consumed, after a first pass that checks it is UTF-8, and a
+    rejection surfaces after the records on the lines before it. Every field must have its written type and ``text`` must already be
     normalized under ``alphabet``; violations are rejected with the line
     number in both modes. A repeated sample id is an error when ``strict``;
     otherwise the first record is kept and each repeat warned about and ignored.
@@ -421,7 +439,7 @@ def load_fused(path, *, strict: bool = True,
         if _first(sample_id, seen_ids, where, strict):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))
-    return list(_parse_records(_read_lines(path), "fused", fused))
+    return _parse_records(_read_lines(path), "fused", fused)
 
 
 # --- synthetic config -------------------------------------------------------------

@@ -211,25 +211,27 @@ def test_per_model_mean_from_a_file_and_from_a_pipe(tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
             assert run("fuse", "--input", str(source), "--normalize", "per-model-mean",
                        "--strategy", "hc", "--output", str(out)) == 0
-        assert fileio.load_fused(out) == expected
+        assert list(fileio.load_fused(out)) == expected
         # Each unknown field is warned about once.
         assert len(caplog.records) == len(lines)
     writer.join(timeout=10)
     assert not writer.is_alive()
 
 
-def _fuse_peak_bytes(corpus, out):
-    """Peak memory that Python allocated while ``fuse`` ran."""
+def _peak_bytes(*argv):
+    """Peak memory that Python allocated while the command ran."""
     tracemalloc.start()
     try:
-        assert run("fuse", "--input", str(corpus), "--strategy", "mvcp-hc",
-                   "--output", str(out)) == 0
+        assert run(*argv) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path):
+@pytest.fixture(scope="module")
+def memory_corpora(tmp_path_factory):
+    """Corpora of 1k and 4k samples of 12 models, each with its mvcp-hc fusion."""
+    tmp_path = tmp_path_factory.mktemp("memory")
     corpora = []
     for size in (1000, 4000):
         config = SynthConfig(seed=21, n_models=12, n_samples=size, plate_length=7,
@@ -237,14 +239,37 @@ def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path):
                                                         insertion_rate=0.04,
                                                         deletion_rate=0.04)
                                              for _ in range(12)))
-        corpora.append(tmp_path / f"corpus-{size}.jsonl")
-        fileio.dump_predictions(generate(config), corpora[-1])
+        corpus = tmp_path / f"corpus-{size}.jsonl"
+        fileio.dump_predictions(generate(config), corpus)
+        fused = tmp_path / f"fused-{size}.jsonl"
+        assert run("fuse", "--input", str(corpus), "--strategy", "mvcp-hc",
+                   "--output", str(fused)) == 0
+        corpora.append((size, corpus, fused))
+    return corpora
+
+
+def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path, memory_corpora):
     out = tmp_path / "fused.jsonl"
-    # Untraced first, so that one-time set-up (caches, imports) is not counted.
-    assert run("fuse", "--input", str(corpora[0]), "--strategy", "mvcp-hc",
-               "--output", str(out)) == 0
-    small, large = (_fuse_peak_bytes(corpus, out) for corpus in corpora)
+    # Each corpus was fused once already, so one-time set-up (caches,
+    # imports) is not counted.
+    small, large = (_peak_bytes("fuse", "--input", str(corpus), "--strategy", "mvcp-hc",
+                                "--output", str(out))
+                    for _, corpus, _ in memory_corpora)
     assert abs(large - small) < 1_000_000, (small, large)
+
+
+def test_eval_fused_memory_per_sample(tmp_path, memory_corpora):
+    # eval --fused holds each sample's id, dataset and ground truth and each
+    # fused text, about 450 bytes a sample. Building the predictions of each
+    # sample, or a list of the fused records, costs some 1,400.
+    out = tmp_path / "eval.csv"
+    args = [("eval", "--input", str(corpus), "--fused", str(fused), "--output", str(out))
+            for _, corpus, fused in memory_corpora]
+    # Untraced first, so that one-time set-up is not counted.
+    assert run(*args[0]) == 0
+    small, large = (_peak_bytes(*argv) for argv in args)
+    (small_n, *_), (large_n, *_) = memory_corpora
+    assert (large - small) / (large_n - small_n) < 800, (small, large)
 
 
 # --- eval ------------------------------------------------------------------------
@@ -273,6 +298,19 @@ def test_eval_on_the_fly_matches_fused_route(tmp_path):
     run("eval", "--input", str(SHOWCASE_PATH), "--strategy", "mv-hc",
         "--output", str(via_strategy))
     assert via_fused.read_bytes() == via_strategy.read_bytes()
+
+
+def test_eval_fused_ignores_confidence_normalization(tmp_path):
+    # The fused route reads no confidence, so there is nothing to rescale.
+    fused = tmp_path / "fused.jsonl"
+    assert run("fuse", "--input", str(SHOWCASE_PATH), "--strategy", "mv-hc",
+               "--output", str(fused)) == 0
+    reports = []
+    for mode in ("off", "per-model-mean"):
+        reports.append(tmp_path / f"eval-{mode}.csv")
+        assert run("eval", "--input", str(SHOWCASE_PATH), "--fused", str(fused),
+                   "--normalize", mode, "--output", str(reports[-1])) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def _one_sample_with_extra_fused_id(tmp_path):

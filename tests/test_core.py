@@ -20,6 +20,7 @@ from oracles import (
 from platefuse import (
     DEFAULT_ALPHABET,
     FusionStrategy,
+    ModelProfile,
     Prediction,
     Sample,
     StrategyKind,
@@ -149,6 +150,9 @@ def test_prediction_rejects_bad_confidence():
 def test_prediction_rejects_empty_text():
     with pytest.raises(errors.EmptyAfterNormalization):
         Prediction("", 0.5)
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^prediction text must be a string, got \[1\]$"):
+        Prediction([1], 0.5)
 
 
 def test_sample_requires_identifiers():
@@ -156,6 +160,15 @@ def test_sample_requires_identifiers():
         Sample("", "d", None, {"m": P("A", 0.5)})
     with pytest.raises(errors.InvalidConfig):
         Sample("s", "", None, {"m": P("A", 0.5)})
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^sample_id must be a non-empty string$"):
+        Sample(5, 7, None, {})
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^dataset must be a non-empty string$"):
+        Sample("s", 7, None, {})
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^model id must be a non-empty string$"):
+        ModelProfile([1], 2.0)
 
 
 def test_tiebreak_validation():

@@ -21,7 +21,7 @@ from platefuse import (
     rank_models,
     sweep_top_n,
 )
-from platefuse import fileio
+from platefuse import cli, fileio
 
 
 # --- predictions ------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_non_utf8_bytes_name_their_line(tmp_path):
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
         list(fileio.load_predictions(path))
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
-        fileio.load_fused(path)
+        list(fileio.load_fused(path))
 
 
 @pytest.mark.parametrize("bad", [
@@ -355,14 +355,14 @@ def test_fused_rejects_bad_field_in_both_modes(tmp_path, field, value, message):
     path = _write_fused(tmp_path, _FUSED, {**_FUSED, "sample_id": "s2", field: value})
     for strict in (True, False):
         with pytest.raises(errors.ParseError, match=message):
-            fileio.load_fused(path, strict=strict)
+            list(fileio.load_fused(path, strict=strict))
 
 
 def test_fused_text_checked_against_alphabet(tmp_path):
     path = _write_fused(tmp_path, {**_FUSED, "text": "AB"})
-    assert fileio.load_fused(path, alphabet="AB")[0].text == "AB"
+    assert list(fileio.load_fused(path, alphabet="AB"))[0].text == "AB"
     with pytest.raises(errors.SymbolOutsideAlphabet, match="line 1"):
-        fileio.load_fused(path, alphabet="01")
+        list(fileio.load_fused(path, alphabet="01"))
 
 
 def test_loaders_reject_an_invalid_alphabet_before_any_record(tmp_path):
@@ -383,9 +383,9 @@ def test_loaders_reject_an_invalid_alphabet_before_any_record(tmp_path):
 def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
     path = _write_fused(tmp_path, _FUSED, _FUSED)
     with pytest.raises(errors.ParseError, match="line 2: duplicate sample_id 's1'"):
-        fileio.load_fused(path, strict=True)
+        list(fileio.load_fused(path, strict=True))
     with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
-        records = fileio.load_fused(path, strict=False)
+        records = list(fileio.load_fused(path, strict=False))
     assert len(records) == 1
     assert [r.message for r in caplog.records] == [
         "line 2: duplicate sample_id 's1' (ignored)"]
@@ -406,7 +406,7 @@ def _record(kind, i):
 _LOADERS = {"predictions": lambda *args, **kwargs: list(
                 fileio.load_predictions(*args, **kwargs)),
             "profiles": fileio.load_profiles,
-            "fused": fileio.load_fused}
+            "fused": lambda *args, **kwargs: list(fileio.load_fused(*args, **kwargs))}
 
 
 def _without(record, key):
@@ -474,17 +474,54 @@ _CORRUPTIONS = {
     for kind, cases in _CORRUPTIONS.items() for case in cases
 ])
 def test_every_rejection_names_its_line(tmp_path, kind, case):
-    corrupt, error = _CORRUPTIONS[kind][case]
-    bad = corrupt(_record(kind, 1))
+    path = _corrupted(tmp_path, kind, case)
+    with pytest.raises(_CORRUPTIONS[kind][case][1]) as exc:
+        _LOADERS[kind](path, strict=True)
+    assert str(exc.value).startswith("line 2: ")
+    assert not str(exc.value).startswith("line 2: line")
+
+
+def _corrupted(tmp_path, kind, case):
+    """A file of three ``kind`` records whose second has the fault ``case``."""
+    bad = _CORRUPTIONS[kind][case][0](_record(kind, 1))
     lines = [json.dumps(_record(kind, 0)),
              bad if isinstance(bad, str) else json.dumps(bad),
              json.dumps(_record(kind, 2))]
     path = tmp_path / "records.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(error) as exc:
-        _LOADERS[kind](path, strict=True)
-    assert str(exc.value).startswith("line 2: ")
-    assert not str(exc.value).startswith("line 2: line")
+    return path
+
+
+def _rejection(load):
+    """The class and message of what ``load()`` raises, or None."""
+    try:
+        load()
+    except errors.PlatefuseError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS["predictions"]))
+def test_eval_fused_rejects_what_fuse_rejects(tmp_path, capsys, case):
+    # eval --fused checks the predictions without building them.
+    corpus = _corrupted(tmp_path, "predictions", case)
+    fused = tmp_path / "fused.jsonl"
+    fused.write_text("".join(json.dumps(_record("fused", i)) + "\n" for i in range(3)))
+    for strict in (True, False):
+        built = _rejection(lambda: list(fileio.load_predictions(corpus, strict=strict)))
+        checked = _rejection(lambda: list(fileio.load_predictions(
+            corpus, strict=strict, check_only=True)))
+        assert checked == built
+        if built is None:
+            assert not strict  # tolerant mode ignores some faults
+            continue
+        flag = ["--strict"] if strict else []
+        assert cli.main(["fuse", "--input", str(corpus), "--strategy", "mv-hc",
+                         "--output", str(tmp_path / "out.jsonl"), *flag]) == 1
+        fuse_err = capsys.readouterr().err
+        assert cli.main(["eval", "--input", str(corpus), "--fused", str(fused),
+                         *flag]) == 1
+        assert capsys.readouterr().err == fuse_err == f"error: {built[1]}\n"
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))

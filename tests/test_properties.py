@@ -18,6 +18,7 @@ from platefuse import (
     TieBreak,
     TieBreakKind,
     apply_strategy,
+    core,
     errors,
     hc_fuse,
     macro_average,
@@ -236,3 +237,20 @@ def test_constructors_fail_only_with_a_platefuse_error(constructor, data):
         constructor(**fields)
     except errors.PlatefuseError:
         pass
+
+
+@given(JSON_VALUES | st.floats(0.0, 1.0))
+@settings(max_examples=300)
+def test_prediction_applies_check_confidence(value):
+    # One confidence rule: the loader's check-only mode calls it directly.
+    try:
+        stored = Prediction("A", value).confidence
+    except errors.PlatefuseError as exc:
+        with pytest.raises(errors.PlatefuseError) as checked:
+            core.check_confidence(value)
+        assert type(checked.value) is type(exc)
+        assert str(checked.value) == str(exc)
+    else:
+        accepted = core.check_confidence(value)
+        assert type(stored) is type(accepted) is float
+        assert repr(stored) == repr(accepted)
