@@ -109,7 +109,7 @@ def _cmd_eval(parser, args) -> int:
     for s in _load_corpus(args, check_only=strategy is None):
         if strategy is not None:
             fused[s.sample_id] = apply_strategy(s.predictions, strategy).text
-            s = Sample(s.sample_id, s.dataset, s.ground_truth, {})
+            s = Sample(s.sample_id, s.dataset, s.ground_truth, fileio.NO_PREDICTIONS)
         samples.append(s)
     if args.fused:
         fused = {r.sample_id: r.text

@@ -41,8 +41,14 @@ _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
 _CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
 _REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
 _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
-# The predictions of every sample that a check-only parse yields.
-_NO_PREDICTIONS = MappingProxyType({})
+# The predictions of every sample that a check-only parse yields, shared and
+# read-only; a reader that drops the predictions of a sample can use it too.
+NO_PREDICTIONS = MappingProxyType({})
+# Made once for every record: json.loads adds whitespace and BOM scans to
+# each line (see _json), and json.dumps with non-default separators builds a
+# new encoder for each record.
+_scan_json = json.JSONDecoder().scan_once
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # --- shared parsing helpers --------------------------------------------------
@@ -132,7 +138,7 @@ def _write_jsonl(path, records: Iterable[dict]) -> None:
         empty = True
         for record in records:
             empty = False
-            yield json.dumps(record, separators=(",", ":")) + "\n"
+            yield _encode_json(record) + "\n"
         if empty:
             yield "\n"
     write_atomic(path, lines())
@@ -163,7 +169,18 @@ def _json(text: str, where: str):
     Besides malformed JSON, this covers an integer longer than Python's
     digit limit (a ValueError) and nesting deep enough to exhaust the
     interpreter's recursion limit (a RecursionError).
+
+    A text that is one JSON value from its first character to its last is
+    decoded by one scan, as ``json.loads`` would decode it. Anything else (a
+    BOM, surrounding whitespace, extra data, a failed scan) is decoded again
+    by ``json.loads``, for its value or its message.
     """
+    try:
+        value, end = _scan_json(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -244,6 +261,13 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     the same rejections, but no :class:`Prediction` is built: every sample
     shares one empty, read-only ``predictions`` map. This is for a reader that
     needs only the ids, datasets and ground truths.
+
+    In both modes a prediction value already in canonical form (a text made
+    of ``alphabet`` symbols only, a float confidence in [0, 1]) is accepted
+    by inline tests. Any other value goes through the one rule that
+    normalizes or rejects it (:func:`~platefuse.core.normalize_text`,
+    :func:`~platefuse.core.check_confidence`), so the accepts and the
+    messages are the rule's. A ground truth always goes through the rule.
     """
     check_alphabet(alphabet)
     seen_ids: set[str] = set()
@@ -253,6 +277,9 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
         sample_id = check_identifier(record.get("sample_id"), "sample_id", errors.ParseError)
         dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
         ground_truth = record.get("ground_truth")
+        # Always through normalize_text, canonical or not: a traced fuse,
+        # eval or sweep must enter it (perfbench's EXPECTED_SPANS), and a
+        # canonical prediction text is accepted without it.
         if ground_truth is not None:
             ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
         raw_predictions = record.get("predictions")
@@ -265,17 +292,24 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
             try:
                 if not isinstance(entry, dict):
                     raise errors.ParseError("prediction must be an object")
-                _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}", strict)
-                text = _normalized(entry.get("text"), "text", alphabet)
-                if check_only:
-                    check_confidence(entry.get("confidence"))
-                else:
-                    predictions[model_id] = Prediction(text, entry.get("confidence"))
+                if entry.keys() != _PREDICTION_KEYS:
+                    _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}",
+                                strict)
+                # A canonical value is accepted inline; any other goes
+                # through the rule that normalizes or rejects it.
+                text = entry.get("text")
+                if type(text) is not str or not text or text.strip(alphabet):
+                    text = _normalized(text, "text", alphabet)
+                c = entry.get("confidence")
+                if type(c) is not float or not 0.0 <= c <= 1.0:
+                    c = check_confidence(c)
+                if not check_only:
+                    predictions[model_id] = Prediction(text, c)
             except errors.PlatefuseError as exc:
                 raise type(exc)(f"model {model_id!r}: {exc}") from None
         if _first(sample_id, seen_ids, where, strict):
             return Sample(sample_id, dataset, ground_truth,
-                          _NO_PREDICTIONS if check_only else predictions)
+                          NO_PREDICTIONS if check_only else predictions)
     return _parse_records(text, "prediction", sample)
 
 
@@ -402,11 +436,15 @@ def load_fused(path, *, strict: bool = True,
 
     As with :func:`load_predictions`, the file is read line by line as the
     records are consumed, after a first pass that checks it is UTF-8, and a
-    rejection surfaces after the records on the lines before it. Every field must have its written type and ``text`` must already be
-    normalized under ``alphabet``; violations are rejected with the line
-    number in both modes. A repeated sample id is an error when ``strict``;
-    otherwise the first record is kept and each repeat warned about and ignored.
-    An invalid ``alphabet`` is rejected before the file is read.
+    rejection surfaces after the records on the lines before it. Every field
+    must have its written type and ``text`` must already be normalized under
+    ``alphabet``; violations are rejected with the line number in both modes.
+    A text of ``alphabet`` symbols only is accepted inline, and contributors
+    that are all known model ids by one set test; any other value goes
+    through the rule that names what is wrong with it. A repeated sample id
+    is an error when ``strict``; otherwise the first record is kept and each
+    repeat warned about and ignored. An invalid ``alphabet`` is rejected
+    before the file is read.
     """
     check_alphabet(alphabet)
     seen_ids: set[str] = set()
@@ -420,9 +458,11 @@ def load_fused(path, *, strict: bool = True,
             raise errors.ParseError(f"missing field {exc.args[0]!r}") from None
         check_identifier(sample_id, "sample_id", errors.ParseError)
         check_cell(dataset, "dataset", errors.ParseError)
-        norm = _normalized(text, "text", alphabet)
-        if norm != text:
-            raise errors.ParseError(f"text {text!r} is not normalized (expected {norm!r})")
+        if type(text) is not str or not text or text.strip(alphabet):
+            norm = _normalized(text, "text", alphabet)
+            if norm != text:
+                raise errors.ParseError(
+                    f"text {text!r} is not normalized (expected {norm!r})")
         if isinstance(votes, bool) or not isinstance(votes, int) or votes < 0:
             raise errors.ParseError(
                 f"winning_votes must be a non-negative integer, got {votes!r}"
@@ -433,9 +473,15 @@ def load_fused(path, *, strict: bool = True,
             raise errors.ParseError(
                 f"contributors must be a list of model ids, got {contributors!r}"
             )
-        for model_id in contributors:
-            if type(model_id) is not str or model_id not in model_ids:
-                model_ids.add(check_identifier(model_id, "contributor", errors.ParseError))
+        try:
+            known = model_ids.issuperset(contributors)
+        except TypeError:  # an unhashable contributor
+            known = False
+        if not known:
+            for model_id in contributors:
+                if type(model_id) is not str or model_id not in model_ids:
+                    model_ids.add(check_identifier(model_id, "contributor",
+                                                   errors.ParseError))
         if _first(sample_id, seen_ids, where, strict):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))

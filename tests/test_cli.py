@@ -272,6 +272,19 @@ def test_eval_fused_memory_per_sample(tmp_path, memory_corpora):
     assert (large - small) / (large_n - small_n) < 800, (small, large)
 
 
+def test_eval_strategy_memory_per_sample(tmp_path, memory_corpora):
+    # eval --strategy keeps what eval --fused keeps, about 395 bytes a
+    # sample here. A fresh empty predictions dict per sample costs some 60
+    # more; every sample shares one read-only map instead.
+    out = tmp_path / "eval.csv"
+    args = [("eval", "--input", str(corpus), "--strategy", "mvcp-hc", "--output", str(out))
+            for _, corpus, _ in memory_corpora]
+    assert run(*args[0]) == 0
+    small, large = (_peak_bytes(*argv) for argv in args)
+    (small_n, *_), (large_n, *_) = memory_corpora
+    assert (large - small) / (large_n - small_n) < 425, (small, large)
+
+
 # --- eval ------------------------------------------------------------------------
 
 def test_eval_with_precomputed_fused(tmp_path):
@@ -311,6 +324,59 @@ def test_eval_fused_ignores_confidence_normalization(tmp_path):
         assert run("eval", "--input", str(SHOWCASE_PATH), "--fused", str(fused),
                    "--normalize", mode, "--output", str(reports[-1])) == 0
     assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def _twin_corpora(tmp_path):
+    """A corpus in canonical form, and its twin that the loader must read the same.
+
+    In the twin every text is lowercase and holds separators, the exact
+    confidences 0.0 and 1.0 are the integers 0 and 1, and every prediction
+    has an unknown field, which the CLI's tolerant mode ignores.
+    """
+    corpus = tmp_path / "generated.jsonl"
+    fileio.dump_predictions(generate(SynthConfig(seed=5, n_models=6, n_samples=300,
+                                                 plate_length=7)), corpus)
+    canonical, twin = [], []
+    for i, line in enumerate(corpus.read_text().splitlines()):
+        record = json.loads(line)
+        for k, entry in enumerate(record["predictions"].values()):
+            entry["confidence"] = {0: 0.0, 1: 1.0}.get((i + k) % 5, entry["confidence"])
+        canonical.append(json.dumps(record))
+        record["ground_truth"] = _twin_text(record["ground_truth"])
+        for entry in record["predictions"].values():
+            entry["text"] = _twin_text(entry["text"])
+            if entry["confidence"] in (0.0, 1.0):
+                entry["confidence"] = int(entry["confidence"])
+            entry["camera"] = "c1"
+        twin.append(json.dumps(record))
+    paths = tmp_path / "canonical.jsonl", tmp_path / "twin.jsonl"
+    for path, lines in zip(paths, (canonical, twin)):
+        path.write_text("\n".join(lines) + "\n")
+    assert '"confidence": 0,' in paths[1].read_text()
+    assert '"confidence": 1,' in paths[1].read_text()
+    return paths
+
+
+def _twin_text(text):
+    return text[0].lower() + "-" + text[1:].lower() + " "
+
+
+@pytest.mark.parametrize("strategy", ["hc", "mv-hc", "mvcp-hc"])
+def test_twin_corpus_fuses_and_scores_to_the_same_bytes(tmp_path, strategy):
+    canonical, twin = _twin_corpora(tmp_path)
+    for check_only in (False, True):
+        assert (list(fileio.load_predictions(twin, strict=False, check_only=check_only))
+                == list(fileio.load_predictions(canonical, check_only=check_only)))
+    outputs = []
+    for corpus in (canonical, twin):
+        fused = tmp_path / f"fused-{corpus.stem}.jsonl"
+        report = tmp_path / f"eval-{corpus.stem}.csv"
+        assert run("fuse", "--input", str(corpus), "--strategy", strategy,
+                   "--output", str(fused)) == 0
+        assert run("eval", "--input", str(corpus), "--fused", str(fused),
+                   "--output", str(report)) == 0
+        outputs.append((fused.read_bytes(), report.read_bytes()))
+    assert outputs[1] == outputs[0]
 
 
 def _one_sample_with_extra_fused_id(tmp_path):

@@ -442,6 +442,30 @@ _CORRUPTIONS = {
         "missing-field": (lambda r: _without(r, "predictions"), errors.ParseError),
         "duplicate-id": (lambda r: {**r, "sample_id": "s0"}, errors.ParseError),
         "report-character": (lambda r: {**r, "dataset": "gate,cam"}, errors.ParseError),
+        # Prediction values that are not canonical, so none is accepted inline.
+        "integer-confidence": (lambda r: _prediction(r, confidence=2),
+                               errors.InvalidConfidence),
+        "bool-confidence": (lambda r: _prediction(r, confidence=True),
+                            errors.InvalidConfidence),
+        "string-confidence": (lambda r: _prediction(r, confidence="0.5"),
+                              errors.InvalidConfidence),
+        "nan-confidence": (lambda r: _prediction(r, confidence=float("nan")),
+                           errors.InvalidConfidence),
+        "missing-confidence": (lambda r: {**r, "predictions": {"m": {"text": "AB"}}},
+                               errors.InvalidConfidence),
+        "text-type": (lambda r: _prediction(r, text=5), errors.ParseError),
+        "empty-prediction-text": (lambda r: _prediction(r, text=""),
+                                  errors.EmptyAfterNormalization),
+        "separator-only-text": (lambda r: _prediction(r, text=" -."),
+                                errors.EmptyAfterNormalization),
+        "lowercase-bad-symbol": (lambda r: _prediction(r, text="ab#"),
+                                 errors.SymbolOutsideAlphabet),
+        "unknown-field-and-bad-symbol": (lambda r: _prediction(r, text="A#", note=1),
+                                         errors.ParseError),
+        "prediction-type": (lambda r: {**r, "predictions": {"m": ["AB", 0.5]}},
+                            errors.ParseError),
+        "model-id": (lambda r: {**r, "predictions": {"": {"text": "AB", "confidence": 0.5}}},
+                     errors.ParseError),
     },
     "profiles": {
         "bad-json": (lambda r: '{"id": "m1",', errors.ParseError),
@@ -524,6 +548,72 @@ def test_eval_fused_rejects_what_fuse_rejects(tmp_path, capsys, case):
         assert capsys.readouterr().err == fuse_err == f"error: {built[1]}\n"
 
 
+# Each predictions rejection, recorded before canonical values were accepted
+# inline: strict message, then the tolerant outcome where it differs (None:
+# the fault is ignored). A JSON rejection reads as json.loads's own message.
+_JSON_REJECTION = object()
+_PREDICTION_REJECTIONS = {
+    "bad-json": _JSON_REJECTION,
+    "huge-integer": _JSON_REJECTION,
+    "deep-nesting": _JSON_REJECTION,
+    "not-an-object": "line 2: record is not an object",
+    "wrong-type": "line 2: dataset must be a non-empty string",
+    "ground-truth-type": "line 2: ground_truth must be a string",
+    "bad-symbol": "line 2: model 'm': text: symbol '#' in 'A#B' is not in the alphabet",
+    "empty-text": "line 2: ground_truth: nothing left of '-' after normalization",
+    "bad-confidence": "line 2: model 'm': confidence 1.5 outside [0, 1]",
+    "unknown-field": ("line 2: model 'm': unknown field(s) 'source'", None),
+    "missing-field": "line 2: predictions must be a non-empty object",
+    "duplicate-id": ("line 2: duplicate sample_id 's0'", None),
+    "report-character": "line 2: dataset 'gate,cam' holds a comma or line break",
+    "integer-confidence": "line 2: model 'm': confidence 2.0 outside [0, 1]",
+    "bool-confidence": "line 2: model 'm': confidence True is not a number",
+    "string-confidence": "line 2: model 'm': confidence '0.5' is not a number",
+    "nan-confidence": "line 2: model 'm': confidence nan outside [0, 1]",
+    "missing-confidence": "line 2: model 'm': confidence None is not a number",
+    "text-type": "line 2: model 'm': text must be a string",
+    "empty-prediction-text": "line 2: model 'm': text: nothing left of '' after normalization",
+    "separator-only-text":
+        "line 2: model 'm': text: nothing left of ' -.' after normalization",
+    "lowercase-bad-symbol":
+        "line 2: model 'm': text: symbol '#' in 'ab#' is not in the alphabet",
+    "unknown-field-and-bad-symbol": (
+        "line 2: model 'm': unknown field(s) 'note'",
+        (errors.SymbolOutsideAlphabet,
+         "line 2: model 'm': text: symbol '#' in 'A#' is not in the alphabet")),
+    "prediction-type": "line 2: model 'm': prediction must be an object",
+    "model-id": "line 2: model id must be a non-empty string",
+}
+
+
+def _loads_outcome(text, where):
+    """The repr of ``json.loads(text)``, or the message ``_json`` must give."""
+    try:
+        return repr(json.loads(text))  # repr: NaN is not equal to itself
+    except json.JSONDecodeError as exc:
+        return f"{where}: invalid JSON ({exc.msg})"
+    except (ValueError, RecursionError) as exc:
+        return f"{where}: invalid JSON ({exc})"
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS["predictions"]))
+def test_predictions_rejections_keep_their_class_and_message(tmp_path, case):
+    path = _corrupted(tmp_path, "predictions", case)
+    error = _CORRUPTIONS["predictions"][case][1]
+    expected = _PREDICTION_REJECTIONS[case]
+    if expected is _JSON_REJECTION:
+        expected = _loads_outcome(path.read_text().split("\n")[1], "line 2")
+        if not expected.startswith("line 2: invalid JSON"):
+            pytest.skip("this Python decodes the line")
+    strict, tolerant = expected if isinstance(expected, tuple) else (expected, expected)
+    if isinstance(tolerant, str):
+        tolerant = (error, tolerant)
+    for check_only in (False, True):
+        for mode, outcome in ((True, (error, strict)), (False, tolerant)):
+            assert _rejection(lambda: list(fileio.load_predictions(
+                path, strict=mode, check_only=check_only))) == outcome
+
+
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
 def test_unicode_line_separators_stay_inside_their_line(tmp_path, kind, separator):
@@ -577,25 +667,36 @@ def test_reformat_report_line_rule():
         fileio.reformat_report(text.replace("x,", "x,,"), "table")
 
 
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2.5, "x", null, true]}', '"\\ud800"', "[1e400]",
+    '\ufeff{"a": 1}', ' {"a": 1}', '{"a": 1} ', '\t[1]\t', "",
+    '{"a": 1}{"b": 2}', "[1] x", "1 2", '{"a": 1', "tru",
+    "NaN", "[NaN]", '{"a": -Infinity}',
+    _HUGE_INT, f"[{_HUGE_INT}]", _DEEP, _DEEP + " ",
+], ids=lambda text: repr(text[:12]))
+def test_json_decodes_as_json_loads(text):
+    # The one-scan route must give json.loads's value or message.
+    try:
+        got = repr(fileio._json(text, "where"))
+    except errors.ParseError as exc:
+        got = str(exc)
+    assert got == _loads_outcome(text, "where")
+
+
 # --- atomic writes ---------------------------------------------------------------
 
-def test_dump_fused_failure_keeps_old_file(tmp_path, monkeypatch):
+def test_dump_fused_failure_keeps_old_file(tmp_path):
     path = _write_fused(tmp_path, _FUSED)
     old = path.read_bytes()
-    records = [fileio.FusedRecord(f"s{i}", "d", "AB", 1, False, ("m1",))
-               for i in range(3)]
-    real_dumps = json.dumps
-    calls = []
 
-    def failing_dumps(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("disk on fire")
-        return real_dumps(*args, **kwargs)
+    def records():
+        # The first record is written to the temporary file, then the
+        # second fails.
+        yield fileio.FusedRecord("s0", "d", "AB", 1, False, ("m1",))
+        raise RuntimeError("disk on fire")
 
-    monkeypatch.setattr(fileio.json, "dumps", failing_dumps)
     with pytest.raises(RuntimeError, match="disk on fire"):
-        fileio.dump_fused(records, path)
+        fileio.dump_fused(records(), path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["fused.jsonl"]
 
