@@ -11,6 +11,7 @@ testing, and a CLI.
 from . import fileio
 from .core import (
     DEFAULT_ALPHABET,
+    Ensemble,
     FusionResult,
     FusionStrategy,
     ModelProfile,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ALPHABET",
     "DatasetReport",
+    "Ensemble",
     "ErrorModel",
     "FusionResult",
     "FusionStrategy",

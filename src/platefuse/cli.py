@@ -59,14 +59,10 @@ def _add_corpus_options(parser):
                              "fused ids instead of ignoring them with a warning")
 
 
-def _load_corpus(args, check_only: bool = False):
-    """The corpus samples; with ``check_only``, without their predictions
-    (see :func:`fileio.parse_predictions`), so with no confidence to rescale."""
-    samples = fileio.load_predictions(
-        args.input, strict=args.strict, alphabet=args.alphabet, check_only=check_only
-    )
-    if check_only:
-        return samples
+def _load_corpus(args):
+    """The corpus samples, with confidences rescaled as ``--normalize`` says."""
+    samples = fileio.load_predictions(args.input, strict=args.strict,
+                                      alphabet=args.alphabet)
     return normalize_confidences(samples, _NORMALIZE_CHOICES[args.normalize])
 
 
@@ -102,15 +98,18 @@ def _cmd_fuse(parser, args) -> int:
 
 def _cmd_eval(parser, args) -> int:
     strategy = None if args.fused else _strategy(parser, args)
-    # Scoring reads only the id, dataset and ground truth of each sample. With
-    # --fused the predictions are checked but never built; with --strategy
-    # each sample is fused as it is read, then its predictions are dropped.
+    if args.fused:
+        # Scoring fused records reads no confidence, so nothing is rescaled.
+        args.normalize = "off"
+    # Scoring reads only the id, dataset and ground truth of each sample, so
+    # each sample's predictions are dropped as it is read (with --strategy,
+    # once it is fused).
     samples, fused = [], {}
-    for s in _load_corpus(args, check_only=strategy is None):
+    for s in _load_corpus(args):
         if strategy is not None:
             fused[s.sample_id] = apply_strategy(s.predictions, strategy).text
-            s = Sample(s.sample_id, s.dataset, s.ground_truth, fileio.NO_PREDICTIONS)
-        samples.append(s)
+        samples.append(Sample(s.sample_id, s.dataset, s.ground_truth,
+                              fileio.NO_PREDICTIONS))
     if args.fused:
         fused = {r.sample_id: r.text
                  for r in fileio.load_fused(args.fused, strict=args.strict,
@@ -129,12 +128,14 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_sweep(parser, args) -> int:
-    samples = list(_load_corpus(args))
-    profiles = fileio.load_profiles(args.profiles, strict=args.strict)
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in STRATEGY_NAMES:
             parser.error(f"unknown strategy {name!r}")
+        if name in names[:i]:
+            parser.error(f"strategy {name!r} given twice")
+    samples = list(_load_corpus(args))
+    profiles = fileio.load_profiles(args.profiles, strict=args.strict)
     ranking = None
     if any(name.endswith("-bm") or name == "hc" for name in names):
         ranking = rank_models(profiles, "accuracy")

@@ -1,7 +1,10 @@
 """Domain types and fusion strategies for multi-recognizer string ensembles.
 
-An ensemble is a map ``model id -> Prediction`` for one input. Three ways to
-combine it are provided:
+An ensemble is one input's predictions, held as an :class:`Ensemble`: a
+read-only map ``model id -> Prediction`` kept as parallel tuples of ids,
+texts and confidences in model-id order. The fusion functions also accept
+any other such map, and convert it first. Three ways to combine an ensemble
+are provided:
 
 * :func:`hc_fuse`    take the single most confident prediction;
 * :func:`mv_fuse`    plurality vote over whole sequences;
@@ -20,10 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
 
 from . import errors, kernels
 
@@ -162,8 +165,8 @@ def check_confidence(value) -> float:
     """``value`` as a float if it is a confidence: a real number in [0, 1].
 
     An integer is returned as the equal float. This is the one confidence
-    rule: :class:`Prediction` applies it, and so does a loader that checks a
-    prediction without building it.
+    rule: :class:`Prediction` applies it, and so does the corpus loader,
+    which checks each confidence without building a :class:`Prediction`.
     """
     c = value if type(value) is float else _real(value, "confidence",
                                                  errors.InvalidConfidence)
@@ -196,23 +199,134 @@ class Prediction:
             object.__setattr__(self, "confidence", check_confidence(c))
 
 
+def _tuple(value, name: str) -> tuple:
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise errors.InvalidConfig(f"ensemble {name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
+class Ensemble(Mapping):
+    """One input's predictions: a read-only map ``model id -> Prediction``.
+
+    It is held as three parallel tuples: ``ids`` strictly increasing, and
+    ``texts`` and ``confs`` in the same order. So every ensemble is in
+    model-id order once it is built, and looking a model up builds its
+    :class:`Prediction`. The constructor checks every id as
+    :func:`check_identifier` does and every text and confidence as
+    :class:`Prediction` does, and stores an integer confidence as the equal
+    float. An ensemble may be empty; fusing one raises ``EmptyEnsemble``.
+    """
+
+    __slots__ = ("ids", "texts", "confs")
+
+    def __init__(self, ids: Iterable[str] = (), texts: Iterable[str] = (),
+                 confs: Iterable[float] = ()):
+        ids, texts, confs = (_tuple(ids, "ids"), _tuple(texts, "texts"),
+                             _tuple(confs, "confs"))
+        if not len(ids) == len(texts) == len(confs):
+            raise errors.InvalidConfig("ensemble ids, texts and confs differ in length")
+        for model_id in ids:
+            check_identifier(model_id, "model id", errors.InvalidConfig)
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise errors.InvalidConfig("ensemble model ids must be strictly increasing")
+        confs = tuple(Prediction(t, c).confidence for t, c in zip(texts, confs))
+        for name, value in (("ids", ids), ("texts", texts), ("confs", confs)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, ids: tuple, texts: Iterable[str], confs: Iterable[float],
+                 last_ids: tuple = ()) -> Ensemble:
+        """An ensemble of values that were checked already, without a check.
+
+        ``ids`` are unique model ids in any order, and ``texts`` and
+        ``confs`` are parallel to them. The three are sorted only when
+        ``ids`` is out of order; ``last_ids``, the ids of the ensemble built
+        before, is shared instead of ``ids`` when the two are equal.
+        """
+        if ids == last_ids:
+            ids = last_ids
+        elif list(ids) != sorted(ids):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids = tuple([ids[i] for i in order])
+            texts = [texts[i] for i in order]
+            confs = [confs[i] for i in order]
+        self = object.__new__(cls)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "texts", tuple(texts))
+        object.__setattr__(self, "confs", tuple(confs))
+        return self
+
+    def _read_only(self, *args):
+        raise AttributeError("an Ensemble is read-only")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        # Pickle and copy would restore the slots through __setattr__.
+        return Ensemble, (self.ids, self.texts, self.confs)
+
+    def __getitem__(self, model_id) -> Prediction:
+        try:
+            i = self.ids.index(model_id)
+        except ValueError:
+            raise KeyError(model_id) from None
+        return Prediction(self.texts[i], self.confs[i])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if isinstance(other, Ensemble):
+            return (self.ids == other.ids and self.texts == other.texts
+                    and self.confs == other.confs)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Ensemble({dict(self.items())!r})"
+
+
+def _as_ensemble(predictions) -> Ensemble:
+    """``predictions``, an :class:`Ensemble` or a map ``model id -> Prediction``,
+    as an :class:`Ensemble`."""
+    if isinstance(predictions, Ensemble):
+        return predictions
+    if not isinstance(predictions, Mapping):
+        raise errors.InvalidConfig(
+            f"predictions must map model ids to Predictions, got {predictions!r}")
+    ids, texts, confs = [], [], []
+    for model_id, p in predictions.items():
+        check_identifier(model_id, "model id", errors.InvalidConfig)
+        if not isinstance(p, Prediction):
+            raise errors.InvalidConfig(
+                f"prediction of model {model_id!r} must be a Prediction, got {p!r}")
+        ids.append(model_id)
+        texts.append(p.text)
+        confs.append(p.confidence)
+    return Ensemble._trusted(tuple(ids), texts, confs)
+
+
 @dataclass(frozen=True)
 class Sample:
     """A single test instance and the predictions made for it.
 
     ``ground_truth`` is optional; exact-match scoring requires it. Texts are
     expected to be normalized already (loaders and the generator take care of
-    that).
+    that). ``predictions`` is always an :class:`Ensemble`: any other map
+    ``model id -> Prediction`` given is converted into one.
     """
 
     sample_id: str
     dataset: str
     ground_truth: str | None
-    predictions: Mapping[str, Prediction]
+    predictions: Ensemble
 
     def __post_init__(self):
         check_identifier(self.sample_id, "sample_id", errors.InvalidConfig)
         check_identifier(self.dataset, "dataset", errors.InvalidConfig)
+        object.__setattr__(self, "predictions", _as_ensemble(self.predictions))
 
 
 @dataclass(frozen=True)
@@ -381,22 +495,23 @@ def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
     return {m: i for i, m in enumerate(ranking)}
 
 
-def in_tiebreak_order(ids: list[str], order,
-                      predictions: Mapping[str, Prediction] | None = None
-                      ) -> list[str]:
-    """``ids``, given in model-id order, in the tie-break ``order``.
+def in_tiebreak_order(indices: Sequence[int], order, ensemble: Ensemble
+                      ) -> Sequence[int]:
+    """``indices`` of entries of ``ensemble``, given in model-id order, in the
+    tie-break ``order``.
 
     ``order`` is a strategy's :attr:`~FusionStrategy.order`: a ranking, most
-    confident first (read from ``predictions``), or None for model-id order.
-    Both sorts are stable, so equal confidences stay in id order and a
-    ranking that misses several ids names the smallest of them.
+    confident first, or None for model-id order. Both sorts are stable, so
+    equal confidences stay in id order and a ranking that misses several ids
+    names the smallest of them.
     """
     if order is None:
-        return ids
+        return indices
     if order is _CONFIDENCE_ORDER:
-        return sorted(ids, key=lambda m: predictions[m].confidence, reverse=True)
+        return sorted(indices, key=ensemble.confs.__getitem__, reverse=True)
+    position, ids = _positions(tuple(order)), ensemble.ids
     try:
-        return sorted(ids, key=_positions(tuple(order)).__getitem__)
+        return sorted(indices, key=lambda i: position[ids[i]])
     except KeyError as exc:
         raise errors.IncompleteRanking(
             f"model {exc.args[0]!r} is missing from the ranking"
@@ -404,15 +519,19 @@ def in_tiebreak_order(ids: list[str], order,
 
 
 def _prepare(predictions: Mapping[str, Prediction], order):
-    """The ensemble as parallel kernel inputs in tie-break ``order``, so
-    results never depend on map iteration order."""
-    if not predictions:
+    """The ensemble as parallel kernel inputs in tie-break ``order``.
+
+    A map that is not an :class:`Ensemble` is converted first. Its entries
+    are then in model-id order, so results never depend on map iteration
+    order, and ``order`` is a permutation of them.
+    """
+    ensemble = _as_ensemble(predictions)
+    ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
+    if not ids:
         raise errors.EmptyEnsemble("no predictions to fuse")
-    ids = in_tiebreak_order(sorted(predictions), order, predictions)
-    entries = [predictions[m] for m in ids]
-    texts = [p.text for p in entries]
-    confs = [p.confidence for p in entries]
-    return ids, texts, confs
+    entries = in_tiebreak_order(range(len(ids)), order, ensemble)
+    return ([ids[i] for i in entries], [texts[i] for i in entries],
+            [confs[i] for i in entries])
 
 
 def hc_fuse(predictions: Mapping[str, Prediction],
@@ -494,16 +613,15 @@ def normalize_confidences(samples: Iterable[Sample],
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for s in samples:
-        for m, p in s.predictions.items():
-            sums[m] = sums.get(m, 0.0) + p.confidence
+        for m, c in zip(s.predictions.ids, s.predictions.confs):
+            sums[m] = sums.get(m, 0.0) + c
             counts[m] = counts.get(m, 0) + 1
     means = {m: sums[m] / counts[m] for m in sums}
     out = []
     for s in samples:
-        scaled = {
-            m: p if means[m] == 0.0
-            else replace(p, confidence=min(1.0, p.confidence / means[m]))
-            for m, p in s.predictions.items()
-        }
-        out.append(replace(s, predictions=scaled))
+        ids = s.predictions.ids
+        scaled = [c if means[m] == 0.0 else min(1.0, c / means[m])
+                  for m, c in zip(ids, s.predictions.confs)]
+        out.append(replace(s, predictions=Ensemble._trusted(
+            ids, s.predictions.texts, scaled, ids)))
     return out

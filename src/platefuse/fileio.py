@@ -8,7 +8,8 @@ millisecond, FPS to a half-up integer) while all internal values stay
 unrounded. Rendering is deterministic: identical inputs give identical bytes.
 
 Strict parsing (the default) rejects unknown fields and duplicate sample ids;
-the CLI loads tolerantly and instead warns and ignores them.
+the CLI loads tolerantly and instead ignores them, with a warning for the
+first of each kind and a count of the rest.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import stat
 from dataclasses import MISSING, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
-from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .core import (DEFAULT_ALPHABET, FusionResult, ModelProfile, Prediction, Sample,
+from .core import (DEFAULT_ALPHABET, Ensemble, FusionResult, ModelProfile, Sample,
                    check_alphabet, check_cell, check_confidence, check_identifier,
                    normalize_text)
 from .scoring import DatasetReport, SweepReport, macro_average
@@ -41,9 +41,8 @@ _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
 _CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
 _REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
 _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
-# The predictions of every sample that a check-only parse yields, shared and
-# read-only; a reader that drops the predictions of a sample can use it too.
-NO_PREDICTIONS = MappingProxyType({})
+# One empty ensemble, shared by every sample whose predictions a reader drops.
+NO_PREDICTIONS = Ensemble()
 # Made once for every record: json.loads adds whitespace and BOM scans to
 # each line (see _json), and json.dumps with non-default separators builds a
 # new encoder for each record.
@@ -188,12 +187,14 @@ def _json(text: str, where: str):
         raise errors.ParseError(f"{where}: invalid JSON ({reason})") from None
 
 
-def _parse_records(lines: str | Iterable[str], what: str, parse_record) -> Iterator:
+def _parse_records(lines: str | Iterable[str], what: str, parse_record,
+                   tolerate: _Tolerance) -> Iterator:
     """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
 
     A generator: a record is read when the one before it has been consumed.
     A rejection it raises is re-raised as its own class with the line number;
     a file with no records raises :class:`~platefuse.errors.EmptyFile` at its end.
+    Once the last line has been read, ``tolerate`` logs what it counted.
     """
     empty = True
     for number, line in _lines(lines):
@@ -207,30 +208,59 @@ def _parse_records(lines: str | Iterable[str], what: str, parse_record) -> Itera
         if result is not None:
             empty = False
             yield result
+    tolerate.log_counts()
     if empty:
         raise errors.EmptyFile(f"no {what} records found")
 
 
-def _tolerate(message: str, where: str, strict: bool) -> None:
-    """Reject ``message`` when ``strict``; otherwise warn that it is ignored."""
-    if strict:
-        raise errors.ParseError(message)
-    logger.warning("%s: %s (ignored)", where, message)
+class _Tolerance:
+    """What a parse does with a fault that tolerant mode ignores.
+
+    When ``strict``, each fault is rejected. Otherwise the first fault of
+    each kind is logged with its line and ignored, and the rest are only
+    counted, so that one fault repeated on every line of a large corpus
+    logs two lines, not one per line.
+    """
+
+    def __init__(self, strict: bool):
+        self.strict = strict
+        self.ignored: dict[str, int] = {}
+
+    def __call__(self, kind: str, message: str, where: str) -> None:
+        """Reject ``message``, or ignore it as one more fault of ``kind``."""
+        if self.strict:
+            raise errors.ParseError(message)
+        count = self.ignored.get(kind, 0)
+        self.ignored[kind] = count + 1
+        if not count:
+            logger.warning("%s: %s (ignored)", where, message)
+
+    def log_counts(self) -> None:
+        """Log, per kind, how many faults were ignored after the first."""
+        for kind, count in self.ignored.items():
+            if count > 1:
+                logger.warning("%d more %s (ignored)", count - 1, kind)
 
 
-def _check_keys(record: dict, known: set, where: str, strict: bool) -> None:
+_UNKNOWN_RECORD_FIELDS = "records with unknown fields"
+_UNKNOWN_PREDICTION_FIELDS = "predictions with unknown fields"
+_DUPLICATE_IDS = "duplicate sample_ids"
+
+
+def _check_keys(record: dict, known: set, where: str, tolerate: _Tolerance,
+                kind: str = _UNKNOWN_RECORD_FIELDS) -> None:
     if record.keys() <= known:
         return
     unknown = ", ".join(map(repr, sorted(record.keys() - known)))
-    _tolerate(f"unknown field(s) {unknown}", where, strict)
+    tolerate(kind, f"unknown field(s) {unknown}", where)
 
 
-def _first(sample_id: str, seen: set, where: str, strict: bool) -> bool:
-    """Whether ``sample_id`` is new; a repeat goes through :func:`_tolerate`."""
+def _first(sample_id: str, seen: set, where: str, tolerate: _Tolerance) -> bool:
+    """Whether ``sample_id`` is new; a repeat goes to ``tolerate``."""
     if sample_id not in seen:
         seen.add(sample_id)
         return True
-    _tolerate(f"duplicate sample_id {sample_id!r}", where, strict)
+    tolerate(_DUPLICATE_IDS, f"duplicate sample_id {sample_id!r}", where)
     return False
 
 
@@ -247,8 +277,7 @@ def _normalized(value, name: str, alphabet: str) -> str:
 # --- predictions --------------------------------------------------------------
 
 def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
-                      alphabet: str = DEFAULT_ALPHABET,
-                      check_only: bool = False) -> Iterator[Sample]:
+                      alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
     """Parse a prediction corpus from line-delimited JSON content, lazily.
 
     ``text`` is the whole content, or its lines split at ``"\\n"`` (each may
@@ -257,23 +286,25 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     so a rejection surfaces after the samples on the lines before it. An
     invalid ``alphabet`` is rejected at the call, before any record is read.
 
-    With ``check_only``, each prediction is checked as it is otherwise, with
-    the same rejections, but no :class:`Prediction` is built: every sample
-    shares one empty, read-only ``predictions`` map. This is for a reader that
-    needs only the ids, datasets and ground truths.
-
-    In both modes a prediction value already in canonical form (a text made
-    of ``alphabet`` symbols only, a float confidence in [0, 1]) is accepted
-    by inline tests. Any other value goes through the one rule that
-    normalizes or rejects it (:func:`~platefuse.core.normalize_text`,
+    A prediction value already in canonical form (a text made of
+    ``alphabet`` symbols only, a float confidence in [0, 1]) is accepted by
+    inline tests. Any other value goes through the one rule that normalizes
+    or rejects it (:func:`~platefuse.core.normalize_text`,
     :func:`~platefuse.core.check_confidence`), so the accepts and the
     messages are the rule's. A ground truth always goes through the rule.
+    Each sample's :class:`~platefuse.core.Ensemble` is built from the values
+    so checked, without a check of its own; a record whose model ids are out
+    of order is sorted, and samples with the same model ids as the sample
+    before share its ``ids`` tuple.
     """
     check_alphabet(alphabet)
+    tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
+    last_ids = ()
     def sample(record, where):
-        _check_keys(record, _SAMPLE_KEYS, where, strict)
+        nonlocal last_ids
+        _check_keys(record, _SAMPLE_KEYS, where, tolerate)
         sample_id = check_identifier(record.get("sample_id"), "sample_id", errors.ParseError)
         dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
         ground_truth = record.get("ground_truth")
@@ -285,7 +316,7 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
         raw_predictions = record.get("predictions")
         if not isinstance(raw_predictions, dict) or not raw_predictions:
             raise errors.ParseError("predictions must be a non-empty object")
-        predictions = {}
+        texts, confs = [], []
         for model_id, entry in raw_predictions.items():
             if model_id not in model_ids:
                 model_ids.add(check_identifier(model_id, "model id", errors.ParseError))
@@ -294,7 +325,7 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
                     raise errors.ParseError("prediction must be an object")
                 if entry.keys() != _PREDICTION_KEYS:
                     _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}",
-                                strict)
+                                tolerate, _UNKNOWN_PREDICTION_FIELDS)
                 # A canonical value is accepted inline; any other goes
                 # through the rule that normalizes or rejects it.
                 text = entry.get("text")
@@ -303,27 +334,27 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
                 c = entry.get("confidence")
                 if type(c) is not float or not 0.0 <= c <= 1.0:
                     c = check_confidence(c)
-                if not check_only:
-                    predictions[model_id] = Prediction(text, c)
             except errors.PlatefuseError as exc:
                 raise type(exc)(f"model {model_id!r}: {exc}") from None
-        if _first(sample_id, seen_ids, where, strict):
-            return Sample(sample_id, dataset, ground_truth,
-                          NO_PREDICTIONS if check_only else predictions)
-    return _parse_records(text, "prediction", sample)
+            texts.append(text)
+            confs.append(c)
+        if _first(sample_id, seen_ids, where, tolerate):
+            predictions = Ensemble._trusted(tuple(raw_predictions), texts, confs,
+                                            last_ids)
+            last_ids = predictions.ids
+            return Sample(sample_id, dataset, ground_truth, predictions)
+    return _parse_records(text, "prediction", sample, tolerate)
 
 
-def load_predictions(path, *, strict: bool = True, alphabet: str = DEFAULT_ALPHABET,
-                     check_only: bool = False) -> Iterator[Sample]:
+def load_predictions(path, *, strict: bool = True,
+                     alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
     """Read a prediction corpus from a line-delimited JSON file, lazily.
 
     The file is read line by line as the samples are consumed (see
-    :func:`parse_predictions`, which also explains ``check_only``), after a
-    first pass that checks all of it is UTF-8; a pipe is held in memory
-    instead.
+    :func:`parse_predictions`), after a first pass that checks all of it is
+    UTF-8; a pipe is held in memory instead.
     """
-    return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet,
-                             check_only=check_only)
+    return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet)
 
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
@@ -333,9 +364,10 @@ def dump_predictions(samples: Iterable[Sample], path) -> None:
             record = {"sample_id": s.sample_id, "dataset": s.dataset}
             if s.ground_truth is not None:
                 record["ground_truth"] = s.ground_truth
+            e = s.predictions
             record["predictions"] = {
-                m: {"text": p.text, "confidence": p.confidence}
-                for m, p in sorted(s.predictions.items())
+                m: {"text": t, "confidence": c}
+                for m, t, c in zip(e.ids, e.texts, e.confs)
             }
             yield record
     _write_jsonl(path, records())
@@ -345,10 +377,11 @@ def dump_predictions(samples: Iterable[Sample], path) -> None:
 
 def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
     """Parse model profiles from line-delimited JSON content."""
+    tolerate = _Tolerance(strict)
     ids: set[str] = set()
     ranks: dict[int, str] = {}
     def profile(record, where):
-        _check_keys(record, _PROFILE_KEYS, where, strict)
+        _check_keys(record, _PROFILE_KEYS, where, tolerate)
         model_id = check_cell(record.get("id"), "id", errors.ParseError)
         if model_id in ids:
             raise errors.DuplicateModelId(f"duplicate model id {model_id!r}")
@@ -364,7 +397,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
             return ModelProfile(model_id, record.get("latency_ms"), rank)
         except errors.InvalidConfig as exc:
             raise errors.ParseError(str(exc)) from None
-    return list(_parse_records(text, "profile", profile))
+    return list(_parse_records(text, "profile", profile, tolerate))
 
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
@@ -447,10 +480,11 @@ def load_fused(path, *, strict: bool = True,
     before the file is read.
     """
     check_alphabet(alphabet)
+    tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
     model_ids: set[str] = set()
     def fused(record, where):
-        _check_keys(record, _FUSED_KEYS, where, strict)
+        _check_keys(record, _FUSED_KEYS, where, tolerate)
         try:
             sample_id, dataset, text, votes, tie_broken, contributors = [
                 record[name] for name in _FUSED_FIELDS]
@@ -482,10 +516,10 @@ def load_fused(path, *, strict: bool = True,
                 if type(model_id) is not str or model_id not in model_ids:
                     model_ids.add(check_identifier(model_id, "contributor",
                                                    errors.ParseError))
-        if _first(sample_id, seen_ids, where, strict):
+        if _first(sample_id, seen_ids, where, tolerate):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))
-    return _parse_records(_read_lines(path), "fused", fused)
+    return _parse_records(_read_lines(path), "fused", fused, tolerate)
 
 
 # --- synthetic config -------------------------------------------------------------

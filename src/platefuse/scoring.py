@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from . import errors, kernels
 from .core import (
     _CONFIDENCE_ORDER,
+    Ensemble,
     FusionStrategy,
     ModelProfile,
     Sample,
@@ -180,11 +181,12 @@ def sweep_top_n(samples: Sequence[Sample],
     per-image latency of its members and the resulting FPS.
 
     The texts are those :func:`apply_strategy` gives, found without a top-N
-    map or a fusion result per sample: the kernels vote on the values
-    directly. A subsequence of a tie-break order is the tie-break order of
-    its entries, so each N's top members are put in each strategy's order
-    by :func:`core.in_tiebreak_order`: once per N for a ranking or model-id
-    order, which are the same for every sample, and per sample only when an
+    map or a fusion result per sample: the kernels vote on the values,
+    read from each ensemble's tuples by index. A subsequence of a tie-break
+    order is the tie-break order of its entries, so each N's top members are
+    put in each strategy's order by :func:`core.in_tiebreak_order`: once per
+    N and distinct ``ids`` tuple for a ranking or model-id order, which are
+    the same for every sample with those ids, and per sample only when an
     ``*-hc`` vote needs its most-confident-first order. A ranking that
     misses a member raises ``IncompleteRanking`` there, at the smallest N
     that includes it, even where its tie-break is never read. Two exact
@@ -208,12 +210,23 @@ def sweep_top_n(samples: Sequence[Sample],
     ranking = rank_models(profiles, ranking_mode)
     by_id = {p.model_id: p for p in profiles}
     ordered = [by_id[m] for m in ranking]
+    # Samples with equal ids tuples form one group, whose ranked models'
+    # indices are resolved once.
+    groups: dict[tuple[str, ...], int] = {}
+    group_ensembles: list[Ensemble] = []
+    group_of = []
     for s in samples:
-        for m in ranking:
-            if m not in s.predictions:
-                raise errors.MissingModelPrediction(
-                    f"sample {s.sample_id!r} has no prediction for model {m!r}"
-                )
+        ids = s.predictions.ids
+        group = groups.get(ids)
+        if group is None:
+            for m in ranking:
+                if m not in ids:
+                    raise errors.MissingModelPrediction(
+                        f"sample {s.sample_id!r} has no prediction for model {m!r}"
+                    )
+            group = groups[ids] = len(group_ensembles)
+            group_ensembles.append(s.predictions)
+        group_of.append(group)
     if not samples:
         raise errors.EmptyInput("no samples to score")
     # Each distinct strategy once, mvcp last so that an mv majority is known
@@ -225,10 +238,15 @@ def sweep_top_n(samples: Sequence[Sample],
     rows = []
     for n in range(1, len(ranking) + 1):
         top_members = sorted(ranking[:n])
-        # None where the order is each sample's own.
-        tops = [None if strategy.order is _CONFIDENCE_ORDER
-                else in_tiebreak_order(top_members, strategy.order)
-                for strategy in distinct]
+        # Per group: the top members' indices in id order, and for each
+        # strategy the same indices in its tie-break order, or None where
+        # that order is each sample's own.
+        tops = []
+        for ensemble in group_ensembles:
+            top = [ensemble.ids.index(m) for m in top_members]
+            tops.append((top, [None if strategy.order is _CONFIDENCE_ORDER
+                               else in_tiebreak_order(top, strategy.order, ensemble)
+                               for strategy in distinct]))
         columns: list[dict[str, str]] = [{} for _ in distinct]
         for j, s in enumerate(samples):
             predictions = s.predictions
@@ -239,22 +257,23 @@ def sweep_top_n(samples: Sequence[Sample],
                 for column, strategy in zip(columns, distinct):
                     column[s.sample_id] = apply_strategy(top_n, strategy).text
                 continue
+            texts, confs = predictions.texts, predictions.confs
+            top, orders = tops[group_of[j]]
             by_confidence = None
             settled: dict[str, str] = {}
-            for column, kind, top in zip(columns, kinds, tops):
+            for column, kind, order in zip(columns, kinds, orders):
                 text = settled.get(kind)
                 if text is None:
-                    if top is None:
+                    if order is None:
                         if by_confidence is None:
                             by_confidence = in_tiebreak_order(
-                                top_members, _CONFIDENCE_ORDER, predictions)
-                        top = by_confidence
+                                top, _CONFIDENCE_ORDER, predictions)
+                        order = by_confidence
                     if kind == _HC:
-                        index, tied = kernels.hc_select(
-                            [predictions[m].confidence for m in top])
-                        text = predictions[top[index]].text
+                        index, tied = kernels.hc_select([confs[i] for i in order])
+                        text = texts[order[index]]
                     else:
-                        values = [predictions[m].text for m in top]
+                        values = [texts[i] for i in order]
                         if kind == _MV:
                             text, votes, tied = kernels.mv_select(values)
                             if 2 * votes > n:
@@ -292,8 +311,8 @@ def per_model_accuracy(samples: Sequence[Sample]) -> dict[str, float]:
             raise errors.MissingGroundTruth(
                 f"sample {s.sample_id!r} has no ground truth"
             )
-        for m, p in s.predictions.items():
+        for m, text in zip(s.predictions.ids, s.predictions.texts):
             totals[m] = totals.get(m, 0) + 1
-            if p.text == s.ground_truth:
+            if text == s.ground_truth:
                 corrects[m] = corrects.get(m, 0) + 1
     return {m: corrects.get(m, 0) / totals[m] for m in totals}

@@ -48,7 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from . import errors
-from .core import DEFAULT_ALPHABET, Prediction, Sample, _real, check_alphabet, check_cell
+from .core import DEFAULT_ALPHABET, Ensemble, Sample, _real, check_alphabet, check_cell
 
 _SAMPLE_STRIDE = 1 << 64
 # Without per_model, one default ErrorModel is built per model; the bound
@@ -182,7 +182,8 @@ def generate(config: SynthConfig) -> list[Sample]:
     L = config.plate_length
     A = len(config.alphabet)
     alphabet = config.alphabet
-    ids = config.model_ids()
+    # Zero-padded, so in model-id order; every sample shares the tuple.
+    ids = tuple(config.model_ids())
     total = _draws_per_sample(config)
     width = len(str(config.n_samples))
     samples = []
@@ -191,8 +192,8 @@ def generate(config: SynthConfig) -> list[Sample]:
         gt = [int(x * A) for x in u[:L]]
         gt_text = "".join(map(alphabet.__getitem__, gt))
         off = L
-        predictions = {}
-        for model_id, em in zip(ids, config.per_model):
+        texts, confs = [], []
+        for em in config.per_model:
             rate = em.per_char_sub_rate
             events = u[off:off + L]
             offsets = u[off + L:off + 2 * L]
@@ -217,11 +218,12 @@ def generate(config: SynthConfig) -> list[Sample]:
             )
             conf = min(1.0, max(0.0, mean + (2.0 * u[off] - 1.0) * spread))
             off += 1
-            predictions[model_id] = Prediction(text, conf)
+            texts.append(text)
+            confs.append(conf)
         samples.append(Sample(
             sample_id=f"s{i:0{width}d}",
             dataset=config.dataset,
             ground_truth=gt_text,
-            predictions=predictions,
+            predictions=Ensemble._trusted(ids, texts, confs, ids),
         ))
     return samples

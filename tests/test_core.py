@@ -19,6 +19,7 @@ from oracles import (
 )
 from platefuse import (
     DEFAULT_ALPHABET,
+    Ensemble,
     FusionStrategy,
     ModelProfile,
     Prediction,
@@ -169,6 +170,36 @@ def test_sample_requires_identifiers():
     with pytest.raises(errors.InvalidConfig,
                        match=r"^model id must be a non-empty string$"):
         ModelProfile([1], 2.0)
+
+
+def test_ensemble_checks_its_fields():
+    ensemble = Ensemble(["a", "b"], ["X", "Y"], [1, 0.5])
+    assert ensemble.confs == (1.0, 0.5) and type(ensemble.confs[0]) is float
+    assert ensemble == {"b": P("Y", 0.5), "a": P("X", 1.0)}
+    for other in (Ensemble(["a", "b"], ["X", "Y"], [1, 0.25]),
+                  Ensemble(["a", "b"], ["X", "Z"], [1, 0.5]),
+                  Ensemble(["a", "c"], ["X", "Y"], [1, 0.5])):
+        assert ensemble != other
+    for fields, error, message in [
+        ((["b", "a"], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
+         "model ids must be strictly increasing"),
+        ((["a", "a"], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
+         "model ids must be strictly increasing"),
+        ((["a"], ["X", "Y"], [0.1]), errors.InvalidConfig, "differ in length"),
+        (("ab", "XY", [0.1, 0.2]), errors.InvalidConfig, "ids must be a sequence"),
+        ((["a", ""], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
+         "model id must be a non-empty string"),
+        ((["a"], [""], [0.1]), errors.EmptyAfterNormalization, "text is empty"),
+        ((["a"], ["X"], [1.5]), errors.InvalidConfidence, "outside"),
+    ]:
+        with pytest.raises(error, match=message):
+            Ensemble(*fields)
+    with pytest.raises(errors.InvalidConfig, match="must be a Prediction"):
+        Sample("s", "d", None, {"m": ("A", 0.5)})
+    with pytest.raises(AttributeError):
+        ensemble.ids = ("c",)
+    with pytest.raises(errors.EmptyEnsemble):
+        hc_fuse(Ensemble(), None)
 
 
 def test_tiebreak_validation():

@@ -225,6 +225,32 @@ def test_duplicate_sample_id_strict(tmp_path, caplog):
         "line 2: duplicate sample_id 's1' (ignored)"]
 
 
+def test_tolerant_mode_logs_the_first_fault_of_each_kind_and_counts_the_rest(
+        tmp_path, caplog):
+    samples = generate(SynthConfig(seed=5, n_models=3, n_samples=50, plate_length=6))
+    path = tmp_path / "corpus.jsonl"
+    fileio.dump_predictions(samples, path)
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        record["source"] = "cam3"
+        for entry in record["predictions"].values():
+            entry["camera"] = "c1"
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines + lines[-5:]) + "\n")
+    with pytest.raises(errors.ParseError, match="line 1: unknown field"):
+        list(fileio.load_predictions(path))
+    with caplog.at_level(logging.WARNING, logger="platefuse.fileio"):
+        assert list(fileio.load_predictions(path, strict=False)) == samples
+    assert [r.getMessage() for r in caplog.records] == [
+        "line 1: unknown field(s) 'source' (ignored)",
+        "line 1: model 'm00': unknown field(s) 'camera' (ignored)",
+        "line 51: duplicate sample_id 's45' (ignored)",
+        "54 more records with unknown fields (ignored)",
+        "164 more predictions with unknown fields (ignored)",
+        "4 more duplicate sample_ids (ignored)"]
+
+
 def test_predictions_round_trip(tmp_path):
     cfg = SynthConfig(
         seed=303, n_models=4, n_samples=50, plate_length=6,
@@ -527,15 +553,11 @@ def _rejection(load):
 
 @pytest.mark.parametrize("case", list(_CORRUPTIONS["predictions"]))
 def test_eval_fused_rejects_what_fuse_rejects(tmp_path, capsys, case):
-    # eval --fused checks the predictions without building them.
     corpus = _corrupted(tmp_path, "predictions", case)
     fused = tmp_path / "fused.jsonl"
     fused.write_text("".join(json.dumps(_record("fused", i)) + "\n" for i in range(3)))
     for strict in (True, False):
         built = _rejection(lambda: list(fileio.load_predictions(corpus, strict=strict)))
-        checked = _rejection(lambda: list(fileio.load_predictions(
-            corpus, strict=strict, check_only=True)))
-        assert checked == built
         if built is None:
             assert not strict  # tolerant mode ignores some faults
             continue
@@ -608,10 +630,9 @@ def test_predictions_rejections_keep_their_class_and_message(tmp_path, case):
     strict, tolerant = expected if isinstance(expected, tuple) else (expected, expected)
     if isinstance(tolerant, str):
         tolerant = (error, tolerant)
-    for check_only in (False, True):
-        for mode, outcome in ((True, (error, strict)), (False, tolerant)):
-            assert _rejection(lambda: list(fileio.load_predictions(
-                path, strict=mode, check_only=check_only))) == outcome
+    for mode, outcome in ((True, (error, strict)), (False, tolerant)):
+        assert _rejection(lambda: list(fileio.load_predictions(
+            path, strict=mode))) == outcome
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))

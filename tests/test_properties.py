@@ -1,18 +1,23 @@
 """Property-based tests for the fusion and scoring invariants."""
 
+import json
+import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TB_HC, tb_bm
+from conftest import TB_HC, random_ensemble, tb_bm
 from platefuse import (
     DatasetReport,
+    Ensemble,
     ErrorModel,
     FusionStrategy,
     ModelProfile,
     Prediction,
+    Sample,
     StrategyKind,
     SynthConfig,
     TieBreak,
@@ -20,6 +25,7 @@ from platefuse import (
     apply_strategy,
     core,
     errors,
+    fileio,
     hc_fuse,
     macro_average,
     mv_fuse,
@@ -27,6 +33,7 @@ from platefuse import (
     parse_strategy,
     rank_models,
 )
+from platefuse.core import STRATEGY_NAMES
 
 CONFS = st.sampled_from([i / 20 for i in range(1, 21)])
 TEXTS = st.text(alphabet="AB01", min_size=1, max_size=8)
@@ -155,6 +162,56 @@ def test_result_invariants(predictions):
             assert result.winning_votes == 0
 
 
+# --- ensembles ---------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@given(SEEDS, st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_an_ensemble_fuses_as_the_map_it_was_built_from(seed, shuffler):
+    predictions, ranking = random_ensemble(np.random.default_rng(seed))
+    items = list(predictions.items())
+    shuffler.shuffle(items)
+    ensemble = Sample("s", "d", None, dict(items)).predictions
+    assert type(ensemble) is Ensemble
+    assert ensemble == predictions == pickle.loads(pickle.dumps(ensemble))
+    assert list(ensemble) == sorted(predictions)
+    for name in STRATEGY_NAMES:
+        strategy = parse_strategy(name, ranking)
+        assert apply_strategy(ensemble, strategy) == apply_strategy(predictions, strategy)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+
+
+@given(st.lists(SEEDS, min_size=1, max_size=6), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_a_corpus_loads_the_ensembles_it_was_written_from(corpus_path, seeds,
+                                                          shuffler):
+    samples = [Sample(f"s{i}", "d", "AB",
+                      random_ensemble(np.random.default_rng(seed), max_models=4)[0])
+               for i, seed in enumerate(seeds)]
+    fileio.dump_predictions(samples, corpus_path)
+    loaded = list(fileio.load_predictions(corpus_path))
+    assert loaded == samples
+    # Consecutive samples with equal model ids share one ids tuple.
+    for before, after in zip(loaded, loaded[1:]):
+        ids = before.predictions.ids
+        assert (after.predictions.ids is ids) == (after.predictions.ids == ids)
+    # A record whose model ids are out of order loads as the sorted one.
+    lines = []
+    for line in corpus_path.read_text().splitlines():
+        record = json.loads(line)
+        items = list(record["predictions"].items())
+        shuffler.shuffle(items)
+        record["predictions"] = dict(items)
+        lines.append(json.dumps(record))
+    assert list(fileio.parse_predictions("\n".join(lines))) == samples
+
+
 @given(st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500)),
                 min_size=1, max_size=12))
 @settings(max_examples=200)
@@ -206,9 +263,12 @@ _IDS = st.text(alphabet="abm1", min_size=1, max_size=3)
 _COUNTS = st.integers(1, 4)
 _RATES = st.floats(0.0, 0.2)
 _PAIRS = st.lists(st.floats(0.0, 1.0) | NUMBERS, min_size=2, max_size=2)
+_TEXTS = st.text(alphabet="AB", min_size=1, max_size=4)
 CONSTRUCTOR_FIELDS = {
-    Prediction: dict(text=_field(st.text(alphabet="AB", min_size=1, max_size=4)),
-                     confidence=_field(NUMBERS)),
+    Prediction: dict(text=_field(_TEXTS), confidence=_field(NUMBERS)),
+    Ensemble: dict(ids=_field(st.lists(_IDS, unique=True, max_size=3).map(sorted)),
+                   texts=_field(st.lists(_TEXTS, max_size=3)),
+                   confs=_field(st.lists(st.floats(0.0, 1.0) | NUMBERS, max_size=3))),
     ModelProfile: dict(model_id=_field(_IDS), latency_ms=_field(NUMBERS),
                        accuracy_rank=_field(st.integers())),
     ErrorModel: dict(per_char_sub_rate=_field(_RATES), insertion_rate=_field(_RATES),
@@ -242,7 +302,8 @@ def test_constructors_fail_only_with_a_platefuse_error(constructor, data):
 @given(JSON_VALUES | st.floats(0.0, 1.0))
 @settings(max_examples=300)
 def test_prediction_applies_check_confidence(value):
-    # One confidence rule: the loader's check-only mode calls it directly.
+    # One confidence rule: the corpus loader calls it directly, without
+    # building a Prediction.
     try:
         stored = Prediction("A", value).confidence
     except errors.PlatefuseError as exc:
