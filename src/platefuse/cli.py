@@ -17,7 +17,6 @@ a command reproduces its output byte for byte. Exit status is 0 on success and
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 from . import errors, fileio
@@ -35,7 +34,6 @@ from .core import (
 from .scoring import rank_models, recognition_rate, sweep_top_n
 from .synth import generate
 
-logger = logging.getLogger(__name__)
 
 _NORMALIZE_CHOICES = {"off": NORMALIZE_OFF, "per-model-mean": NORMALIZE_PER_MODEL_MEAN}
 
@@ -115,13 +113,14 @@ def _cmd_eval(parser, args) -> int:
                  for r in fileio.load_fused(args.fused, strict=args.strict,
                                             alphabet=args.alphabet)}
         known = {s.sample_id for s in samples}
+        tolerate = fileio._Tolerance(strict=False)
         for sample_id in fused:
             if sample_id not in known:
-                message = (f"{args.fused}: fused sample_id {sample_id!r} "
-                           f"is not in {args.input}")
+                message = f"fused sample_id {sample_id!r} is not in {args.input}"
                 if args.strict:
-                    raise errors.UnknownSample(message)
-                logger.warning("%s (ignored)", message)
+                    raise errors.UnknownSample(f"{args.fused}: {message}")
+                tolerate("fused sample_ids not in the corpus", message, args.fused)
+        tolerate.log_counts()
     reports = recognition_rate(samples, fused)
     _write(fileio.render_report(reports, args.format), args.output)
     return 0

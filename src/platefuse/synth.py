@@ -9,7 +9,10 @@ All randomness comes from Philox4x64-10 keyed with ``SynthConfig.seed``.
 Sample ``i`` owns the counter region starting at ``i * 2**64`` and consumes a
 single block of float64 uniforms in the layout below; integer draws are
 ``floor(u * n)``. This is what makes parallel generation safe: partitioning
-by sample index cannot change the corpus.
+by sample index cannot change the corpus. Each block is what
+``Generator(Philox(key=seed, counter=i * 2**64)).random(n)`` returns;
+:func:`generate` draws it from one Philox whose counter it resets per sample,
+rather than building a generator per sample.
 
 Per-sample uniform layout (``L`` = plate_length, ``A`` = alphabet size)::
 
@@ -35,22 +38,23 @@ this package, not measurements.
 
 numpy supplies only the Philox bit generator and each sample's block of
 uniforms, which :func:`generate` turns into a Python list; the protocol above
-is then applied to that list as written, one sample at a time. On plates of a
-few symbols this is faster than array code, and it is the one implementation
-of the protocol in the package.
+is then applied to that list as written, one sample at a time, and each sample
+is yielded as soon as it is drawn, so a corpus is never held whole. On plates
+of a few symbols this is faster than array code, and it is the one
+implementation of the protocol in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import errors
 from .core import DEFAULT_ALPHABET, Ensemble, Sample, _real, check_alphabet, check_cell
 
-_SAMPLE_STRIDE = 1 << 64
+_WORD = (1 << 64) - 1
 # Without per_model, one default ErrorModel is built per model; the bound
 # keeps a huge n_models from filling memory before any sample is drawn.
 _MAX_MODELS = 1000
@@ -167,17 +171,34 @@ def _draws_per_sample(cfg: SynthConfig) -> int:
     return total
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=index * _SAMPLE_STRIDE)
-    )
+def _sample_uniforms(seed: int, total: int) -> Callable[[int], list[float]]:
+    """A function from a sample index to that sample's ``total`` uniforms.
+
+    One Philox keyed with ``seed`` is re-keyed for each sample: it is given
+    back the state it was built with, whose buffer is empty, with the 256-bit
+    counter set to ``index * 2**64`` (all four 64-bit words, least significant
+    first, so an index past ``2**64`` carries into the higher words). That is
+    the state ``Philox(key=seed, counter=index * 2**64)`` starts in.
+    """
+    bits = np.random.Philox(key=seed)
+    draw = np.random.Generator(bits).random
+    state = bits.state
+    counter = state["state"]["counter"]
+
+    def uniforms(index: int) -> list[float]:
+        counter[:] = (0, index & _WORD, (index >> 64) & _WORD, (index >> 128) & _WORD)
+        bits.state = state
+        return draw(total).tolist()
+
+    return uniforms
 
 
-def generate(config: SynthConfig) -> list[Sample]:
-    """Materialize the corpus described by ``config``.
+def generate(config: SynthConfig) -> Iterator[Sample]:
+    """Yield the corpus described by ``config``, one sample at a time.
 
-    Deterministic for a fixed config; see the module docstring for the exact
-    protocol.
+    A generator: each sample is drawn when the one before it has been
+    consumed, so the corpus is never held in memory. Deterministic for a
+    fixed config; see the module docstring for the exact protocol.
     """
     L = config.plate_length
     A = len(config.alphabet)
@@ -186,9 +207,9 @@ def generate(config: SynthConfig) -> list[Sample]:
     ids = tuple(config.model_ids())
     total = _draws_per_sample(config)
     width = len(str(config.n_samples))
-    samples = []
+    uniforms = _sample_uniforms(config.seed, total)
     for i in range(config.n_samples):
-        u = _sample_rng(config.seed, i).random(total).tolist()
+        u = uniforms(i)
         gt = [int(x * A) for x in u[:L]]
         gt_text = "".join(map(alphabet.__getitem__, gt))
         off = L
@@ -220,10 +241,9 @@ def generate(config: SynthConfig) -> list[Sample]:
             off += 1
             texts.append(text)
             confs.append(conf)
-        samples.append(Sample(
+        yield Sample(
             sample_id=f"s{i:0{width}d}",
             dataset=config.dataset,
             ground_truth=gt_text,
             predictions=Ensemble._trusted(ids, texts, confs, ids),
-        ))
-    return samples
+        )

@@ -293,7 +293,7 @@ def test_criterion_6_fusion_benefit():
     mvcp_accs, best_accs = [], []
     for seed in range(10):
         config = _noise_config(seed, sub=0.2, n_samples=10_000)
-        samples = generate(config)
+        samples = list(generate(config))
         mvcp_acc = sum(
             mvcp_fuse(s.predictions, TB_HC).text == s.ground_truth
             for s in samples
@@ -325,9 +325,9 @@ def test_criterion_7_length_noise_sensitivity():
         for label, (ins, dele) in {
             "clean": (0.0, 0.0), "noisy": (0.2, 0.2)
         }.items():
-            samples = generate(
+            samples = list(generate(
                 _noise_config(seed, sub=0.1, n_samples=4000, ins=ins, dele=dele)
-            )
+            ))
             mv_acc = sum(
                 mv_fuse(s.predictions, TB_HC).text == s.ground_truth
                 for s in samples

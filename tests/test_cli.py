@@ -261,6 +261,22 @@ def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path, memory_corpora):
     assert abs(large - small) < 1_000_000, (small, large)
 
 
+def test_simulate_memory_does_not_grow_with_the_corpus(tmp_path):
+    # simulate writes each sample as it is drawn. Drawing the whole corpus
+    # before writing it held some 1,500 bytes a sample.
+    out = tmp_path / "corpus.jsonl"
+    args = []
+    for size in (1000, 4000):
+        config = tmp_path / f"config-{size}.json"
+        config.write_text(json.dumps({"seed": 21, "n_models": 12, "n_samples": size,
+                                      "plate_length": 7}))
+        args.append(("simulate", "--config", str(config), "--output", str(out)))
+    # Untraced first, so that one-time set-up is not counted.
+    assert run(*args[0]) == 0
+    small, large = (_peak_bytes(*argv) for argv in args)
+    assert abs(large - small) < 1_000_000, (small, large)
+
+
 def test_eval_fused_memory_per_sample(tmp_path, memory_corpora):
     # eval --fused holds each sample's id, dataset and ground truth and each
     # fused text, about 450 bytes a sample. Building the predictions of each
@@ -399,7 +415,7 @@ def test_twin_corpus_fuses_and_scores_to_the_same_bytes(tmp_path, strategy):
     assert outputs[1] == outputs[0]
 
 
-def _one_sample_with_extra_fused_id(tmp_path):
+def _one_sample_with_extra_fused_ids(tmp_path, extra=("zz",)):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({
         "sample_id": "s1", "dataset": "d", "ground_truth": "AB12",
@@ -410,7 +426,7 @@ def _one_sample_with_extra_fused_id(tmp_path):
         json.dumps({"sample_id": sample_id, "dataset": "d", "text": "AB12",
                     "winning_votes": 1, "tie_broken": False,
                     "contributors": ["m"]}) + "\n"
-        for sample_id in ("s1", "zz")
+        for sample_id in ("s1", *extra)
     ))
     return corpus, fused
 
@@ -437,19 +453,21 @@ def test_eval_reports_a_corpus_error_before_a_fused_file_error(tmp_path, capsys)
 
 
 def test_eval_strict_rejects_fused_id_missing_from_corpus(tmp_path, capsys):
-    corpus, fused = _one_sample_with_extra_fused_id(tmp_path)
+    corpus, fused = _one_sample_with_extra_fused_ids(tmp_path)
     assert run("eval", "--input", str(corpus), "--fused", str(fused),
                "--strict") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'zz'" in err
+    assert capsys.readouterr().err == (
+        f"error: {fused}: fused sample_id 'zz' is not in {corpus}\n")
 
 
-def test_eval_tolerant_warns_once_per_unmatched_fused_id(tmp_path, capsys, caplog):
-    corpus, fused = _one_sample_with_extra_fused_id(tmp_path)
-    with caplog.at_level(logging.WARNING, logger="platefuse.cli"):
+def test_eval_tolerant_warns_of_the_first_unmatched_fused_id_and_counts_the_rest(
+        tmp_path, capsys, caplog):
+    corpus, fused = _one_sample_with_extra_fused_ids(tmp_path, ("zz", "zy", "zx", "zw"))
+    with caplog.at_level(logging.WARNING, logger="platefuse"):
         assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.name == "platefuse.cli"]
-    assert len(warnings) == 1 and "'zz'" in warnings[0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{fused}: fused sample_id 'zz' is not in {corpus} (ignored)",
+        "3 more fused sample_ids not in the corpus (ignored)"]
     assert capsys.readouterr().out.splitlines()[1] == "d,1,1,100.0"
 
 

@@ -227,7 +227,7 @@ def test_duplicate_sample_id_strict(tmp_path, caplog):
 
 def test_tolerant_mode_logs_the_first_fault_of_each_kind_and_counts_the_rest(
         tmp_path, caplog):
-    samples = generate(SynthConfig(seed=5, n_models=3, n_samples=50, plate_length=6))
+    samples = list(generate(SynthConfig(seed=5, n_models=3, n_samples=50, plate_length=6)))
     path = tmp_path / "corpus.jsonl"
     fileio.dump_predictions(samples, path)
     lines = []
@@ -260,7 +260,7 @@ def test_predictions_round_trip(tmp_path):
             for _ in range(4)
         ),
     )
-    samples = generate(cfg)
+    samples = list(generate(cfg))
     path = tmp_path / "corpus.jsonl"
     fileio.dump_predictions(samples, path)
     assert list(fileio.load_predictions(path)) == samples

@@ -24,6 +24,7 @@ from platefuse import (
     mv_fuse,
     mvcp_fuse,
     parse_strategy,
+    synth,
 )
 
 
@@ -96,7 +97,7 @@ def test_default_error_models_fill_in():
 
 def test_zero_noise_reproduces_ground_truth():
     cfg = _config(per_char_sub_rate=0.0)
-    samples = generate(cfg)
+    samples = list(generate(cfg))
     assert len(samples) == 5
     for s in samples:
         assert set(s.predictions) == {"m00", "m01", "m02"}
@@ -109,19 +110,31 @@ def test_zero_noise_reproduces_ground_truth():
 
 def test_generation_is_deterministic():
     cfg = _config(per_char_sub_rate=0.25, insertion_rate=0.2, deletion_rate=0.1)
-    assert generate(cfg) == generate(cfg)
+    assert list(generate(cfg)) == list(generate(cfg))
 
 
 def test_seed_changes_corpus():
-    a = generate(_config(seed=1, per_char_sub_rate=0.3))
-    b = generate(_config(seed=2, per_char_sub_rate=0.3))
+    a = list(generate(_config(seed=1, per_char_sub_rate=0.3)))
+    b = list(generate(_config(seed=2, per_char_sub_rate=0.3)))
     assert a != b
+
+
+def test_each_sample_draws_from_its_own_counter_region():
+    # One Philox is re-keyed per sample. Each block must be the one a fresh
+    # generator at counter index * 2**64 draws, also where the index carries
+    # into the counter's third and fourth words, and whatever the block before
+    # left in the buffer (41 draws leave three of a four-word Philox block).
+    seed, total = 2**64 - 3, 41
+    uniforms = synth._sample_uniforms(seed, total)
+    for index in (0, 1, 2**32 + 5, 2**64 - 1, 2**64 + 3, 2**128 + 7, 1, 0):
+        fresh = np.random.Generator(np.random.Philox(key=seed, counter=index * 2**64))
+        assert uniforms(index) == fresh.random(total).tolist(), index
 
 
 def test_noise_rates_apply():
     cfg = _config(n_samples=300, per_char_sub_rate=0.3,
                   insertion_rate=0.2, deletion_rate=0.2)
-    samples = generate(cfg)
+    samples = list(generate(cfg))
     lengths = {len(p.text) for s in samples for p in s.predictions.values()}
     assert lengths >= {6, 7, 8}  # deletions and insertions both fire
     wrong = sum(p.text != s.ground_truth
@@ -189,7 +202,7 @@ PINNED_CORPORA = {
 @pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
 def test_generated_corpus_bytes_are_pinned(name, tmp_path):
     config, digest = PINNED_CORPORA[name]
-    samples = generate(config)
+    samples = list(generate(config))
     path = tmp_path / "corpus.jsonl"
     fileio.dump_predictions(samples, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
