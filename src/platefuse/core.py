@@ -333,8 +333,9 @@ class Sample:
 class ModelProfile:
     """A model's identity, accuracy-rank position (1 = best), and mean latency.
 
-    The latency must be a positive finite real; an integer is stored as the
-    equal float, as in :class:`Prediction`.
+    The latency must be a real in [0.001, 1e9] ms; an integer is stored as
+    the equal float, as in :class:`Prediction`. In that range any sum of
+    latencies and its FPS are finite and render at display precision.
     """
 
     model_id: str
@@ -347,9 +348,10 @@ class ModelProfile:
         if type(latency) is not float:
             latency = _real(latency, "latency_ms", errors.InvalidConfig)
             object.__setattr__(self, "latency_ms", latency)
-        if not (math.isfinite(latency) and latency > 0):
+        # NaN fails both comparisons.
+        if not 1e-3 <= latency <= 1e9:
             raise errors.InvalidConfig(
-                f"latency_ms must be a positive real, got {latency!r}"
+                f"latency_ms must be in [0.001, 1e9], got {latency!r}"
             )
         if self.accuracy_rank is not None and (
             not isinstance(self.accuracy_rank, int)

@@ -61,38 +61,25 @@ def read_text(path) -> str:
     return "".join(_read_lines(path))
 
 
-def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
-    """Each ``"\\n"``-ended byte line, with its ``"\\n"``, decoded as UTF-8.
-
-    ``"\\n"`` is ASCII, so a decode error reads as it would for the whole
-    file: its line, its reason, and its byte offset in the file.
-    """
-    offset = 0
-    for number, line in enumerate(lines, start=1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise errors.ParseError(
-                f"line {number}: not UTF-8 ({exc.reason} at byte {offset + exc.start})"
-            ) from None
-        offset += len(line)
-
-
 def _read_lines(path) -> Iterator[str]:
     """The lines of the UTF-8 file ``path``, each with its ``"\\n"``, read lazily.
 
-    The whole file is checked to be UTF-8 before the first line is yielded,
-    so a bad byte is reported before any record is read. A regular file is
-    read twice for that, one line at a time; a pipe, which can be read only
-    once, is held whole.
+    The file, or pipe, is read once. A byte that is not UTF-8 is rejected
+    when its line is reached, so a record loader reports a fault on an
+    earlier line first. ``"\\n"`` is ASCII, so the rejection reads as a
+    decode of the whole file would: its line, its reason, and its byte
+    offset in the file.
     """
     with open(path, "rb") as f:
-        lines = f if f.seekable() else f.readlines()
-        for _ in _decoded(lines):
-            pass
-        if lines is f:
-            f.seek(0)
-        yield from _decoded(lines)
+        offset = 0
+        for number, line in enumerate(f, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise errors.ParseError(
+                    f"line {number}: not UTF-8 ({exc.reason} at byte {offset + exc.start})"
+                ) from None
+            offset += len(line)
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
@@ -350,9 +337,9 @@ def load_predictions(path, *, strict: bool = True,
                      alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
     """Read a prediction corpus from a line-delimited JSON file, lazily.
 
-    The file is read line by line as the samples are consumed (see
-    :func:`parse_predictions`), after a first pass that checks all of it is
-    UTF-8; a pipe is held in memory instead.
+    The file, or pipe, is read once, line by line as the samples are
+    consumed (see :func:`parse_predictions`): a bad byte is rejected when its
+    line is reached, after the samples on the lines before it.
     """
     return parse_predictions(_read_lines(path), strict=strict, alphabet=alphabet)
 
@@ -375,8 +362,9 @@ def dump_predictions(samples: Iterable[Sample], path) -> None:
 
 # --- profiles ------------------------------------------------------------------
 
-def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
-    """Parse model profiles from line-delimited JSON content."""
+def parse_profiles(text: str | Iterable[str], *,
+                   strict: bool = True) -> list[ModelProfile]:
+    """Parse model profiles from line-delimited JSON content or its lines."""
     tolerate = _Tolerance(strict)
     ids: set[str] = set()
     ranks: dict[int, str] = {}
@@ -402,7 +390,7 @@ def parse_profiles(text: str, *, strict: bool = True) -> list[ModelProfile]:
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
     """Read model profiles from a line-delimited JSON file."""
-    return parse_profiles(read_text(path), strict=strict)
+    return parse_profiles(_read_lines(path), strict=strict)
 
 
 def dump_profiles(profiles: Iterable[ModelProfile], path) -> None:
@@ -467,11 +455,11 @@ def load_fused(path, *, strict: bool = True,
                alphabet: str = DEFAULT_ALPHABET) -> Iterator[FusedRecord]:
     """Read fused records written by :func:`dump_fused`, lazily.
 
-    As with :func:`load_predictions`, the file is read line by line as the
-    records are consumed, after a first pass that checks it is UTF-8, and a
-    rejection surfaces after the records on the lines before it. Every field
-    must have its written type and ``text`` must already be normalized under
-    ``alphabet``; violations are rejected with the line number in both modes.
+    As with :func:`load_predictions`, the file is read once, line by line as
+    the records are consumed, and a rejection (a bad byte among them) surfaces
+    after the records on the lines before it. Every field must have its
+    written type and ``text`` must already be normalized under ``alphabet``;
+    violations are rejected with the line number in both modes.
     A text of ``alphabet`` symbols only is accepted inline, and contributors
     that are all known model ids by one set test; any other value goes
     through the rule that names what is wrong with it. A repeated sample id

@@ -55,9 +55,11 @@ from . import errors
 from .core import DEFAULT_ALPHABET, Ensemble, Sample, _real, check_alphabet, check_cell
 
 _WORD = (1 << 64) - 1
-# Without per_model, one default ErrorModel is built per model; the bound
-# keeps a huge n_models from filling memory before any sample is drawn.
+# Without per_model, one default ErrorModel is built per model, and each
+# sample draws more than plate_length * (2 * n_models + 1) uniforms at once;
+# the bounds keep a huge n_models or plate_length from filling memory.
 _MAX_MODELS = 1000
+_MAX_PLATE_LENGTH = 1000
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,9 @@ class SynthConfig:
                 raise errors.InvalidConfig(f"{name} must be a positive integer")
         if self.n_models > _MAX_MODELS:
             raise errors.InvalidConfig(f"n_models must be at most {_MAX_MODELS}")
+        if self.plate_length > _MAX_PLATE_LENGTH:
+            raise errors.InvalidConfig(
+                f"plate_length must be at most {_MAX_PLATE_LENGTH}")
         if len(check_alphabet(self.alphabet)) < 2:
             raise errors.InvalidConfig("alphabet needs at least two symbols")
         # The corpus loaders' rule, so that every corpus written loads.

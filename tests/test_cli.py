@@ -261,6 +261,27 @@ def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path, memory_corpora):
     assert abs(large - small) < 1_000_000, (small, large)
 
 
+def test_fuse_memory_from_a_pipe_does_not_grow_with_the_corpus(tmp_path, memory_corpora):
+    # A pipe is read once, line by line, as a regular file is. Holding it
+    # whole (to check all of it is UTF-8 first) cost some 900 bytes a sample.
+    out = tmp_path / "fused.jsonl"
+    fifo = tmp_path / "pipe"
+    peaks = []
+    for _, corpus, _ in memory_corpora:
+        os.mkfifo(fifo)
+        # Read before tracing starts, so the writer's copy is not counted.
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        peaks.append(_peak_bytes("fuse", "--input", str(fifo), "--strategy", "mvcp-hc",
+                                 "--output", str(out)))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        fifo.unlink()
+    small, large = peaks
+    assert abs(large - small) < 1_000_000, (small, large)
+
+
 def test_simulate_memory_does_not_grow_with_the_corpus(tmp_path):
     # simulate writes each sample as it is drawn. Drawing the whole corpus
     # before writing it held some 1,500 bytes a sample.
@@ -582,6 +603,34 @@ def test_sweep_rejects_a_repeated_strategy(tmp_path, profiles_path, capsys):
     assert exc.value.code == 2
     assert "strategy 'hc' given twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_a_latency_it_cannot_render(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "sample_id": "s1", "dataset": "d", "ground_truth": "AB",
+        "predictions": {m: {"text": "AB", "confidence": 0.5} for m in ("a", "b")},
+    }) + "\n")
+    profiles = tmp_path / "profiles.jsonl"
+    out = tmp_path / "sweep.csv"
+    def sweep(latencies):
+        profiles.write_text("".join(
+            json.dumps({"id": m, "accuracy_rank": rank, "latency_ms": latency}) + "\n"
+            for rank, (m, latency) in enumerate(zip("ab", latencies), start=1)))
+        return run("sweep", "--input", str(corpus), "--profiles", str(profiles),
+                   "--output", str(out))
+    # The ends of the accepted range render, summed and as FPS.
+    assert sweep([1e-3, 1e9]) == 0
+    assert [line.split(",")[-2:] for line in out.read_text().splitlines()[1:]] == [
+        ["0.0", "1000000"], ["1000000000.0", "0"]]
+    # An FPS of inf, a sum past Decimal's precision, a sum past float range.
+    for latencies, number in (([1e-310, 1.0], 1), ([1.0, 1e30], 2),
+                              ([1e308, 1e308], 1)):
+        capsys.readouterr()
+        assert sweep(latencies) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {number}: latency_ms must be in [0.001, 1e9], "
+            f"got {latencies[number - 1]!r}\n")
 
 
 # --- simulate / report --------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_integer_confidence_loads_as_float(tmp_path):
 
 def test_non_utf8_bytes_name_their_line(tmp_path):
     path = tmp_path / "p.jsonl"
-    path.write_bytes(b'{"a": 1}\n{"b": "\xc3("}\n')
+    path.write_bytes(b'\n{"b": "\xc3("}\n')
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
         list(fileio.load_predictions(path))
     with pytest.raises(errors.ParseError, match=r"^line 2: not UTF-8"):
@@ -120,7 +120,7 @@ def test_non_utf8_bytes_name_their_line(tmp_path):
     b"\xed\xa0\x80",    # an encoded surrogate
 ])
 def test_non_utf8_error_matches_whole_file_decoding(tmp_path, bad):
-    data = b'{"a": 1}\n{"b": "' + bad + (b'"}\n' if not bad.endswith(b"\n") else b"")
+    data = b'\n{"b": "' + bad + (b'"}\n' if not bad.endswith(b"\n") else b"")
     path = tmp_path / "p.jsonl"
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as decoded:
@@ -145,7 +145,7 @@ def test_parse_predictions_yields_each_sample_before_reading_the_next():
 def test_load_predictions_reads_a_pipe(tmp_path):
     lines = [json.dumps({**_SAMPLE, "sample_id": f"s{i}"}) for i in range(3)]
     for data, outcome in ((("\n".join(lines) + "\n").encode(), None),
-                          (b'{"a": 1}\n\xff\n', "^line 2: not UTF-8")):
+                          (b'\n\xff\n', "^line 2: not UTF-8")):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
@@ -156,6 +156,26 @@ def test_load_predictions_reads_a_pipe(tmp_path):
         else:
             with pytest.raises(errors.ParseError, match=outcome):
                 list(fileio.load_predictions(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        fifo.unlink()
+
+
+def test_a_rejection_is_reported_ahead_of_a_later_bad_byte(tmp_path):
+    # Each file is read once, so a bad byte is met only when its line is
+    # reached, from a regular file as from a pipe.
+    data = b'{"a": 1}\n{"b": "\xc3("}\n'
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(data)
+    for load in (fileio.load_predictions, fileio.load_fused, fileio.load_profiles):
+        with pytest.raises(errors.ParseError, match=r"^line 1: unknown field\(s\) 'a'$"):
+            list(load(path))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with pytest.raises(errors.ParseError, match=r"^line 1: unknown field\(s\) 'a'$"):
+            list(load(fifo))
         writer.join(timeout=10)
         assert not writer.is_alive()
         fifo.unlink()
@@ -317,7 +337,8 @@ def test_profiles_reject_unencodable_id(tmp_path):
         fileio.load_profiles(path)
 
 
-@pytest.mark.parametrize("latency", [True, "7", None, 0, float("inf")])
+@pytest.mark.parametrize("latency", [True, "7", None, 0, float("inf"), float("nan"),
+                                     1e-310, 1e30, 1e308])
 def test_profile_latency_must_be_a_positive_number(latency):
     with pytest.raises(errors.InvalidConfig, match="latency_ms"):
         ModelProfile("m", latency)

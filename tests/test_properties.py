@@ -315,3 +315,64 @@ def test_prediction_applies_check_confidence(value):
         accepted = core.check_confidence(value)
         assert type(stored) is type(accepted) is float
         assert repr(stored) == repr(accepted)
+
+
+def _sample_record(number):
+    return {"sample_id": f"s{number}", "dataset": "d", "ground_truth": "AB",
+            "predictions": {"m": {"text": "AB", "confidence": 0.5}}}
+
+
+def _fused_record(number):
+    return {"sample_id": f"s{number}", "dataset": "d", "text": "AB",
+            "winning_votes": 1, "tie_broken": False, "contributors": ["m"]}
+
+
+def _profile_record(number):
+    return {"id": f"m{number}", "accuracy_rank": number, "latency_ms": 5.0}
+
+
+# For each record file: a valid record for a line, its loader and dumper,
+# and the paths of the fields that the property sets to an arbitrary value
+# ("extra" names a field no record has).
+BOUNDARIES = {
+    "predictions": (_sample_record, fileio.load_predictions, fileio.dump_predictions,
+                    [("sample_id",), ("dataset",), ("ground_truth",), ("predictions",),
+                     ("predictions", "m"), ("predictions", "m", "text"),
+                     ("predictions", "m", "confidence"), ("predictions", "m", "extra"),
+                     ("predictions", "m2"), ("extra",)]),
+    "fused": (_fused_record, fileio.load_fused, fileio.dump_fused,
+              [("sample_id",), ("dataset",), ("text",), ("winning_votes",),
+               ("tie_broken",), ("contributors",), ("extra",)]),
+    "profiles": (_profile_record, fileio.load_profiles, fileio.dump_profiles,
+                 [("id",), ("accuracy_rank",), ("latency_ms",), ("extra",)]),
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+@pytest.mark.parametrize("kind", BOUNDARIES)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
+        boundary_dir, kind, data):
+    record, load, dump, paths = BOUNDARIES[kind]
+    *parents, name = data.draw(st.sampled_from(paths))
+    second = record(2)
+    target = second
+    for key in parents:
+        target = target[key]
+    target[name] = data.draw(JSON_VALUES)
+    path = boundary_dir / f"{kind}.jsonl"
+    path.write_text(json.dumps(record(1)) + "\n" + json.dumps(second) + "\n")
+    for strict in (True, False):
+        try:
+            records = list(load(path, strict=strict))
+        except errors.PlatefuseError as exc:
+            assert str(exc).startswith("line 2:"), exc
+        else:
+            copy = boundary_dir / f"{kind}-copy.jsonl"
+            dump(records, copy)
+            assert list(load(copy)) == records

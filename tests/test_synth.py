@@ -80,6 +80,8 @@ def test_synth_config_validation():
         SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1, per_model=5)
     with pytest.raises(errors.InvalidConfig, match=r"^n_models must be at most 1000$"):
         SynthConfig(seed=0, n_models=1001, n_samples=1, plate_length=1)
+    with pytest.raises(errors.InvalidConfig, match=r"^plate_length must be at most 1000$"):
+        SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1001)
 
 
 def test_error_model_stores_integer_rates_as_floats():
