@@ -621,13 +621,15 @@ def _sweep_cells(report: SweepReport, fmt: str):
 def _layout(header: list[str], rows: list[list[str]], fmt: str) -> str:
     """Comma-join each row, or align the rows as a table under a dashed rule.
 
-    A table left-aligns the leading text columns and right-aligns the rest.
+    A table left-aligns the leading text columns and right-aligns the rest:
+    a dataset report's ``dataset`` column, or the first two of another
+    report of more than two columns (a sweep's top-n and added model).
     """
     _check_format(fmt)
     if fmt == FORMAT_DELIMITED:
         return "".join(",".join(row) + "\n" for row in [header, *rows])
     widths = [max(map(len, column)) for column in zip(header, *rows)]
-    text_cols = 2 if len(header) > 2 else 1
+    text_cols = 2 if len(header) > 2 and header[0] != "dataset" else 1
 
     def fit(row):
         return "  ".join(cell.ljust(w) if i < text_cols else cell.rjust(w)

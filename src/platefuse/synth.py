@@ -7,9 +7,9 @@ Random source
 -------------
 All randomness comes from Philox4x64-10 keyed with ``SynthConfig.seed``.
 Sample ``i`` owns the counter region starting at ``i * 2**64`` and consumes a
-single block of float64 uniforms in the layout below; integer draws are
+single run of float64 uniforms in the layout below; integer draws are
 ``floor(u * n)``. This is what makes parallel generation safe: partitioning
-by sample index cannot change the corpus. Each block is what
+by sample index cannot change the corpus. Each run is what
 ``Generator(Philox(key=seed, counter=i * 2**64)).random(n)`` returns;
 :func:`generate` draws it from one Philox whose counter it resets per sample,
 rather than building a generator per sample.
@@ -36,12 +36,17 @@ ground truth, or always when the model is flagged overconfident; otherwise
 the "wrong" one. The numeric confidence defaults below are a construction of
 this package, not measurements.
 
-numpy supplies only the Philox bit generator and each sample's block of
-uniforms, which :func:`generate` turns into a Python list; the protocol above
-is then applied to that list as written, one sample at a time, and each sample
-is yielded as soon as it is drawn, so a corpus is never held whole. On plates
-of a few symbols this is faster than array code, and it is the one
-implementation of the protocol in the package.
+The protocol is applied to a block of samples at once. :func:`generate`
+fills one reused array with the uniforms of up to ``_BLOCK`` samples, a row
+each, and computes the ground truths, the substitutions and each model's
+confidences column by column with numpy. Each step is the IEEE operation of
+the protocol's scalar formula, so every value is the same bit for bit. The
+texts of a block are decoded from one buffer of code points. Only predictions
+with an insertion or deletion event are finished one at a time in Python.
+Samples are yielded one by one but drawn a block at a time: a block is drawn
+when the samples before it have been consumed, so a corpus is never held
+whole. ``tests/oracles.py`` keeps the protocol as written, one sample at a
+time, as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -60,6 +65,12 @@ _WORD = (1 << 64) - 1
 # the bounds keep a huge n_models or plate_length from filling memory.
 _MAX_MODELS = 1000
 _MAX_PLATE_LENGTH = 1000
+# Samples that generate draws and transforms at once: enough to spread
+# numpy's per-call cost, few enough to keep the working arrays small. Large
+# samples make smaller blocks, of at most _BLOCK_DRAWS uniforms (at least
+# one sample).
+_BLOCK = 64
+_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,79 +187,137 @@ def _draws_per_sample(cfg: SynthConfig) -> int:
     return total
 
 
-def _sample_uniforms(seed: int, total: int) -> Callable[[int], list[float]]:
-    """A function from a sample index to that sample's ``total`` uniforms.
+def _sample_uniforms(seed: int) -> Callable[[int, np.ndarray], None]:
+    """A function that fills a float64 row with a sample's uniforms.
 
-    One Philox keyed with ``seed`` is re-keyed for each sample: it is given
-    back the state it was built with, whose buffer is empty, with the 256-bit
-    counter set to ``index * 2**64`` (all four 64-bit words, least significant
-    first, so an index past ``2**64`` carries into the higher words). That is
-    the state ``Philox(key=seed, counter=index * 2**64)`` starts in.
+    ``fill(index, row)`` writes the first ``len(row)`` uniforms of sample
+    ``index``. One Philox keyed with ``seed`` is re-keyed for each sample: it
+    is given back the state it was built with, whose buffer is empty, with
+    the 256-bit counter set to ``index * 2**64`` (all four 64-bit words, least
+    significant first, so an index past ``2**64`` carries into the higher
+    words). That is the state ``Philox(key=seed, counter=index * 2**64)``
+    starts in.
     """
     bits = np.random.Philox(key=seed)
     draw = np.random.Generator(bits).random
     state = bits.state
     counter = state["state"]["counter"]
 
-    def uniforms(index: int) -> list[float]:
+    def fill(index: int, row: np.ndarray) -> None:
         counter[:] = (0, index & _WORD, (index >> 64) & _WORD, (index >> 128) & _WORD)
         bits.state = state
-        return draw(total).tolist()
+        draw(out=row)
 
-    return uniforms
+    return fill
+
+
+def _prediction(symbols: list[int], tail: list[float], em: ErrorModel,
+                alphabet: str, gt_text: str) -> tuple[str, float]:
+    """One prediction's text and confidence, as the protocol states them.
+
+    ``symbols`` are the ground truth after substitution, and ``tail`` the
+    model's uniforms after its substitution offsets: insertion, deletion,
+    confidence.
+    """
+    A = len(alphabet)
+    k = 0
+    if em.insertion_rate > 0:
+        ue, up, uc = tail[k:k + 3]
+        k += 3
+        if ue < em.insertion_rate:
+            symbols.insert(int(up * (len(symbols) + 1)), int(uc * A))
+    if em.deletion_rate > 0:
+        ue, up = tail[k:k + 2]
+        k += 2
+        if ue < em.deletion_rate and len(symbols) > 1:
+            del symbols[int(up * len(symbols))]
+    text = "".join(map(alphabet.__getitem__, symbols))
+    mean, spread = (
+        em.confidence_when_correct
+        if (text == gt_text or em.overconfident)
+        else em.confidence_when_wrong
+    )
+    return text, min(1.0, max(0.0, mean + (2.0 * tail[k] - 1.0) * spread))
 
 
 def generate(config: SynthConfig) -> Iterator[Sample]:
     """Yield the corpus described by ``config``, one sample at a time.
 
-    A generator: each sample is drawn when the one before it has been
-    consumed, so the corpus is never held in memory. Deterministic for a
-    fixed config; see the module docstring for the exact protocol.
+    A generator over blocks of at most ``_BLOCK`` samples: a block is drawn
+    and transformed when the samples before it have been consumed, so at
+    most one block is held in memory. Deterministic for a fixed config; see
+    the module docstring for the exact protocol.
     """
     L = config.plate_length
-    A = len(config.alphabet)
     alphabet = config.alphabet
+    A = len(alphabet)
     # Zero-padded, so in model-id order; every sample shares the tuple.
     ids = tuple(config.model_ids())
-    total = _draws_per_sample(config)
+    M = len(ids)
     width = len(str(config.n_samples))
-    uniforms = _sample_uniforms(config.seed, total)
-    for i in range(config.n_samples):
-        u = uniforms(i)
-        gt = [int(x * A) for x in u[:L]]
-        gt_text = "".join(map(alphabet.__getitem__, gt))
+    fill = _sample_uniforms(config.seed)
+    codes = np.array([ord(c) for c in alphabet], dtype="<u4")
+    total = _draws_per_sample(config)
+    rows = max(1, min(_BLOCK, _BLOCK_DRAWS // total, config.n_samples))
+    u = np.empty((rows, total))
+    # Per sample: the ground truth, then each model's symbols after substitution.
+    symbols = np.empty((rows, M + 1, L), dtype=np.intp)
+    confs = np.empty((rows, M))
+    for start in range(0, config.n_samples, rows):
+        n = min(rows, config.n_samples - start)
+        for b in range(n):
+            fill(start + b, u[b])
+        block = u[:n]
+        gt = (block[:, :L] * A).astype(np.intp)
+        symbols[:n, 0] = gt
+        # (sample, model, uniforms after the substitution offsets) of each
+        # prediction with an insertion or deletion event.
+        redo = []
         off = L
-        texts, confs = [], []
-        for em in config.per_model:
-            rate = em.per_char_sub_rate
-            events = u[off:off + L]
-            offsets = u[off + L:off + 2 * L]
+        for m, em in enumerate(config.per_model):
+            events = block[:, off:off + L] < em.per_char_sub_rate
+            offsets = (block[:, off + L:off + 2 * L] * (A - 1)).astype(np.intp)
+            wrong = (gt + 1 + offsets) % A
+            symbols[:n, m + 1] = np.where(events, wrong, gt)
             off += 2 * L
-            symbols = [(g + 1 + int(o * (A - 1))) % A if e < rate else g
-                       for g, e, o in zip(gt, events, offsets)]
+            tail = off
+            indel = np.zeros(n, dtype=bool)
             if em.insertion_rate > 0:
-                ue, up, uc = u[off:off + 3]
+                indel |= block[:, off] < em.insertion_rate
                 off += 3
-                if ue < em.insertion_rate:
-                    symbols.insert(int(up * (len(symbols) + 1)), int(uc * A))
             if em.deletion_rate > 0:
-                ue, up = u[off:off + 2]
+                indel |= block[:, off] < em.deletion_rate
                 off += 2
-                if ue < em.deletion_rate and len(symbols) > 1:
-                    del symbols[int(up * len(symbols))]
-            text = "".join(map(alphabet.__getitem__, symbols))
-            mean, spread = (
-                em.confidence_when_correct
-                if (text == gt_text or em.overconfident)
-                else em.confidence_when_wrong
-            )
-            conf = min(1.0, max(0.0, mean + (2.0 * u[off] - 1.0) * spread))
+            # Without an indel the text is the ground truth exactly when no
+            # substitution fired, since a substitution changes its symbol.
+            if em.overconfident:
+                mean, spread = em.confidence_when_correct
+            else:
+                right = ~events.any(axis=1)
+                (mean_r, spread_r), (mean_w, spread_w) = (
+                    em.confidence_when_correct, em.confidence_when_wrong)
+                mean = np.where(right, mean_r, mean_w)
+                spread = np.where(right, spread_r, spread_w)
+            np.minimum(np.maximum(mean + (2.0 * block[:, off] - 1.0) * spread, 0.0),
+                       1.0, out=confs[:n, m])
             off += 1
-            texts.append(text)
-            confs.append(conf)
-        yield Sample(
-            sample_id=f"s{i:0{width}d}",
-            dataset=config.dataset,
-            ground_truth=gt_text,
-            predictions=Ensemble._trusted(ids, texts, confs, ids),
-        )
+            redo += [(b, m, slice(tail, off)) for b in np.flatnonzero(indel).tolist()]
+        text = codes[symbols[:n]].tobytes().decode("utf-32-le", "surrogatepass")
+        texts = [text[k:k + L] for k in range(0, len(text), L)]
+        conf_rows = confs[:n].tolist()
+        for b, m, tail in redo:
+            k = b * (M + 1)
+            texts[k + m + 1], conf_rows[b][m] = _prediction(
+                symbols[b, m + 1].tolist(), block[b, tail].tolist(),
+                config.per_model[m], alphabet, texts[k])
+        for b in range(n):
+            k = b * (M + 1)
+            yield Sample(
+                sample_id=f"s{start + b:0{width}d}",
+                dataset=config.dataset,
+                ground_truth=texts[k],
+                predictions=Ensemble._trusted(ids, texts[k + 1:k + M + 1],
+                                              conf_rows[b], ids),
+            )
+        # Free this block's values before the next block makes its own.
+        del texts, conf_rows, redo

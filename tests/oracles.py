@@ -13,17 +13,24 @@ Monte Carlo re-implementation of the noise protocol of
 keyed generator at counter ``2**128`` (disjoint from every sample region), so
 it is statistically independent of the corpus while still fully determined by
 the seed.
+
+:func:`reference_generate` is the generator's readable reference semantics:
+the noise protocol of :mod:`platefuse.synth` applied as written, one sample
+and one prediction at a time, to each sample's uniforms drawn from a fresh
+Philox at that sample's counter.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from platefuse import errors
-from platefuse.core import Prediction, TieBreak, TieBreakKind, _symbol_table
+from platefuse.core import (
+    Ensemble, Prediction, Sample, TieBreak, TieBreakKind, _symbol_table,
+)
 from platefuse.synth import SynthConfig
 
 _ESTIMATOR_COUNTER = 1 << 128
@@ -218,3 +225,54 @@ def mvcp_accuracy_estimate(config: SynthConfig) -> float:
                 best_sym = sym
         pos_ok[s_idx, p_idx] = best_sym == gt[s_idx, p_idx]
     return float(pos_ok.all(axis=1).mean())
+
+
+def reference_generate(config: SynthConfig) -> Iterator[Sample]:
+    """The corpus of ``config``, one sample at a time, as the protocol reads."""
+    L = config.plate_length
+    A = len(config.alphabet)
+    alphabet = config.alphabet
+    ids = tuple(config.model_ids())
+    total = L + sum(2 * L + 1 + 3 * (em.insertion_rate > 0)
+                    + 2 * (em.deletion_rate > 0) for em in config.per_model)
+    width = len(str(config.n_samples))
+    for i in range(config.n_samples):
+        bits = np.random.Philox(key=config.seed, counter=i * 2**64)
+        u = np.random.Generator(bits).random(total).tolist()
+        gt = [int(x * A) for x in u[:L]]
+        gt_text = "".join(map(alphabet.__getitem__, gt))
+        off = L
+        texts, confs = [], []
+        for em in config.per_model:
+            rate = em.per_char_sub_rate
+            events = u[off:off + L]
+            offsets = u[off + L:off + 2 * L]
+            off += 2 * L
+            symbols = [(g + 1 + int(o * (A - 1))) % A if e < rate else g
+                       for g, e, o in zip(gt, events, offsets)]
+            if em.insertion_rate > 0:
+                ue, up, uc = u[off:off + 3]
+                off += 3
+                if ue < em.insertion_rate:
+                    symbols.insert(int(up * (len(symbols) + 1)), int(uc * A))
+            if em.deletion_rate > 0:
+                ue, up = u[off:off + 2]
+                off += 2
+                if ue < em.deletion_rate and len(symbols) > 1:
+                    del symbols[int(up * len(symbols))]
+            text = "".join(map(alphabet.__getitem__, symbols))
+            mean, spread = (
+                em.confidence_when_correct
+                if (text == gt_text or em.overconfident)
+                else em.confidence_when_wrong
+            )
+            conf = min(1.0, max(0.0, mean + (2.0 * u[off] - 1.0) * spread))
+            off += 1
+            texts.append(text)
+            confs.append(conf)
+        yield Sample(
+            sample_id=f"s{i:0{width}d}",
+            dataset=config.dataset,
+            ground_truth=gt_text,
+            predictions=Ensemble._trusted(ids, texts, confs, ids),
+        )

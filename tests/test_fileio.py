@@ -879,6 +879,26 @@ def test_render_dataset_reports_delimited_and_table():
     assert fileio.render_report(reports, "table") == table
 
 
+def test_a_dataset_table_left_aligns_only_the_dataset():
+    reports = [DatasetReport("alpha", 100, 97), DatasetReport("b", 5, 4)]
+    table = ("dataset  total  correct   rate\n"
+             "-------  -----  -------  -----\n"
+             "alpha      100       97  97.0%\n"
+             "b            5        4  80.0%\n"
+             "average                  88.5%\n")
+    assert fileio.render_report(reports, "table") == table
+    csv_text = fileio.render_report(reports, "delimited")
+    assert fileio.reformat_report(csv_text, "table") == (
+        "dataset  total  correct  rate\n"
+        "-------  -----  -------  ----\n"
+        "alpha      100       97  97.0\n"
+        "b            5        4  80.0\n"
+        "average                  88.5\n")
+    # Other reports keep their two leading text columns.
+    assert fileio.reformat_report("n,model,rate\n1,ab,5\n", "table") == (
+        "n  model  rate\n-  -----  ----\n1  ab        5\n")
+
+
 def test_render_sweep_formats(stock_profiles, showcase_samples):
     top5 = [p for p in stock_profiles if p.accuracy_rank <= 5]
     ranking = rank_models(top5, "accuracy")

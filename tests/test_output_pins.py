@@ -38,7 +38,7 @@ LATENCIES_MS = (2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 4.0, 1.0)
 
 PINS = {
     "eval-mvcp-hc": "2a7cca02b5381d6993e430c75fe20fd49dbc31bf9546b65c61b046660ee12d66",
-    "eval-mvcp-hc-table": "eed876f4c9297b0d3a9376a4a7dd6338affd683416a1a1312b18a2b9c229aba1",
+    "eval-mvcp-hc-table": "c3584ad1fb59e94bfaa3e3f0e4b0eac101ff051086e9f36f07b9bd0ed871af9f",
     "fuse-hc": "e72d333138561c4d11b73e012dff005e9abac49a87c1fb4455a99a646d1ba3ae",
     "fuse-hc-without-profiles": "8f3555fc258b648f3b01a9433532497a0962b60f5436592de06845cf761575c2",
     "fuse-mv-bm": "8170d6b68d6e3ddc5f2b6cb0a80d593e3f0cf9413643f3336bd123dfc2095831",
@@ -46,7 +46,7 @@ PINS = {
     "fuse-mvcp-bm": "772928fe89f7d9ee5713e765c28560b311868a5007082f9b3f0fe033cca13134",
     "fuse-mvcp-hc": "5d14305ac6faf198c62dfb10ee54f1eb7172cce58e21b5d9e6b4a24283d494ef",
     "report-eval-delimited": "2a7cca02b5381d6993e430c75fe20fd49dbc31bf9546b65c61b046660ee12d66",
-    "report-eval-table": "c99516919c4ea02f4f97665fabadac6d0e4ea052f7fd1da52fa344fdb1a950a9",
+    "report-eval-table": "2924657d7b0d6cf3408e49df7f81db691d4565f33dfd5a8c9b4545ca6cbae380",
     "report-sweep-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",
     "report-sweep-table": "f570f308efd53af1a613b72d0a6efdf73201beb4ab73a158bf4c2fa5bb3cebc2",
     "sweep-accuracy-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",

@@ -6,10 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TB_HC, random_ensemble, tb_bm
+from oracles import reference_generate
 from platefuse import (
     DatasetReport,
     Ensemble,
@@ -26,14 +27,16 @@ from platefuse import (
     core,
     errors,
     fileio,
+    generate,
     hc_fuse,
     macro_average,
     mv_fuse,
     mvcp_fuse,
     parse_strategy,
     rank_models,
+    synth,
 )
-from platefuse.core import STRATEGY_NAMES
+from platefuse.core import DEFAULT_ALPHABET, STRATEGY_NAMES
 
 CONFS = st.sampled_from([i / 20 for i in range(1, 21)])
 TEXTS = st.text(alphabet="AB01", min_size=1, max_size=8)
@@ -376,3 +379,83 @@ def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
             copy = boundary_dir / f"{kind}-copy.jsonl"
             dump(records, copy)
             assert list(load(copy)) == records
+
+
+# --- generator against its reference ---------------------------------------------
+
+BLOCK = synth._BLOCK
+ERROR_MODELS = st.builds(
+    ErrorModel,
+    per_char_sub_rate=st.sampled_from([0.0, 0.1, 0.3, 0.49]),
+    insertion_rate=st.sampled_from([0.0, 0.05, 0.2]),
+    deletion_rate=st.sampled_from([0.0, 0.05, 0.2]),
+    # (1.0, 0.5) clamps half its draws at 1; (0.1, 0.9) clamps some at 0.
+    confidence_when_correct=st.sampled_from([(0.92, 0.06), (1.0, 0.5), (0.6, 0.0)]),
+    confidence_when_wrong=st.sampled_from([(0.55, 0.25), (0.1, 0.9), (1.0, 1.0)]),
+    overconfident=st.booleans(),
+)
+
+
+@st.composite
+def synth_configs(draw):
+    n_models = draw(st.integers(1, 5))
+    return SynthConfig(
+        seed=draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
+        n_models=n_models,
+        n_samples=draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])),
+        plate_length=draw(st.integers(1, 9)),
+        # Astral code points and a lone surrogate decode from UTF-32 too.
+        alphabet=draw(st.sampled_from(
+            [DEFAULT_ALPHABET, "AB", "XYZ0123", "ÄÖ€Ω中", "Z\U0001F600\ud800"])),
+        per_model=tuple(draw(st.lists(ERROR_MODELS, min_size=n_models,
+                                      max_size=n_models))),
+    )
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("synth")
+
+
+def _uniforms(config, index, n):
+    bits = np.random.Philox(key=config.seed, counter=index * 2**64)
+    return np.random.Generator(bits).random(n)
+
+
+# Deletions on one-symbol plates, which the guard skips (m00 deletes only),
+# a non-ASCII alphabet and seed 0.
+ONE_SYMBOL = SynthConfig(
+    seed=0, n_models=2, n_samples=BLOCK + 1, plate_length=1, alphabet="ÄÖ€Ω中",
+    per_model=(ErrorModel(deletion_rate=0.2),
+               ErrorModel(insertion_rate=0.2, deletion_rate=0.2)))
+# Insertions that a deletion undoes (m00 substitutes nothing), confidences
+# clamped at 0 and at 1, and seed 2**64 - 1.
+UNDONE = SynthConfig(
+    seed=2**64 - 1, n_models=1, n_samples=2 * BLOCK, plate_length=3, alphabet="AB",
+    per_model=(ErrorModel(per_char_sub_rate=0, insertion_rate=0.2, deletion_rate=0.2,
+                          confidence_when_correct=(1.0, 0.5),
+                          confidence_when_wrong=(0.1, 0.9)),))
+
+
+def test_the_generator_examples_hold_the_cases_they_name():
+    guarded = [s for i, s in enumerate(reference_generate(ONE_SYMBOL))
+               if _uniforms(ONE_SYMBOL, i, 4)[3] < 0.2]
+    assert guarded and all(len(s.predictions.texts[0]) == 1 for s in guarded)
+    samples = list(reference_generate(UNDONE))
+    assert {0.0, 1.0} <= {c for s in samples for c in s.predictions.confs}
+    undone = [s for i, s in enumerate(samples)
+              if _uniforms(UNDONE, i, 10)[9] < 0.2
+              and s.predictions.texts[0] == s.ground_truth]
+    assert undone
+
+
+@given(config=synth_configs())
+@example(config=ONE_SYMBOL)
+@example(config=UNDONE)
+@settings(max_examples=60, deadline=None)
+def test_generate_writes_the_bytes_of_the_reference(synth_dir, config):
+    fast, slow = synth_dir / "generate.jsonl", synth_dir / "reference.jsonl"
+    fileio.dump_predictions(generate(config), fast)
+    fileio.dump_predictions(reference_generate(config), slow)
+    assert fast.read_bytes() == slow.read_bytes()

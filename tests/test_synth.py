@@ -1,6 +1,7 @@
 """Unit tests for the synthetic generator, its estimator, and the oracles."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     oracle_mv,
     oracle_mvcp_lengths,
     oracle_mvcp_positions,
+    reference_generate,
     resolve_mv,
     resolve_mvcp,
 )
@@ -122,15 +124,74 @@ def test_seed_changes_corpus():
 
 
 def test_each_sample_draws_from_its_own_counter_region():
-    # One Philox is re-keyed per sample. Each block must be the one a fresh
-    # generator at counter index * 2**64 draws, also where the index carries
-    # into the counter's third and fourth words, and whatever the block before
-    # left in the buffer (41 draws leave three of a four-word Philox block).
+    # One Philox is re-keyed per sample and fills one row of a block. Each row
+    # must be the one a fresh generator at counter index * 2**64 draws, also
+    # where the index carries into the counter's third and fourth words, and
+    # whatever the row before left in the buffer (41 draws leave three of a
+    # four-word Philox block); the other rows are left as they were.
     seed, total = 2**64 - 3, 41
-    uniforms = synth._sample_uniforms(seed, total)
-    for index in (0, 1, 2**32 + 5, 2**64 - 1, 2**64 + 3, 2**128 + 7, 1, 0):
+    fill = synth._sample_uniforms(seed)
+    block = np.zeros((3, total))
+    indices = (0, 1, 2**32 + 5, 2**64 - 1, 2**64 + 3, 2**128 + 7, 1, 0)
+    for j, index in enumerate(indices):
+        others = np.delete(block, j % 3, axis=0)
+        fill(index, block[j % 3])
         fresh = np.random.Generator(np.random.Philox(key=seed, counter=index * 2**64))
-        assert uniforms(index) == fresh.random(total).tolist(), index
+        assert block[j % 3].tolist() == fresh.random(total).tolist(), index
+        assert np.array_equal(np.delete(block, j % 3, axis=0), others), index
+
+
+def test_the_first_sample_comes_before_the_corpus_is_drawn():
+    config = SynthConfig(seed=0, n_models=12, n_samples=10**9, plate_length=7)
+    tracemalloc.start()
+    try:
+        first = next(generate(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.sample_id == "s" + "0" * 10
+    assert peak < 2_000_000
+
+
+def test_large_samples_are_drawn_in_small_blocks():
+    # 100 models on 1000-symbol plates draw ~200k uniforms a sample, so a
+    # block of 64 of them would hold ~100 MB; a block holds one.
+    config = SynthConfig(seed=1, n_models=100, n_samples=synth._BLOCK,
+                         plate_length=1000)
+    tracemalloc.start()
+    try:
+        next(generate(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
+@pytest.mark.parametrize("n", [1, synth._BLOCK - 1, synth._BLOCK + 3])
+def test_a_longer_corpus_starts_with_the_shorter_one(n):
+    noise = dict(per_char_sub_rate=0.2, insertion_rate=0.1, deletion_rate=0.1)
+    short = list(generate(_config(n_samples=n, **noise)))
+    longer = list(generate(_config(n_samples=n + synth._BLOCK + 1, **noise)))
+    assert [(s.ground_truth, s.predictions) for s in short] == [
+        (s.ground_truth, s.predictions) for s in longer[:n]]
+
+
+def _dump(samples, path):
+    fileio.dump_predictions(samples, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_models, plate_length, n_samples", [
+    (10, 100, 70),   # blocks of 31 samples
+    (40, 900, 3),    # one sample a block
+])
+def test_large_samples_write_the_bytes_of_the_reference(n_models, plate_length, n_samples,
+                                              tmp_path):
+    config = _config(seed=9, n_models=n_models, n_samples=n_samples,
+                     plate_length=plate_length, per_char_sub_rate=0.2,
+                     insertion_rate=0.2, deletion_rate=0.2)
+    assert _dump(generate(config), tmp_path / "a.jsonl") == _dump(
+        reference_generate(config), tmp_path / "b.jsonl")
 
 
 def test_noise_rates_apply():
