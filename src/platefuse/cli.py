@@ -25,13 +25,12 @@ from .core import (
     NORMALIZE_OFF,
     NORMALIZE_PER_MODEL_MEAN,
     STRATEGY_NAMES,
-    Sample,
     apply_strategy,
     check_alphabet,
     normalize_confidences,
     parse_strategy,
 )
-from .scoring import rank_models, recognition_rate, sweep_top_n
+from .scoring import count_sample, rank_models, recognition_rate, sweep_top_n
 from .synth import generate
 
 
@@ -96,32 +95,34 @@ def _cmd_fuse(parser, args) -> int:
 
 def _cmd_eval(parser, args) -> int:
     strategy = None if args.fused else _strategy(parser, args)
+    fused = {}
     if args.fused:
         # Scoring fused records reads no confidence, so nothing is rescaled.
         args.normalize = "off"
-    # Scoring reads only the id, dataset and ground truth of each sample, so
-    # each sample's predictions are dropped as it is read (with --strategy,
-    # once it is fused).
-    samples, fused = [], {}
-    for s in _load_corpus(args):
-        if strategy is not None:
-            fused[s.sample_id] = apply_strategy(s.predictions, strategy).text
-        samples.append(Sample(s.sample_id, s.dataset, s.ground_truth,
-                              fileio.NO_PREDICTIONS))
-    if args.fused:
         fused = {r.sample_id: r.text
                  for r in fileio.load_fused(args.fused, strict=args.strict,
                                             alphabet=args.alphabet)}
-        known = {s.sample_id for s in samples}
-        tolerate = fileio._Tolerance(strict=False)
-        for sample_id in fused:
-            if sample_id not in known:
-                message = f"fused sample_id {sample_id!r} is not in {args.input}"
-                if args.strict:
-                    raise errors.UnknownSample(f"{args.fused}: {message}")
-                tolerate("fused sample_ids not in the corpus", message, args.fused)
-        tolerate.log_counts()
-    reports = recognition_rate(samples, fused)
+    # Each sample is scored as it is read; only the fused texts not yet
+    # matched and the counts are kept.
+    totals, corrects = {}, {}
+    for s in _load_corpus(args):
+        if strategy is not None:
+            text = apply_strategy(s.predictions, strategy).text
+        else:
+            text = fused.pop(s.sample_id, None)
+            if text is None:
+                raise errors.UncoveredSample(
+                    f"no fused output for sample {s.sample_id!r}")
+        if text == count_sample(totals, s):
+            corrects[s.dataset] = corrects.get(s.dataset, 0) + 1
+    tolerate = fileio._Tolerance(strict=False)
+    for sample_id in fused:
+        message = f"fused sample_id {sample_id!r} is not in {args.input}"
+        if args.strict:
+            raise errors.UnknownSample(f"{args.fused}: {message}")
+        tolerate("fused sample_ids not in the corpus", message, args.fused)
+    tolerate.log_counts()
+    reports = recognition_rate(totals, corrects)
     _write(fileio.render_report(reports, args.format), args.output)
     return 0
 
@@ -133,13 +134,12 @@ def _cmd_sweep(parser, args) -> int:
             parser.error(f"unknown strategy {name!r}")
         if name in names[:i]:
             parser.error(f"strategy {name!r} given twice")
-    samples = list(_load_corpus(args))
     profiles = fileio.load_profiles(args.profiles, strict=args.strict)
     ranking = None
     if any(name.endswith("-bm") or name == "hc" for name in names):
         ranking = rank_models(profiles, "accuracy")
     strategies = [parse_strategy(name, ranking) for name in names]
-    report = sweep_top_n(samples, profiles, strategies, ranking_mode=args.rank)
+    report = sweep_top_n(_load_corpus(args), profiles, strategies, ranking_mode=args.rank)
     _write(fileio.render_report(report, args.format), args.output)
     return 0
 

@@ -49,7 +49,8 @@ def check_alphabet(alphabet) -> str:
     """``alphabet`` itself if it is a valid set of symbols.
 
     It must be a non-empty string of unique symbols, each its own uppercase
-    and none of them a separator, so that every symbol normalizes to itself.
+    and none of them a separator, so that every symbol normalizes to itself,
+    and UTF-8 must encode it, so that every text made of it can be written.
     """
     if not isinstance(alphabet, str):
         raise errors.InvalidConfig(f"alphabet must be a string, got {alphabet!r}")
@@ -58,6 +59,9 @@ def check_alphabet(alphabet) -> str:
     if len(set(alphabet)) != len(alphabet):
         raise errors.InvalidConfig("alphabet symbols must be unique")
     for symbol in alphabet:
+        if "\ud800" <= symbol <= "\udfff":  # the code points UTF-8 cannot encode
+            raise errors.InvalidConfig(
+                f"alphabet symbol {symbol!r} is not encodable as UTF-8")
         if symbol in _SEPARATORS:
             raise errors.InvalidConfig(f"alphabet symbol {symbol!r} is a separator")
         if symbol.upper() != symbol:

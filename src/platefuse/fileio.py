@@ -41,8 +41,6 @@ _PROFILE_KEYS = {"id", "accuracy_rank", "latency_ms"}
 _CONFIG_KEYS = {f.name for f in fields(SynthConfig)}
 _REQUIRED_CONFIG_KEYS = [f.name for f in fields(SynthConfig) if f.default is MISSING]
 _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
-# One empty ensemble, shared by every sample whose predictions a reader drops.
-NO_PREDICTIONS = Ensemble()
 # Made once for every record: json.loads adds whitespace and BOM scans to
 # each line (see _json), and json.dumps with non-default separators builds a
 # new encoder for each record.

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 from . import errors, kernels
 from .core import (
     _CONFIDENCE_ORDER,
-    Ensemble,
     FusionStrategy,
     ModelProfile,
     Sample,
@@ -80,34 +79,30 @@ def is_correct(fused: str, ground_truth: str | None) -> bool:
     return fused == ground_truth
 
 
-def recognition_rate(samples: Iterable[Sample],
-                     fused: Mapping[str, str]) -> list[DatasetReport]:
-    """Per-dataset exact-match rates of ``fused`` texts against ground truths.
+def count_sample(totals: dict[str, int], sample: Sample) -> str:
+    """Count ``sample`` in ``totals`` under its dataset; return its ground truth."""
+    if sample.ground_truth is None:
+        raise errors.MissingGroundTruth(
+            f"sample {sample.sample_id!r} has no ground truth"
+        )
+    totals[sample.dataset] = totals.get(sample.dataset, 0) + 1
+    return sample.ground_truth
 
-    ``fused`` maps sample id -> fused text and must cover every sample.
-    Reports come back sorted by dataset name.
+
+def recognition_rate(totals: Mapping[str, int],
+                     corrects: Mapping[str, int]) -> list[DatasetReport]:
+    """Per-dataset exact-match reports from sample counts.
+
+    ``totals`` maps dataset -> samples scored (see :func:`count_sample`) and
+    ``corrects`` dataset -> those whose fused text equals the ground truth; a
+    dataset with none correct may be absent from it. Reports come back sorted
+    by dataset name.
     """
-    totals: dict[str, int] = {}
-    corrects: dict[str, int] = {}
-    seen = False
-    for s in samples:
-        seen = True
-        if s.sample_id not in fused:
-            raise errors.UncoveredSample(
-                f"no fused output for sample {s.sample_id!r}"
-            )
-        if s.ground_truth is None:
-            raise errors.MissingGroundTruth(
-                f"sample {s.sample_id!r} has no ground truth"
-            )
-        totals[s.dataset] = totals.get(s.dataset, 0) + 1
-        if fused[s.sample_id] == s.ground_truth:
-            corrects[s.dataset] = corrects.get(s.dataset, 0) + 1
-    if not seen:
+    if not totals:
         raise errors.EmptyInput("no samples to score")
     return [
-        DatasetReport(d, totals[d], corrects.get(d, 0))
-        for d in sorted(totals)
+        DatasetReport(d, totals.get(d, 0), corrects.get(d, 0))
+        for d in sorted(totals.keys() | corrects.keys())
     ]
 
 
@@ -169,7 +164,7 @@ _HC, _MV, _MVCP = (StrategyKind.HC.value, StrategyKind.MV.value,
                    StrategyKind.MVCP.value)
 
 
-def sweep_top_n(samples: Sequence[Sample],
+def sweep_top_n(samples: Iterable[Sample],
                 profiles: Sequence[ModelProfile],
                 strategies: Sequence[FusionStrategy],
                 ranking_mode: str = RANK_BY_ACCURACY) -> SweepReport:
@@ -180,16 +175,21 @@ def sweep_top_n(samples: Sequence[Sample],
     scored per dataset, and macro-averaged. Each row also carries the summed
     per-image latency of its members and the resulting FPS.
 
+    ``samples`` may be any iterable. It is read once: each sample is fused
+    and scored for every N and strategy before the next one is read, and
+    only integer counts per (N, strategy, dataset) are kept.
+
     The texts are those :func:`apply_strategy` gives, found without a top-N
     map or a fusion result per sample: the kernels vote on the values,
     read from each ensemble's tuples by index. A subsequence of a tie-break
     order is the tie-break order of its entries, so each N's top members are
-    put in each strategy's order by :func:`core.in_tiebreak_order`: once per
-    N and distinct ``ids`` tuple for a ranking or model-id order, which are
-    the same for every sample with those ids, and per sample only when an
-    ``*-hc`` vote needs its most-confident-first order. A ranking that
-    misses a member raises ``IncompleteRanking`` there, at the smallest N
-    that includes it, even where its tie-break is never read. Two exact
+    put in each strategy's order by :func:`core.in_tiebreak_order`: at the
+    first sample with each distinct ``ids`` tuple for a ranking or model-id
+    order, and per sample only when an ``*-hc`` vote needs its
+    most-confident-first order. There a missing ranked model raises
+    ``MissingModelPrediction``, and a ranking that misses a member raises
+    ``IncompleteRanking`` at the smallest N that includes it, even where its
+    tie-break is never read. Two exact
     rules skip a vote whose text an earlier result of the same sample and N
     already fixes:
 
@@ -201,67 +201,59 @@ def sweep_top_n(samples: Sequence[Sample],
       character vote outright.
 
     So the report does not depend on the order of ``strategies`` or on
-    which of them are present. The first sample of each N is still fused in
-    full by every strategy through :func:`apply_strategy`, only so that the
-    benchmark's traced ``sweep`` enters ``core.*_fuse``.
+    which of them are present. The first sample is still fused in full for
+    every N by every strategy through :func:`apply_strategy`, only so that
+    the benchmark's traced ``sweep`` enters ``core.*_fuse``.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
     ranking = rank_models(profiles, ranking_mode)
     by_id = {p.model_id: p for p in profiles}
     ordered = [by_id[m] for m in ranking]
-    # Samples with equal ids tuples form one group, whose ranked models'
-    # indices are resolved once.
-    groups: dict[tuple[str, ...], int] = {}
-    group_ensembles: list[Ensemble] = []
-    group_of = []
-    for s in samples:
-        ids = s.predictions.ids
-        group = groups.get(ids)
-        if group is None:
-            for m in ranking:
-                if m not in ids:
-                    raise errors.MissingModelPrediction(
-                        f"sample {s.sample_id!r} has no prediction for model {m!r}"
-                    )
-            group = groups[ids] = len(group_ensembles)
-            group_ensembles.append(s.predictions)
-        group_of.append(group)
-    if not samples:
-        raise errors.EmptyInput("no samples to score")
+    sizes = range(1, len(ranking) + 1)
     # Each distinct strategy once, mvcp last so that an mv majority is known
     # when the mvcp texts are needed. A strategy names its kind by value,
     # since an enum member hashes in Python code.
     distinct = sorted(dict.fromkeys(strategies),
                       key=lambda x: x.kind is StrategyKind.MVCP)
     kinds = [strategy.kind.value for strategy in distinct]
-    rows = []
-    for n in range(1, len(ranking) + 1):
-        top_members = sorted(ranking[:n])
-        # Per group: the top members' indices in id order, and for each
-        # strategy the same indices in its tie-break order, or None where
-        # that order is each sample's own.
-        tops = []
-        for ensemble in group_ensembles:
-            top = [ensemble.ids.index(m) for m in top_members]
-            tops.append((top, [None if strategy.order is _CONFIDENCE_ORDER
-                               else in_tiebreak_order(top, strategy.order, ensemble)
-                               for strategy in distinct]))
-        columns: list[dict[str, str]] = [{} for _ in distinct]
-        for j, s in enumerate(samples):
-            predictions = s.predictions
+    # Per distinct ids tuple and N: the top members' indices in id order,
+    # and for each strategy the same indices in its tie-break order, or None
+    # where that order is each sample's own.
+    tops_of: dict[tuple[str, ...], list] = {}
+    totals: dict[str, int] = {}
+    # Per N and distinct strategy: dataset -> samples whose text is correct.
+    corrects: list[list[dict[str, int]]] = [[{} for _ in distinct] for _ in sizes]
+    for j, s in enumerate(samples):
+        predictions = s.predictions
+        ids = predictions.ids
+        tops = tops_of.get(ids)
+        if tops is None:
+            for m in ranking:
+                if m not in ids:
+                    raise errors.MissingModelPrediction(
+                        f"sample {s.sample_id!r} has no prediction for model {m!r}"
+                    )
+            tops = tops_of[ids] = []
+            for n in sizes:
+                top = [ids.index(m) for m in sorted(ranking[:n])]
+                tops.append((top, [None if strategy.order is _CONFIDENCE_ORDER
+                                   else in_tiebreak_order(top, strategy.order, predictions)
+                                   for strategy in distinct]))
+        truth = count_sample(totals, s)
+        texts, confs = predictions.texts, predictions.confs
+        for n, (top, orders), counts in zip(sizes, tops, corrects):
             if j == 0:
                 # Kept only because perfbench's traced sweep must enter
                 # core.*_fuse (EXPECTED_SPANS); the rows are the same without.
-                top_n = {m: predictions[m] for m in top_members}
-                for column, strategy in zip(columns, distinct):
-                    column[s.sample_id] = apply_strategy(top_n, strategy).text
+                top_n = {ids[i]: predictions[ids[i]] for i in top}
+                for count, strategy in zip(counts, distinct):
+                    if apply_strategy(top_n, strategy).text == truth:
+                        count[s.dataset] = count.get(s.dataset, 0) + 1
                 continue
-            texts, confs = predictions.texts, predictions.confs
-            top, orders = tops[group_of[j]]
             by_confidence = None
             settled: dict[str, str] = {}
-            for column, kind, order in zip(columns, kinds, orders):
+            for count, kind, order in zip(counts, kinds, orders):
                 text = settled.get(kind)
                 if text is None:
                     if order is None:
@@ -282,10 +274,13 @@ def sweep_top_n(samples: Sequence[Sample],
                             text, tied = kernels.mvcp_select(values)
                     if not tied:
                         settled[kind] = text
-                column[s.sample_id] = text
-        fused = dict(zip(distinct, columns))
+                if text == truth:
+                    count[s.dataset] = count.get(s.dataset, 0) + 1
+    rows = []
+    for n, counts in zip(sizes, corrects):
+        by_strategy = dict(zip(distinct, counts))
         rates = {
-            strategy.name: macro_average(recognition_rate(samples, fused[strategy]))
+            strategy.name: macro_average(recognition_rate(totals, by_strategy[strategy]))
             for strategy in strategies
         }
         latency, _ = ensemble_latency(ordered, n)

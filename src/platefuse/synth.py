@@ -302,7 +302,7 @@ def generate(config: SynthConfig) -> Iterator[Sample]:
                        1.0, out=confs[:n, m])
             off += 1
             redo += [(b, m, slice(tail, off)) for b in np.flatnonzero(indel).tolist()]
-        text = codes[symbols[:n]].tobytes().decode("utf-32-le", "surrogatepass")
+        text = codes[symbols[:n]].tobytes().decode("utf-32-le")
         texts = [text[k:k + L] for k in range(0, len(text), L)]
         conf_rows = confs[:n].tolist()
         for b, m, tail in redo:

@@ -5,7 +5,10 @@ Deliberately naive and structurally unlike :mod:`platefuse.core`: exhaustive
 no shared code. The ``oracle_*`` functions expose the full tied sets so tests
 can assert that a kernel's choice is a member; the ``resolve_*`` functions
 re-derive the final answer from the tie-break rules on their own.
-:func:`normalize_by_table` is text normalization without its shortcut.
+:func:`normalize_by_table` is text normalization without its shortcut, and
+:func:`reference_recognition_rate` scores a whole corpus against a map of
+fused texts, the readable counterpart of the counts the CLI and the sweep
+keep while the corpus streams.
 
 :func:`mvcp_accuracy_estimate` is the generator's counterpart: a vectorized
 Monte Carlo re-implementation of the noise protocol of
@@ -23,7 +26,7 @@ Philox at that sample's counter.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from platefuse import errors
 from platefuse.core import (
     Ensemble, Prediction, Sample, TieBreak, TieBreakKind, _symbol_table,
 )
+from platefuse.scoring import DatasetReport
 from platefuse.synth import SynthConfig
 
 _ESTIMATOR_COUNTER = 1 << 128
@@ -156,6 +160,30 @@ def normalize_by_table(raw: str, alphabet: str) -> str:
         raise errors.EmptyAfterNormalization(
             f"nothing left of {raw!r} after normalization")
     return text
+
+
+def reference_recognition_rate(samples: Iterable[Sample],
+                               fused: Mapping[str, str]) -> list[DatasetReport]:
+    """Per-dataset exact-match reports of ``fused`` texts, scored in one place.
+
+    ``fused`` maps sample id -> fused text and must cover every sample; each
+    sample needs a ground truth. Reports come back sorted by dataset name.
+    """
+    totals: dict[str, int] = {}
+    corrects: dict[str, int] = {}
+    for s in samples:
+        if s.sample_id not in fused:
+            raise errors.UncoveredSample(
+                f"no fused output for sample {s.sample_id!r}")
+        if s.ground_truth is None:
+            raise errors.MissingGroundTruth(
+                f"sample {s.sample_id!r} has no ground truth")
+        totals[s.dataset] = totals.get(s.dataset, 0) + 1
+        if fused[s.sample_id] == s.ground_truth:
+            corrects[s.dataset] = corrects.get(s.dataset, 0) + 1
+    if not totals:
+        raise errors.EmptyInput("no samples to score")
+    return [DatasetReport(d, totals[d], corrects.get(d, 0)) for d in sorted(totals)]
 
 
 def mvcp_accuracy_estimate(config: SynthConfig) -> float:

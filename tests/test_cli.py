@@ -299,9 +299,11 @@ def test_simulate_memory_does_not_grow_with_the_corpus(tmp_path):
 
 
 def test_eval_fused_memory_per_sample(tmp_path, memory_corpora):
-    # eval --fused holds each sample's id, dataset and ground truth and each
-    # fused text, about 450 bytes a sample. Building the predictions of each
-    # sample, or a list of the fused records, costs some 1,400.
+    # eval --fused holds the fused texts not yet matched, which at the start
+    # of the corpus is all of them, and the loader's set of sample ids: about
+    # 170 bytes a sample. Keeping each sample's id, dataset and ground truth
+    # for scoring too cost some 450; building each sample's predictions, or a
+    # list of the fused records, some 1,400.
     out = tmp_path / "eval.csv"
     args = [("eval", "--input", str(corpus), "--fused", str(fused), "--output", str(out))
             for _, corpus, fused in memory_corpora]
@@ -309,26 +311,27 @@ def test_eval_fused_memory_per_sample(tmp_path, memory_corpora):
     assert run(*args[0]) == 0
     small, large = (_peak_bytes(*argv) for argv in args)
     (small_n, *_), (large_n, *_) = memory_corpora
-    assert (large - small) / (large_n - small_n) < 800, (small, large)
+    assert (large - small) / (large_n - small_n) < 300, (small, large)
 
 
 def test_eval_strategy_memory_per_sample(tmp_path, memory_corpora):
-    # eval --strategy keeps what eval --fused keeps, about 395 bytes a
-    # sample here. A fresh empty predictions dict per sample costs some 60
-    # more; every sample shares one read-only map instead.
+    # eval --strategy scores each sample as it is fused, so it holds only
+    # the loader's set of sample ids, about 85 bytes a sample here. Keeping
+    # each sample's id, dataset, ground truth and fused text cost some 395.
     out = tmp_path / "eval.csv"
     args = [("eval", "--input", str(corpus), "--strategy", "mvcp-hc", "--output", str(out))
             for _, corpus, _ in memory_corpora]
     assert run(*args[0]) == 0
     small, large = (_peak_bytes(*argv) for argv in args)
     (small_n, *_), (large_n, *_) = memory_corpora
-    assert (large - small) / (large_n - small_n) < 425, (small, large)
+    assert (large - small) / (large_n - small_n) < 200, (small, large)
 
 
 def test_sweep_memory_per_sample(tmp_path, memory_corpora):
-    # sweep holds the whole corpus: each sample's ensemble as three tuples,
-    # about 1,970 bytes a sample here with the column maps. A dict of
-    # Prediction objects per sample held some 3,780.
+    # sweep scores each sample for every N and strategy as it is read, so
+    # it holds only the loader's set of sample ids, about 90 bytes a sample
+    # here. Holding the corpus and a fused-text map per (strategy, N) cost
+    # some 1,970.
     profiles = tmp_path / "profiles.jsonl"
     profiles.write_text("".join(
         json.dumps({"id": f"m{i:02d}", "accuracy_rank": i + 1, "latency_ms": 5.0 + i})
@@ -340,7 +343,7 @@ def test_sweep_memory_per_sample(tmp_path, memory_corpora):
     assert run(*args[0]) == 0
     small, large = (_peak_bytes(*argv) for argv in args)
     (small_n, *_), (large_n, *_) = memory_corpora
-    assert (large - small) / (large_n - small_n) < 2800, (small, large)
+    assert (large - small) / (large_n - small_n) < 300, (small, large)
 
 
 # --- eval ------------------------------------------------------------------------
@@ -464,13 +467,56 @@ def test_eval_bm_without_profiles_is_a_usage_error_before_a_corpus_error(
     assert "requires --profiles" in capsys.readouterr().err
 
 
-def test_eval_reports_a_corpus_error_before_a_fused_file_error(tmp_path, capsys):
+def test_eval_reports_a_fused_file_error_before_a_corpus_error(tmp_path, capsys):
+    # The fused texts are loaded first, and the corpus is scored as it streams.
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(_corpus_lines(1)[0] + "\n[1]\n")
     fused = tmp_path / "fused.jsonl"
     fused.write_text('{"sample_id": "s0"\n')
     assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 1
-    assert capsys.readouterr().err == "error: line 2: record is not an object\n"
+    assert capsys.readouterr().err.startswith("error: line 1: invalid JSON")
+
+
+def test_eval_fused_without_a_corpus_sample_is_uncovered(tmp_path, capsys):
+    corpus, fused = _one_sample_with_extra_fused_ids(tmp_path, ())
+    corpus.write_text(corpus.read_text() + _corpus_lines(1)[0] + "\n")
+    assert run("eval", "--input", str(corpus), "--fused", str(fused)) == 1
+    assert capsys.readouterr().err == "error: no fused output for sample 's0'\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--strategy", "mv-hc"],
+    ["eval", "--fused", "{fused}"],
+    ["sweep", "--profiles", "{profiles}"],
+], ids=["eval-strategy", "eval-fused", "sweep"])
+def test_a_sample_without_ground_truth_is_reported_before_a_later_rejection(
+        tmp_path, capsys, command):
+    # Each sample is scored as it is read, so the first sample's missing
+    # ground truth comes before the second line's fault.
+    record = json.loads(_corpus_lines(1)[0])
+    del record["ground_truth"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n[1]\n")
+    fused = tmp_path / "fused.jsonl"
+    fused.write_text(json.dumps({
+        "sample_id": "s0", "dataset": "d", "text": "AB", "winning_votes": 1,
+        "tie_broken": False, "contributors": ["m"]}) + "\n")
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text(
+        json.dumps({"id": "m", "accuracy_rank": 1, "latency_ms": 1.0}) + "\n")
+    name, *options = (word.format(fused=fused, profiles=profiles) for word in command)
+    assert run(name, "--input", str(corpus), *options) == 1
+    assert capsys.readouterr().err == "error: sample 's0' has no ground truth\n"
+
+
+def test_sweep_reports_a_profiles_error_before_a_corpus_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("[1]\n")
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text('{"id": "m", "accuracy_rank": 1, "latency_ms": 0}\n')
+    assert run("sweep", "--input", str(corpus), "--profiles", str(profiles)) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: latency_ms must be in [0.001, 1e9], got 0.0\n")
 
 
 def test_eval_strict_rejects_fused_id_missing_from_corpus(tmp_path, capsys):
@@ -678,6 +724,17 @@ def test_simulate_rejects_a_confidence_past_float_range(tmp_path, capsys):
     assert run("simulate", "--config", str(config), "--output", str(out)) == 1
     assert capsys.readouterr().err == (
         "error: per_model[0]: confidence_when_correct mean must be in (0, 1]\n")
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_alphabet_utf8_cannot_encode(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1, "n_models": 1, "n_samples": 1, "plate_length": 3, '
+                      '"alphabet": "\\ud800A"}')
+    out = tmp_path / "corpus.jsonl"
+    assert run("simulate", "--config", str(config), "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: alphabet symbol '\\ud800' is not encodable as UTF-8\n")
     assert not out.exists()
 
 

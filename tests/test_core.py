@@ -131,6 +131,7 @@ def test_normalize_text_matches_the_table_reference(alphabet, data):
     ("Aß", r"^alphabet symbol 'ß' is not its own uppercase$"),
     (("A", "B"), r"^alphabet must be a string, got \('A', 'B'\)$"),
     (["A", "B"], r"^alphabet must be a string, got \['A', 'B'\]$"),
+    ("A\ud800B", r"^alphabet symbol '\\ud800' is not encodable as UTF-8$"),
 ])
 def test_normalize_text_rejects_an_invalid_alphabet(alphabet, message):
     # Every symbol must normalize to itself: a separator would be dropped

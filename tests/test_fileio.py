@@ -552,12 +552,13 @@ def test_every_rejection_names_its_line(tmp_path, kind, case):
     assert not str(exc.value).startswith("line 2: line")
 
 
-def _corrupted(tmp_path, kind, case):
-    """A file of three ``kind`` records whose second has the fault ``case``."""
+def _corrupted(tmp_path, kind, case, **fields):
+    """A file of three ``kind`` records whose second has the fault ``case``;
+    the first and third also hold ``fields``."""
     bad = _CORRUPTIONS[kind][case][0](_record(kind, 1))
-    lines = [json.dumps(_record(kind, 0)),
+    lines = [json.dumps({**_record(kind, 0), **fields}),
              bad if isinstance(bad, str) else json.dumps(bad),
-             json.dumps(_record(kind, 2))]
+             json.dumps({**_record(kind, 2), **fields})]
     path = tmp_path / "records.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -574,7 +575,9 @@ def _rejection(load):
 
 @pytest.mark.parametrize("case", list(_CORRUPTIONS["predictions"]))
 def test_eval_fused_rejects_what_fuse_rejects(tmp_path, capsys, case):
-    corpus = _corrupted(tmp_path, "predictions", case)
+    # eval scores each sample as it is read, so the valid records around the
+    # fault need a ground truth for the fault to be the first error.
+    corpus = _corrupted(tmp_path, "predictions", case, ground_truth="AB")
     fused = tmp_path / "fused.jsonl"
     fused.write_text("".join(json.dumps(_record("fused", i)) + "\n" for i in range(3)))
     for strict in (True, False):
@@ -842,6 +845,7 @@ _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
     ({"dataset": "gate,cam"}, r"^dataset 'gate,cam' holds a comma or line break$"),
     ({"dataset": "d\ud800"}, r"^dataset 'd\\ud800' is not encodable as UTF-8$"),
     ({"alphabet": "ab"}, r"^alphabet symbol 'a' is not its own uppercase$"),
+    ({"alphabet": "\ud800A"}, r"^alphabet symbol '\\ud800' is not encodable as UTF-8$"),
 ])
 def test_synth_config_rejects_wrong_types(fields, message):
     with pytest.raises(errors.InvalidConfig, match=message):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P
+from oracles import reference_recognition_rate
 from platefuse import (
     DatasetReport,
     ModelProfile,
@@ -22,6 +23,7 @@ from platefuse import (
     sweep_top_n,
 )
 from platefuse.core import STRATEGY_NAMES
+from platefuse.scoring import count_sample
 
 ACCURACY_ORDER = [
     "ViTSTR-Base", "STAR-Net", "TRBA", "CR-NET", "RARE", "Fast-OCR",
@@ -52,18 +54,24 @@ def _sample(i, dataset, truth, text):
     return Sample(f"s{i}", dataset, truth, {"m": P(text, 0.5)})
 
 
+def _counted(samples, fused):
+    """The counts eval keeps: each sample under its dataset, and the correct
+    ones among them."""
+    totals, corrects = {}, {}
+    for s in samples:
+        if fused[s.sample_id] == count_sample(totals, s):
+            corrects[s.dataset] = corrects.get(s.dataset, 0) + 1
+    return totals, corrects
+
+
 def test_recognition_rate_simple_ratio():
-    samples = [_sample(i, "d", "AAAA", "AAAA" if i < 2 else "BBBB")
-               for i in range(4)]
-    fused = {s.sample_id: s.predictions["m"].text for s in samples}
-    (report,) = recognition_rate(samples, fused)
-    assert (report.total, report.correct, report.rate) == (4, 2, 0.5)
+    (report,) = recognition_rate({"d": 4}, {"d": 2})
+    assert (report.dataset, report.total, report.correct, report.rate) == \
+        ("d", 4, 2, 0.5)
 
 
 def test_recognition_rate_all_correct():
-    samples = [_sample(i, "d", "AAAA", "AAAA") for i in range(3)]
-    fused = {s.sample_id: "AAAA" for s in samples}
-    (report,) = recognition_rate(samples, fused)
+    (report,) = recognition_rate({"d": 3}, {"d": 3})
     assert report.rate == 1.0
 
 
@@ -72,42 +80,51 @@ def test_recognition_rate_fixture_of_ten():
     truths = ["AB1", "CD2", "EF3", "GH4", "IJ5", "KL6", "MN7", "OP8", "QR9", "ST0"]
     samples = [_sample(i, "d", t, t) for i, t in enumerate(truths)]
     fused = {f"s{i}": truths[i] if i < 7 else "XXX" for i in range(10)}
-    (report,) = recognition_rate(samples, fused)
-    assert report.correct == 7
+    totals, corrects = _counted(samples, fused)
+    assert (totals, corrects) == ({"d": 10}, {"d": 7})
+    (report,) = recognition_rate(totals, corrects)
     assert report.rate == pytest.approx(0.7)
-    # Independent brute-force loop over the same fixture.
-    brute = sum(fused[s.sample_id] == s.ground_truth for s in samples) / len(samples)
-    assert report.rate == brute
+    # The reference scores the same fixture from the samples and the map.
+    assert [report] == reference_recognition_rate(samples, fused)
 
 
 def test_recognition_rate_groups_by_dataset():
     samples = (
-        [_sample(i, "d1", "AA", "AA" if i < 2 else "BB") for i in range(4)]
-        + [_sample(10 + i, "d2", "CC", "CC" if i < 5 else "DD") for i in range(6)]
+        [_sample(10 + i, "d2", "CC", "CC" if i < 5 else "DD") for i in range(6)]
+        + [_sample(i, "d1", "AA", "AA" if i < 2 else "BB") for i in range(4)]
+        + [_sample(20, "d0", "EE", "FF")]
     )
     fused = {s.sample_id: s.predictions["m"].text for s in samples}
-    reports = recognition_rate(samples, fused)
-    assert [r.dataset for r in reports] == ["d1", "d2"]
-    assert [r.rate for r in reports] == [pytest.approx(0.5), pytest.approx(5 / 6)]
-    # Macro average is unweighted: distinct from the micro rate 7/10.
-    assert macro_average(reports) == pytest.approx((0.5 + 5 / 6) / 2)
+    totals, corrects = _counted(samples, fused)
+    # A dataset with no correct sample has no correct count at all.
+    assert "d0" not in corrects
+    reports = recognition_rate(totals, corrects)
+    assert reports == reference_recognition_rate(samples, fused)
+    assert [r.dataset for r in reports] == ["d0", "d1", "d2"]
+    assert [r.rate for r in reports] == [0.0, pytest.approx(0.5), pytest.approx(5 / 6)]
+    # Macro average is unweighted: distinct from the micro rate 7/11.
+    assert macro_average(reports) == pytest.approx((0.0 + 0.5 + 5 / 6) / 3)
 
 
-def test_recognition_rate_uncovered_sample():
-    samples = [_sample(0, "d", "AA", "AA")]
-    with pytest.raises(errors.UncoveredSample):
-        recognition_rate(samples, {})
+def test_recognition_rate_rejects_a_correct_count_without_samples():
+    with pytest.raises(errors.InvalidConfig, match=r"^dataset total must be positive$"):
+        recognition_rate({"d": 2}, {"d": 1, "e": 1})
+    with pytest.raises(errors.InvalidConfig, match=r"^correct count outside"):
+        recognition_rate({"d": 2}, {"d": 3})
 
 
 def test_recognition_rate_missing_truth():
-    samples = [Sample("s0", "d", None, {"m": P("AA", 0.5)})]
-    with pytest.raises(errors.MissingGroundTruth):
-        recognition_rate(samples, {"s0": "AA"})
+    totals = {}
+    with pytest.raises(errors.MissingGroundTruth, match=r"^sample 's0' has no ground truth$"):
+        count_sample(totals, Sample("s0", "d", None, {"m": P("AA", 0.5)}))
+    assert totals == {}
+    assert count_sample(totals, _sample(1, "d", "AA", "BB")) == "AA"
+    assert totals == {"d": 1}
 
 
 def test_recognition_rate_empty():
     with pytest.raises(errors.EmptyInput):
-        recognition_rate([], {})
+        recognition_rate({}, {})
 
 
 # --- macro_average -----------------------------------------------------------
@@ -309,8 +326,9 @@ def _tie_rich_corpus(rng, n_samples=150, n_models=6):
 
 def _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode):
     """Every row of the sweep equals fusing each top-n ensemble through
-    apply_strategy and scoring it directly."""
-    report = sweep_top_n(samples, profiles, strategies, mode)
+    apply_strategy and scoring it with the reference. The sweep reads the
+    samples once, from an iterator."""
+    report = sweep_top_n(iter(samples), profiles, strategies, mode)
     ranking = rank_models(profiles, mode)
     assert [row.n for row in report.rows] == list(range(1, len(ranking) + 1))
     for row in report.rows:
@@ -322,7 +340,7 @@ def _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode):
                     {m: s.predictions[m] for m in members}, strategy).text
                 for s in samples
             }
-            expected = macro_average(recognition_rate(samples, fused))
+            expected = macro_average(reference_recognition_rate(samples, fused))
             assert row.per_strategy_rate[strategy.name] == expected, \
                 (mode, row.n, strategy.name)
 

@@ -73,6 +73,11 @@ def test_synth_config_validation():
     with pytest.raises(errors.InvalidConfig):
         SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1,
                     alphabet="AAB")
+    # A lone surrogate, which no written corpus could hold.
+    with pytest.raises(errors.InvalidConfig,
+                       match=r"^alphabet symbol '\\ud800' is not encodable as UTF-8$"):
+        SynthConfig(seed=0, n_models=1, n_samples=1, plate_length=1,
+                    alphabet="\ud800A")
     with pytest.raises(errors.InvalidConfig,
                        match=r"per_model\[1\] must be an ErrorModel"):
         SynthConfig(seed=0, n_models=2, n_samples=1, plate_length=1,
