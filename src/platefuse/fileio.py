@@ -9,7 +9,8 @@ unrounded. Rendering is deterministic: identical inputs give identical bytes.
 
 Strict parsing (the default) rejects unknown fields and duplicate sample ids;
 the CLI loads tolerantly and instead ignores them, with a warning for the
-first of each kind and a count of the rest.
+first of each kind and a count of the rest. A key repeated in an object is
+rejected in both modes.
 """
 
 from __future__ import annotations
@@ -147,49 +148,76 @@ def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
-def _json(text: str, where: str):
+def _unique_keys(pairs: list) -> dict:
+    """``dict(pairs)``, rejecting the first repeated key by name."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise errors.ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return record
+
+
+def _json(text: str, where: str, *, unique: bool = False):
     """``json.loads(text)``, with any failure a ParseError naming ``where``.
 
     Besides malformed JSON, this covers an integer longer than Python's
     digit limit (a ValueError) and nesting deep enough to exhaust the
-    interpreter's recursion limit (a RecursionError).
+    interpreter's recursion limit (a RecursionError). With ``unique``, an
+    object with a repeated key is rejected too, naming the key.
 
-    A text that is one JSON value from its first character to its last is
-    decoded by one scan, as ``json.loads`` would decode it. Anything else (a
-    BOM, surrounding whitespace, extra data, a failed scan) is decoded again
-    by ``json.loads``, for its value or its message.
+    Without ``unique``, a text that is one JSON value from its first
+    character to its last is decoded by one scan, as ``json.loads`` would
+    decode it. Anything else (a BOM, surrounding whitespace, extra data, a
+    failed scan) is decoded again by ``json.loads``, for its value or its
+    message.
     """
+    if not unique:
+        try:
+            value, end = _scan_json(text, 0)
+            if end == len(text):
+                return value
+        except (StopIteration, ValueError, RecursionError):
+            pass
     try:
-        value, end = _scan_json(text, 0)
-        if end == len(text):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys if unique else None)
     except (ValueError, RecursionError) as exc:
         reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
         raise errors.ParseError(f"{where}: invalid JSON ({reason})") from None
+    except errors.ParseError as exc:
+        raise errors.ParseError(f"{where}: {exc}") from None
 
 
 def _parse_records(lines: str | Iterable[str], what: str, parse_record,
-                   tolerate: _Tolerance) -> Iterator:
+                   tolerate: _Tolerance, keys=len) -> Iterator:
     """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
 
     A generator: a record is read when the one before it has been consumed.
     A rejection it raises is re-raised as its own class with the line number;
     a file with no records raises :class:`~platefuse.errors.EmptyFile` at its end.
     Once the last line has been read, ``tolerate`` logs what it counted.
+
+    A line that repeats a key in any object is rejected in both modes: JSON
+    would keep the last value, and there is no reading to ignore the repeat
+    to. Outside strings, JSON has a colon only after a key, so a line with
+    as many colons as ``keys(record)``, the keys of the objects the loader
+    reads, repeats none. Any other line (a colon in a string, an object
+    inside an unknown field, a repeat) is decoded again, rejecting a repeat.
     """
     empty = True
     for number, line in _lines(lines):
-        record = _json(line, f"line {number}")
+        where = f"line {number}"
+        record = _json(line, where)
         if not isinstance(record, dict):
-            raise errors.ParseError(f"line {number}: record is not an object")
+            raise errors.ParseError(f"{where}: record is not an object")
+        if line.count(":") != keys(record):
+            _json(line, where, unique=True)
         try:
-            result = parse_record(record, f"line {number}")
+            result = parse_record(record, where)
         except errors.PlatefuseError as exc:
-            raise type(exc)(f"line {number}: {exc}") from None
+            raise type(exc)(f"{where}: {exc}") from None
         if result is not None:
             empty = False
             yield result
@@ -261,6 +289,18 @@ def _normalized(value, name: str, alphabet: str) -> str:
 
 # --- predictions --------------------------------------------------------------
 
+def _sample_keys(record: dict) -> int:
+    """The keys of a predictions record, its predictions and each prediction."""
+    predictions = record.get("predictions")
+    if type(predictions) is not dict:
+        return len(record)
+    count = len(record) + len(predictions)
+    for entry in predictions.values():
+        if type(entry) is dict:
+            count += len(entry)
+    return count
+
+
 def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
                       alphabet: str = DEFAULT_ALPHABET) -> Iterator[Sample]:
     """Parse a prediction corpus from line-delimited JSON content, lazily.
@@ -328,7 +368,7 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
                                             last_ids)
             last_ids = predictions.ids
             return Sample(sample_id, dataset, ground_truth, predictions)
-    return _parse_records(text, "prediction", sample, tolerate)
+    return _parse_records(text, "prediction", sample, tolerate, _sample_keys)
 
 
 def load_predictions(path, *, strict: bool = True,
@@ -512,7 +552,7 @@ def load_fused(path, *, strict: bool = True,
 
 def parse_synth_config(text: str) -> SynthConfig:
     """Parse a generator config from a JSON document."""
-    record = _json(text, "config")
+    record = _json(text, "config", unique=True)
     if not isinstance(record, dict):
         raise errors.ParseError("config: document is not an object")
     unknown = sorted(set(record) - _CONFIG_KEYS)

@@ -14,7 +14,8 @@ by sample index cannot change the corpus. Each run is what
 :func:`generate` draws it from one Philox whose counter it resets per sample,
 rather than building a generator per sample.
 
-Per-sample uniform layout (``L`` = plate_length, ``A`` = alphabet size)::
+Per-sample uniform layout (``L`` = plate_length, ``A`` = alphabet size;
+:func:`_layout` gives its columns)::
 
     L                  ground-truth symbols           floor(u * A)
     per model, in id order:
@@ -38,15 +39,14 @@ this package, not measurements.
 
 The protocol is applied to a block of samples at once. :func:`generate`
 fills one reused array with the uniforms of up to ``_BLOCK`` samples, a row
-each, and computes the ground truths, the substitutions and each model's
-confidences column by column with numpy. Each step is the IEEE operation of
-the protocol's scalar formula, so every value is the same bit for bit. The
-texts of a block are decoded from one buffer of code points. Only predictions
-with an insertion or deletion event are finished one at a time in Python.
-Samples are yielded one by one but drawn a block at a time: a block is drawn
-when the samples before it have been consumed, so a corpus is never held
-whole. ``tests/oracles.py`` keeps the protocol as written, one sample at a
-time, as the reference the tests compare against.
+each, and computes every prediction with numpy, its models a chunk at a
+time: the substitutions, the insertion, the deletion and the confidence.
+Each step is the IEEE operation of the protocol's scalar formula, so every
+value is the same bit for bit. The texts of a block are decoded from one
+buffer of code points. Samples are yielded one by one but drawn a block at
+a time: a block is drawn when the samples before it have been consumed, so
+a corpus is never held whole. ``tests/oracles.py`` keeps the protocol as
+written, one sample at a time, as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -176,15 +176,32 @@ class SynthConfig:
         return [f"m{i:0{width}d}" for i in range(self.n_models)]
 
 
-def _draws_per_sample(cfg: SynthConfig) -> int:
-    total = cfg.plate_length
-    for em in cfg.per_model:
-        total += 2 * cfg.plate_length + 1
-        if em.insertion_rate > 0:
-            total += 3
-        if em.deletion_rate > 0:
-            total += 2
-    return total
+def _layout(config: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray, int]:
+    """The uniform layout of a sample, as column indices into its row.
+
+    Returns ``(first, insertion, deletion, confidence, total)``: each model's
+    first uniform (its ``L`` substitution events, then its ``L`` offsets),
+    the columns of its insertion event, position and symbol, of its deletion
+    event and position, and of its confidence, and the draws per sample. A
+    model without insertions (deletions) reads column 0 against a rate of 0,
+    which no uniform is below.
+    """
+    L = config.plate_length
+    first, insertion, deletion, confidence = [], [], [], []
+    off = L
+    for em in config.per_model:
+        first.append(off)
+        off += 2 * L
+        insertion.append((off, off + 1, off + 2) if em.insertion_rate > 0
+                         else (0, 0, 0))
+        off += 3 * (em.insertion_rate > 0)
+        deletion.append((off, off + 1) if em.deletion_rate > 0 else (0, 0))
+        off += 2 * (em.deletion_rate > 0)
+        confidence.append(off)
+        off += 1
+    return (np.array(first), np.array(insertion), np.array(deletion),
+            np.array(confidence), off)
 
 
 def _sample_uniforms(seed: int) -> Callable[[int, np.ndarray], None]:
@@ -211,35 +228,6 @@ def _sample_uniforms(seed: int) -> Callable[[int, np.ndarray], None]:
     return fill
 
 
-def _prediction(symbols: list[int], tail: list[float], em: ErrorModel,
-                alphabet: str, gt_text: str) -> tuple[str, float]:
-    """One prediction's text and confidence, as the protocol states them.
-
-    ``symbols`` are the ground truth after substitution, and ``tail`` the
-    model's uniforms after its substitution offsets: insertion, deletion,
-    confidence.
-    """
-    A = len(alphabet)
-    k = 0
-    if em.insertion_rate > 0:
-        ue, up, uc = tail[k:k + 3]
-        k += 3
-        if ue < em.insertion_rate:
-            symbols.insert(int(up * (len(symbols) + 1)), int(uc * A))
-    if em.deletion_rate > 0:
-        ue, up = tail[k:k + 2]
-        k += 2
-        if ue < em.deletion_rate and len(symbols) > 1:
-            del symbols[int(up * len(symbols))]
-    text = "".join(map(alphabet.__getitem__, symbols))
-    mean, spread = (
-        em.confidence_when_correct
-        if (text == gt_text or em.overconfident)
-        else em.confidence_when_wrong
-    )
-    return text, min(1.0, max(0.0, mean + (2.0 * tail[k] - 1.0) * spread))
-
-
 def generate(config: SynthConfig) -> Iterator[Sample]:
     """Yield the corpus described by ``config``, one sample at a time.
 
@@ -249,67 +237,78 @@ def generate(config: SynthConfig) -> Iterator[Sample]:
     the module docstring for the exact protocol.
     """
     L = config.plate_length
-    alphabet = config.alphabet
-    A = len(alphabet)
+    A = len(config.alphabet)
     # Zero-padded, so in model-id order; every sample shares the tuple.
     ids = tuple(config.model_ids())
     M = len(ids)
     width = len(str(config.n_samples))
     fill = _sample_uniforms(config.seed)
-    codes = np.array([ord(c) for c in alphabet], dtype="<u4")
-    total = _draws_per_sample(config)
+    codes = np.array([ord(c) for c in config.alphabet], dtype="<u4")
+    first, insertion, deletion, confidence, total = _layout(config)
+    # Each ErrorModel field as an array over the models; a (mean, spread)
+    # pair as two.
+    (sub_rate, ins_rate, del_rate, (mean_r, spread_r), (mean_w, spread_w),
+     overconfident) = (
+        np.array([getattr(em, name) for em in config.per_model]).T
+        for name in ("per_char_sub_rate", "insertion_rate", "deletion_rate",
+                     "confidence_when_correct", "confidence_when_wrong", "overconfident"))
     rows = max(1, min(_BLOCK, _BLOCK_DRAWS // total, config.n_samples))
+    # Models taken at once: their per-slot arrays hold at most _BLOCK_DRAWS entries.
+    chunk = max(1, _BLOCK_DRAWS // (rows * (L + 1)))
+    slots = np.arange(L + 1)
     u = np.empty((rows, total))
-    # Per sample: the ground truth, then each model's symbols after substitution.
-    symbols = np.empty((rows, M + 1, L), dtype=np.intp)
+    # Per sample: the ground truth, then each model's prediction, in L + 1
+    # slots (room for an insertion), and their lengths. Zero-filled, so that
+    # every slot, past a text's length too, holds a symbol of the alphabet.
+    symbols = np.zeros((rows, M + 1, L + 1), dtype=np.int32)
+    lengths = np.full((rows, M + 1), L)
     confs = np.empty((rows, M))
     for start in range(0, config.n_samples, rows):
         n = min(rows, config.n_samples - start)
         for b in range(n):
             fill(start + b, u[b])
         block = u[:n]
-        gt = (block[:, :L] * A).astype(np.intp)
-        symbols[:n, 0] = gt
-        # (sample, model, uniforms after the substitution offsets) of each
-        # prediction with an insertion or deletion event.
-        redo = []
-        off = L
-        for m, em in enumerate(config.per_model):
-            events = block[:, off:off + L] < em.per_char_sub_rate
-            offsets = (block[:, off + L:off + 2 * L] * (A - 1)).astype(np.intp)
-            wrong = (gt + 1 + offsets) % A
-            symbols[:n, m + 1] = np.where(events, wrong, gt)
-            off += 2 * L
-            tail = off
-            indel = np.zeros(n, dtype=bool)
-            if em.insertion_rate > 0:
-                indel |= block[:, off] < em.insertion_rate
-                off += 3
-            if em.deletion_rate > 0:
-                indel |= block[:, off] < em.deletion_rate
-                off += 2
-            # Without an indel the text is the ground truth exactly when no
-            # substitution fired, since a substitution changes its symbol.
-            if em.overconfident:
-                mean, spread = em.confidence_when_correct
-            else:
-                right = ~events.any(axis=1)
-                (mean_r, spread_r), (mean_w, spread_w) = (
-                    em.confidence_when_correct, em.confidence_when_wrong)
-                mean = np.where(right, mean_r, mean_w)
-                spread = np.where(right, spread_r, spread_w)
-            np.minimum(np.maximum(mean + (2.0 * block[:, off] - 1.0) * spread, 0.0),
-                       1.0, out=confs[:n, m])
-            off += 1
-            redo += [(b, m, slice(tail, off)) for b in np.flatnonzero(indel).tolist()]
-        text = codes[symbols[:n]].tobytes().decode("utf-32-le")
-        texts = [text[k:k + L] for k in range(0, len(text), L)]
+        gt = (block[:, :L] * A).astype(np.int32)
+        symbols[:n, 0, :L] = gt
+        gt = gt[:, None]
+        for lo in range(0, M, chunk):
+            models = slice(lo, lo + chunk)
+            out = symbols[:n, 1:][:, models]
+            cols = first[models, None] + slots[:L]
+            events = block[:, cols] < sub_rate[models, None]
+            wrong = (gt + 1 + (block[:, cols + L] * (A - 1)).astype(np.int32)) % A
+            out[..., :L] = np.where(events, wrong, gt)
+            # At most one insertion: the slots past ``at`` move one on, and
+            # ``at`` takes the new symbol.
+            draw = block[:, insertion[models]]
+            inserted = (draw[..., 0] < ins_rate[models])[..., None]
+            at = (draw[..., 1:2] * (L + 1)).astype(np.intp)
+            out[..., 1:] = np.where(inserted & (slots[1:] > at),
+                                    out[..., :-1], out[..., 1:])
+            np.copyto(out, (draw[..., 2:] * A).astype(np.int32),
+                      where=inserted & (slots == at))
+            length = L + inserted[..., 0]
+            # At most one deletion, unless it would empty the prediction:
+            # the slots from ``gone`` on take the next slot's symbol.
+            draw = block[:, deletion[models]]
+            deleted = (draw[..., 0] < del_rate[models]) & (length > 1)
+            gone = (draw[..., 1] * length).astype(np.intp)[..., None]
+            out[..., :-1] = np.where(deleted[..., None] & (slots[:-1] >= gone),
+                                     out[..., 1:], out[..., :-1])
+            length -= deleted
+            lengths[:n, 1:][:, models] = length
+            right = ((length == L) & (out[..., :L] == gt).all(axis=2)
+                     | overconfident[models])
+            mean = np.where(right, mean_r[models], mean_w[models])
+            spread = np.where(right, spread_r[models], spread_w[models])
+            draw = block[:, confidence[models]]
+            np.minimum(np.maximum(mean + (2.0 * draw - 1.0) * spread, 0.0), 1.0,
+                       out=confs[:n, models])
+        count = lengths[:n]
+        text = str(codes[symbols[:n][slots < count[..., None]]], "utf-32-le")
+        ends = np.cumsum(count).tolist()
+        texts = [text[a:b] for a, b in zip([0, *ends], ends)]
         conf_rows = confs[:n].tolist()
-        for b, m, tail in redo:
-            k = b * (M + 1)
-            texts[k + m + 1], conf_rows[b][m] = _prediction(
-                symbols[b, m + 1].tolist(), block[b, tail].tolist(),
-                config.per_model[m], alphabet, texts[k])
         for b in range(n):
             k = b * (M + 1)
             yield Sample(
@@ -320,4 +319,4 @@ def generate(config: SynthConfig) -> Iterator[Sample]:
                                               conf_rows[b], ids),
             )
         # Free this block's values before the next block makes its own.
-        del texts, conf_rows, redo
+        del texts, conf_rows

@@ -438,6 +438,76 @@ def test_fused_duplicate_sample_id_strict_vs_tolerant(tmp_path, caplog):
         "line 2: duplicate sample_id 's1' (ignored)"]
 
 
+# --- repeated keys ---------------------------------------------------------------
+
+# Each repeats a key of a predictions record, put where REPEAT stands: a
+# model id, a record field and a prediction field.
+_REPEATS = {
+    "m00": '{"sample_id":"s2","dataset":"d","predictions":{'
+           '"m00":{"text":"AB","confidence":0.9},REPEAT{"text":"CD","confidence":0.9}}}',
+    "dataset": '{"sample_id":"s2","dataset":"d",REPEAT"e",'
+               '"predictions":{"m00":{"text":"AB","confidence":0.9}}}',
+    "text": '{"sample_id":"s2","dataset":"d",'
+            '"predictions":{"m00":{"text":"AB","confidence":0.9,REPEAT"CD"}}}',
+}
+
+
+def _escaped(key):
+    """``key`` as a JSON string whose first character is escaped."""
+    return f'"\\u{ord(key[0]):04x}{key[1:]}"'
+
+
+@pytest.mark.parametrize("key", _REPEATS)
+@pytest.mark.parametrize("spelling", ["space-before-colon", "escape"])
+def test_predictions_reject_a_repeated_key_in_both_modes(tmp_path, key, spelling):
+    repeat = f'"{key}" :' if spelling == "space-before-colon" else _escaped(key) + ":"
+    line = _REPEATS[key].replace("REPEAT", repeat)
+    assert json.loads(line)  # valid JSON, which keeps the last value
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_record("predictions", 1)) + "\n" + line + "\n")
+    for strict in (True, False):
+        with pytest.raises(errors.ParseError, match=f"^line 2: repeated key '{key}'$"):
+            list(fileio.load_predictions(path, strict=strict))
+
+
+@pytest.mark.parametrize("kind, line, key", [
+    ("fused", json.dumps(_FUSED)[:-1] + ', "text" : "CD"}', "text"),
+    ("profiles", '{"id":"m2","accuracy_rank":2,"latency_ms":1.0,"latency_ms" :2.0}',
+     "latency_ms"),
+    ("profiles", r'{"id":"m2","id":"m3","accuracy_rank":2,"latency_ms":1.0}', "id"),
+])
+def test_fused_and_profiles_reject_a_repeated_key_in_both_modes(tmp_path, kind, line,
+                                                                key):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(_record(kind, 1)) + "\n" + line + "\n")
+    for strict in (True, False):
+        with pytest.raises(errors.ParseError, match=f"^line 2: repeated key '{key}'$"):
+            _LOADERS[kind](path, strict=strict)
+
+
+@pytest.mark.parametrize("document, key", [
+    ('{"seed":7,"n_models":1,"n_samples":1,"plate_length":5,"seed" :8}', "seed"),
+    ('{"seed":7,"n_models":1,"n_samples":1,"plate_length":5,'
+     '"per_model":[{"deletion_rate":0.1,"deletion_rate":0.2}]}', "deletion_rate"),
+])
+def test_synth_config_rejects_a_repeated_key(document, key):
+    with pytest.raises(errors.ParseError, match=f"^config: repeated key '{key}'$"):
+        fileio.parse_synth_config(document)
+
+
+def test_a_colon_inside_a_value_is_accepted(tmp_path):
+    # More colons than keys: the line is decoded again, and accepted.
+    record = {**_record("predictions", 1), "dataset": "cam:1"}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    fused = _write_fused(tmp_path, {**_FUSED, "dataset": "cam:1"})
+    for strict in (True, False):
+        (sample,) = fileio.load_predictions(corpus, strict=strict)
+        assert sample.dataset == "cam:1"
+        (fused_record,) = fileio.load_fused(fused, strict=strict)
+        assert fused_record.dataset == "cam:1"
+
+
 # --- line rule and line context ----------------------------------------------------
 
 def _record(kind, i):

@@ -351,6 +351,9 @@ BOUNDARIES = {
 }
 
 
+_REPEAT = "repeated key"
+
+
 @pytest.fixture(scope="module")
 def boundary_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("boundary")
@@ -368,14 +371,27 @@ def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
     for key in parents:
         target = target[key]
     target[name] = data.draw(JSON_VALUES)
+    # Or the field is repeated: a stand-in key, longer than any key
+    # JSON_VALUES draws, is written and then renamed to the field's name,
+    # which no dict can hold twice. Whitespace before a colon must not hide it.
+    repeat = data.draw(st.booleans())
+    if repeat:
+        target[_REPEAT] = data.draw(JSON_VALUES)
+    line = json.dumps(second, separators=data.draw(st.sampled_from([(", ", ": "),
+                                                                     (",", " : ")])))
+    if repeat:
+        line = line.replace(json.dumps(_REPEAT), json.dumps(name), 1)
     path = boundary_dir / f"{kind}.jsonl"
-    path.write_text(json.dumps(record(1)) + "\n" + json.dumps(second) + "\n")
+    path.write_text(json.dumps(record(1)) + "\n" + line + "\n")
     for strict in (True, False):
         try:
             records = list(load(path, strict=strict))
         except errors.PlatefuseError as exc:
             assert str(exc).startswith("line 2:"), exc
+            if repeat:
+                assert str(exc) == f"line 2: repeated key {name!r}"
         else:
+            assert not repeat
             copy = boundary_dir / f"{kind}-copy.jsonl"
             dump(records, copy)
             assert list(load(copy)) == records
@@ -436,6 +452,13 @@ UNDONE = SynthConfig(
     per_model=(ErrorModel(per_char_sub_rate=0, insertion_rate=0.2, deletion_rate=0.2,
                           confidence_when_correct=(1.0, 0.5),
                           confidence_when_wrong=(0.1, 0.9)),))
+# A model with insertions only (m00), deletions only (m01), neither (m02)
+# and both (m03), on two-symbol plates: an insertion at the last slot, a
+# deletion at slot 0 and a deletion of the inserted symbol.
+MIXED = SynthConfig(
+    seed=7, n_models=4, n_samples=2 * BLOCK, plate_length=2, alphabet="XYZ0123",
+    per_model=(ErrorModel(insertion_rate=0.2), ErrorModel(deletion_rate=0.2),
+               ErrorModel(), ErrorModel(insertion_rate=0.2, deletion_rate=0.2)))
 
 
 def test_the_generator_examples_hold_the_cases_they_name():
@@ -448,11 +471,23 @@ def test_the_generator_examples_hold_the_cases_they_name():
               if _uniforms(UNDONE, i, 10)[9] < 0.2
               and s.predictions.texts[0] == s.ground_truth]
     assert undone
+    # MIXED's uniforms: ground truth 0-1; m00 substitutions 2-5, insertion
+    # 6-8, confidence 9; m01 10-13, deletion 14-15, 16; m02 17-20, 21; m03
+    # 22-25, insertion 26-28, deletion 29-30, 31.
+    rows = [(s.predictions.texts, _uniforms(MIXED, i, 32))
+            for i, s in enumerate(reference_generate(MIXED))]
+    assert any(u[6] < 0.2 and int(u[7] * 3) == 2
+               and texts[0][2] == MIXED.alphabet[int(u[8] * 7)] for texts, u in rows)
+    assert any(u[14] < 0.2 and int(u[15] * 2) == 0 and len(texts[1]) == 1
+               for texts, u in rows)
+    assert any(u[26] < 0.2 and u[29] < 0.2 and int(u[30] * 3) == int(u[27] * 3)
+               and len(texts[3]) == 2 for texts, u in rows)
 
 
 @given(config=synth_configs())
 @example(config=ONE_SYMBOL)
 @example(config=UNDONE)
+@example(config=MIXED)
 @settings(max_examples=60, deadline=None)
 def test_generate_writes_the_bytes_of_the_reference(synth_dir, config):
     fast, slow = synth_dir / "generate.jsonl", synth_dir / "reference.jsonl"

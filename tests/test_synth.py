@@ -159,17 +159,23 @@ def test_the_first_sample_comes_before_the_corpus_is_drawn():
 
 
 def test_large_samples_are_drawn_in_small_blocks():
-    # 100 models on 1000-symbol plates draw ~200k uniforms a sample, so a
-    # block of 64 of them would hold ~100 MB; a block holds one.
-    config = SynthConfig(seed=1, n_models=100, n_samples=synth._BLOCK,
-                         plate_length=1000)
-    tracemalloc.start()
-    try:
-        next(generate(config))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20_000_000
+    for n_models, indel_rate, limit in [
+        # 100 models on 1000-symbol plates draw ~200k uniforms a sample, so a
+        # block of 64 of them would hold ~100 MB; a block holds one.
+        (100, 0.0, 20_000_000),
+        # The largest config: ~2M uniforms, its models a chunk at a time.
+        (1000, 0.1, 40_000_000),
+    ]:
+        config = _config(seed=1, n_models=n_models, n_samples=synth._BLOCK,
+                         plate_length=1000, insertion_rate=indel_rate,
+                         deletion_rate=indel_rate)
+        tracemalloc.start()
+        try:
+            next(generate(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, n_models
 
 
 @pytest.mark.parametrize("n", [1, synth._BLOCK - 1, synth._BLOCK + 3])
@@ -189,6 +195,7 @@ def _dump(samples, path):
 @pytest.mark.parametrize("n_models, plate_length, n_samples", [
     (10, 100, 70),   # blocks of 31 samples
     (40, 900, 3),    # one sample a block
+    (150, 500, 2),   # models in chunks of 130 and 20
 ])
 def test_large_samples_write_the_bytes_of_the_reference(n_models, plate_length, n_samples,
                                               tmp_path):
