@@ -129,6 +129,8 @@ def _cmd_eval(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
+    if not names:
+        parser.error("no strategies to sweep")
     for i, name in enumerate(names):
         if name not in STRATEGY_NAMES:
             parser.error(f"unknown strategy {name!r}")

@@ -172,8 +172,7 @@ def check_confidence(value) -> float:
     rule: :class:`Prediction` applies it, and so does the corpus loader,
     which checks each confidence without building a :class:`Prediction`.
     """
-    c = value if type(value) is float else _real(value, "confidence",
-                                                 errors.InvalidConfidence)
+    c = _real(value, "confidence", errors.InvalidConfidence)
     # NaN fails both comparisons, infinities the range.
     if not 0.0 <= c <= 1.0:
         raise errors.InvalidConfidence(f"confidence {c!r} outside [0, 1]")
@@ -197,10 +196,7 @@ class Prediction:
                 f"prediction text must be a string, got {self.text!r}")
         if not self.text:
             raise errors.EmptyAfterNormalization("prediction text is empty")
-        c = self.confidence
-        # A float in range, the common case, needs no call.
-        if type(c) is not float or not 0.0 <= c <= 1.0:
-            object.__setattr__(self, "confidence", check_confidence(c))
+        object.__setattr__(self, "confidence", check_confidence(self.confidence))
 
 
 def _tuple(value, name: str) -> tuple:
@@ -348,10 +344,8 @@ class ModelProfile:
 
     def __post_init__(self):
         check_identifier(self.model_id, "model id", errors.InvalidConfig)
-        latency = self.latency_ms
-        if type(latency) is not float:
-            latency = _real(latency, "latency_ms", errors.InvalidConfig)
-            object.__setattr__(self, "latency_ms", latency)
+        latency = _real(self.latency_ms, "latency_ms", errors.InvalidConfig)
+        object.__setattr__(self, "latency_ms", latency)
         # NaN fails both comparisons.
         if not 1e-3 <= latency <= 1e9:
             raise errors.InvalidConfig(

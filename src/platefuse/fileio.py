@@ -118,15 +118,8 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
 
 
 def _write_jsonl(path, records: Iterable[dict]) -> None:
-    """Write one compact JSON object per line; no records give one newline."""
-    def lines():
-        empty = True
-        for record in records:
-            empty = False
-            yield _encode_json(record) + "\n"
-        if empty:
-            yield "\n"
-    write_atomic(path, lines())
+    """Write one compact JSON object per line; no records give an empty file."""
+    write_atomic(path, (_encode_json(record) + "\n" for record in records))
 
 
 def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -615,14 +608,26 @@ def format_fps(fps: float) -> str:
 # --- report rendering ---------------------------------------------------------------
 
 def render_report(report, fmt: str = FORMAT_DELIMITED) -> str:
-    """Render dataset reports or a sweep report as delimited text or a table."""
+    """Render dataset reports or a sweep report as delimited text or a table.
+
+    A cell that holds a comma or a line break raises ``InvalidConfig``.
+    """
     _check_format(fmt)
     if isinstance(report, SweepReport):
-        return _layout(*_sweep_cells(report, fmt), fmt)
-    reports = list(report)
-    if not reports or not all(isinstance(r, DatasetReport) for r in reports):
-        raise errors.EmptyInput("nothing to render")
-    return _layout(*_dataset_cells(reports, fmt), fmt)
+        header, rows = _sweep_cells(report, fmt)
+    else:
+        reports = list(report)
+        if not reports or not all(isinstance(r, DatasetReport) for r in reports):
+            raise errors.EmptyInput("nothing to render")
+        header, rows = _dataset_cells(reports, fmt)
+    # A dataset or model id built through the API may hold what the loaders
+    # reject: it would split its cell or row, and no reader could parse it.
+    for row in (header, *rows):
+        for cell in row:
+            if "," in cell or "\r" in cell or "\n" in cell:
+                raise errors.InvalidConfig(
+                    f"report cell {cell!r} holds a comma or line break")
+    return _layout(header, rows, fmt)
 
 
 def _check_format(fmt: str) -> None:
@@ -681,7 +686,11 @@ def reformat_report(text: str, fmt: str) -> str:
     """Re-render a canonical delimited report (e.g. as an aligned table).
 
     Values are display strings already; they are laid out, not recomputed.
+    A leading UTF-8 byte order mark is rejected, as every JSONL loader
+    rejects it, rather than kept as text of the first header cell.
     """
+    if text.startswith("\ufeff"):
+        raise errors.ParseError("line 1: unexpected UTF-8 BOM")
     lines = list(_lines(text))
     if not lines:
         raise errors.EmptyFile("no report content found")

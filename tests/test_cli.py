@@ -651,6 +651,19 @@ def test_sweep_rejects_a_repeated_strategy(tmp_path, profiles_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_an_empty_strategy_list(tmp_path, profiles_path, capsys):
+    # A usage error like an unknown or repeated name, ahead of a corpus rejection.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"sample_id": "s1"}\n')
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--input", str(corpus), "--profiles", str(profiles_path),
+            "--strategies", " , ", "--output", str(out))
+    assert exc.value.code == 2
+    assert "error: no strategies to sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_latency_it_cannot_render(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({
@@ -746,6 +759,15 @@ def test_report_renders_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["dataset", "total", "correct", "rate"]
     assert "62.5" in out
+
+
+def test_report_rejects_a_byte_order_mark(tmp_path, capsys):
+    # As every JSONL loader does, instead of keeping it in the first cell.
+    report = tmp_path / "report.csv"
+    report.write_text("\ufeffdataset,total,correct,rate\nd,1,1,100.0\n",
+                      encoding="utf-8")
+    assert run("report", "--input", str(report)) == 1
+    assert capsys.readouterr() == ("", "error: line 1: unexpected UTF-8 BOM\n")
 
 
 def test_report_rejects_non_utf8_input_with_line(tmp_path, capsys):

@@ -14,6 +14,8 @@ from platefuse import (
     DatasetReport,
     ErrorModel,
     ModelProfile,
+    Prediction,
+    Sample,
     SynthConfig,
     errors,
     generate,
@@ -798,6 +800,17 @@ def test_json_decodes_as_json_loads(text):
     assert got == _loads_outcome(text, "where")
 
 
+@pytest.mark.parametrize("kind,dump", [("predictions", fileio.dump_predictions),
+                                       ("fused", fileio.dump_fused),
+                                       ("profiles", fileio.dump_profiles)])
+def test_an_empty_dump_writes_an_empty_file(tmp_path, kind, dump):
+    path = tmp_path / f"{kind}.jsonl"
+    dump([], path)
+    assert path.read_bytes() == b""
+    with pytest.raises(errors.EmptyFile):
+        _LOADERS[kind](path)
+
+
 # --- atomic writes ---------------------------------------------------------------
 
 def test_dump_fused_failure_keeps_old_file(tmp_path):
@@ -987,6 +1000,21 @@ def test_render_sweep_formats(stock_profiles, showcase_samples):
     table = fileio.render_report(report, "table")
     assert "7.3 / 137" in table
     assert "14.4 / 69" in table
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("fmt", ["delimited", "table"])
+def test_render_rejects_a_cell_that_would_split(name, fmt):
+    # Built through the API, a dataset or model id may hold what the loaders
+    # reject; its cell would split in two, or its row, and no reader could
+    # parse the report back.
+    sample = Sample("s1", "d", "AB", {name: Prediction("AB", 0.5)})
+    sweep = sweep_top_n([sample], [ModelProfile(name, 2.0, 1)],
+                        [parse_strategy("hc")], "accuracy")
+    message = rf"^report cell {re.escape(repr(name))} holds a comma or line break$"
+    for report in ([DatasetReport(name, 2, 1)], sweep):
+        with pytest.raises(errors.InvalidConfig, match=message):
+            fileio.render_report(report, fmt)
 
 
 def test_render_rejects_unknown_format(stock_profiles, showcase_samples):

@@ -376,6 +376,33 @@ def test_every_sweep_row_matches_direct_evaluation(mode, names):
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
 
 
+@pytest.mark.parametrize("mode,names", [
+    pytest.param(mode, names, id=mode + suffix)
+    for mode in ("accuracy", "speed")
+    for suffix, names in (("", STRATEGY_NAMES), ("-subset", ("hc", "mvcp-hc", "mv-bm")))
+])
+def test_sweep_counts_a_tied_first_sample_over_two_model_id_sets(mode, names):
+    # The first sample casts a different text per model at equal confidence,
+    # so every strategy needs a tie-break from N = 2 on. Every other sample
+    # also carries an unranked model, so the sweep meets two ids tuples.
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(47))
+    models = [p.model_id for p in profiles]
+    first = Sample("s-first", "d0", "AB", {
+        m: P(text, 0.5) for m, text in zip(models, ("BA", "A", "B", "AA", "BB", "AB"))
+    })
+    samples = [first, *(
+        Sample(s.sample_id, s.dataset, s.ground_truth,
+               {**s.predictions, "m9": P("AB", 1.0)}) if i % 2 else s
+        for i, s in enumerate(samples)
+    )]
+    assert len({s.predictions.ids for s in samples}) == 2
+    accuracy_ranking = rank_models(profiles, "accuracy")
+    strategies = [parse_strategy(name, accuracy_ranking) for name in names]
+    top2 = {m: first.predictions[m] for m in rank_models(profiles, mode)[:2]}
+    assert all(apply_strategy(top2, strategy).tie_broken for strategy in strategies)
+    _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+
+
 @st.composite
 def tie_rich_sweeps(draw):
     """A few samples over 1-5 models with texts of 1-3 symbols from ``AB``,
