@@ -165,14 +165,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fuse", help="fuse a prediction corpus with one strategy")
+    def command(name, handler, summary):
+        # Each handler reports usage errors through its own subcommand's parser.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command("fuse", _cmd_fuse, "fuse a prediction corpus with one strategy")
     _add_corpus_options(p)
     p.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     p.add_argument("--profiles", help="model profiles (JSONL); required for *-bm")
     p.add_argument("--output", required=True, help="fused records (JSONL)")
-    p.set_defaults(handler=_cmd_fuse)
 
-    p = sub.add_parser("eval", help="exact-match rates per dataset")
+    p = command("eval", _cmd_eval, "exact-match rates per dataset")
     _add_corpus_options(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--fused", help="previously fused records (JSONL)")
@@ -182,9 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_DELIMITED)
     p.add_argument("--output", help="report destination (default: stdout)")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="accuracy/latency over top-N ensembles")
+    p = command("sweep", _cmd_sweep, "accuracy/latency over top-N ensembles")
     _add_corpus_options(p)
     p.add_argument("--profiles", required=True, help="model profiles (JSONL)")
     p.add_argument("--rank", choices=("accuracy", "speed"), default="accuracy")
@@ -193,28 +197,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_DELIMITED)
     p.add_argument("--output", help="report destination (default: stdout)")
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="generate a synthetic prediction corpus")
+    p = command("simulate", _cmd_simulate, "generate a synthetic prediction corpus")
     p.add_argument("--config", required=True, help="generator config (JSON)")
     p.add_argument("--output", required=True, help="prediction corpus (JSONL)")
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("report", help="re-render a delimited report")
+    p = command("report", _cmd_report, "re-render a delimited report")
     p.add_argument("--input", required=True, help="delimited report file")
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_TABLE)
     p.add_argument("--output", help="destination (default: stdout)")
-    p.set_defaults(handler=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args.parser, args)
     except errors.PlatefuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,9 @@
 """Vote/selection kernels: the fusion primitives of every strategy.
 
-``platefuse.core`` calls them for each fusion, and ``scoring.sweep_top_n``
-calls them directly on the top-N prefixes of each sample's sorted members,
-so ``fuse``, ``eval`` and ``sweep`` vote with the same code.
+``platefuse.core`` calls them for each fusion, so ``fuse`` and ``eval`` vote
+with them. ``scoring.sweep_top_n`` counts through ``platefuse.blockvote``
+instead, which takes the same plurality rounds for a block of samples and
+every top-N at once; these kernels stay its readable reference.
 
 Each kernel takes one list over an ensemble's entries: :func:`hc_select`
 their confidences (floats in [0, 1]), :func:`mv_select` and

@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import errors, kernels
+from . import errors
 from .core import (
     _CONFIDENCE_ORDER,
+    Ensemble,
     FusionStrategy,
     ModelProfile,
     Sample,
-    StrategyKind,
     apply_strategy,
     in_tiebreak_order,
 )
@@ -160,8 +160,17 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-_HC, _MV, _MVCP = (StrategyKind.HC.value, StrategyKind.MV.value,
-                   StrategyKind.MVCP.value)
+def _tiebreak_keys(pick, order, ensemble: Ensemble) -> list[int]:
+    """Each ranked member's place among the members in the tie-break ``order``.
+
+    ``pick`` holds the members' entry indices in ``ensemble``, in ``--rank``
+    order, and ``order`` is a ranking or None (model-id order). A ranking
+    that misses a member raises ``IncompleteRanking`` at the smallest N that
+    includes it.
+    """
+    for n in range(1, len(pick) + 1):
+        entries = in_tiebreak_order(sorted(pick[:n]), order, ensemble)
+    return [entries.index(i) for i in pick]
 
 
 def sweep_top_n(samples: Iterable[Sample],
@@ -175,104 +184,70 @@ def sweep_top_n(samples: Iterable[Sample],
     scored per dataset, and macro-averaged. Each row also carries the summed
     per-image latency of its members and the resulting FPS.
 
-    ``samples`` may be any iterable. It is read once: each sample is scored
-    for every N and strategy before the next one is read, and only integer
-    counts per (N, strategy, dataset) are kept.
+    ``samples`` may be any iterable. It is read once, and only integer
+    counts per (N, strategy, dataset) are kept. Each sample is checked as it
+    is read: a missing ranked model raises ``MissingModelPrediction``, a
+    ranking that misses a member raises ``IncompleteRanking`` at the
+    smallest N that includes it, even where its tie-break is never read, and
+    a sample without a ground truth raises ``MissingGroundTruth``.
 
-    Every sample is scored by the vote kernels, which give the texts
-    :func:`apply_strategy` gives without a top-N map or a fusion result per
-    sample: they vote on the values, read from each ensemble's tuples by
-    index. A subsequence of a tie-break order is the tie-break order of its
-    entries, so each N's top members are put in each strategy's order by
-    :func:`core.in_tiebreak_order`: once per distinct ``ids`` tuple for a
-    ranking or model-id order, and per sample only when an ``*-hc`` vote
-    needs its most-confident-first order. There a missing ranked model
-    raises ``MissingModelPrediction``, and a ranking that misses a member
-    raises ``IncompleteRanking`` at the smallest N that includes it, even
-    where its tie-break is never read. Two exact rules skip a vote whose
-    text an earlier result of the same sample and N already fixes:
-
-    * a result that needed no tie-break is the text every strategy of the
-      same kind gives, whatever its tie-break: the kernels read the entry
-      order only when several values share the top count;
-    * an mv text with a strict majority (``2 * votes > N``) is also the
-      mvcp text for either tie-break: it wins the length vote and every
-      character vote outright.
-
-    So the report does not depend on the order of ``strategies`` or on
-    which of them are present.
+    The samples are then voted a block at a time by
+    :class:`platefuse.blockvote.TopNVote`: one walk along the ranking gives
+    every N's winner for a whole block, and each sample counts as correct
+    where the text :func:`apply_strategy` gives for that N and strategy
+    equals its ground truth. So the report does not depend on the order of
+    ``strategies`` or on which of them are present.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
+    # Imported when a sweep runs, so that importing the CLI does not.
+    from .blockvote import TopNVote
+
     ranking = rank_models(profiles, ranking_mode)
     by_id = {p.model_id: p for p in profiles}
     ordered = [by_id[m] for m in ranking]
-    sizes = range(1, len(ranking) + 1)
-    # Each distinct strategy once, mvcp last so that an mv majority is known
-    # when the mvcp texts are needed. A strategy names its kind by value,
-    # since an enum member hashes in Python code.
-    distinct = sorted(dict.fromkeys(strategies),
-                      key=lambda x: x.kind is StrategyKind.MVCP)
-    kinds = [strategy.kind.value for strategy in distinct]
-    # Per distinct ids tuple and N: the top members' indices in id order,
-    # and for each strategy the same indices in its tie-break order, or None
-    # where that order is each sample's own.
-    tops_of: dict[tuple[str, ...], list] = {}
+    distinct = list(dict.fromkeys(strategies))
+    # Per distinct ids tuple: the ranked members' entry indices, in ranking order.
+    picks: dict[tuple[str, ...], list[int]] = {}
+    vote = None
     totals: dict[str, int] = {}
-    # Per N and distinct strategy: dataset -> samples whose text is correct.
-    corrects: list[list[dict[str, int]]] = [[{} for _ in distinct] for _ in sizes]
     for s in samples:
         predictions = s.predictions
         ids = predictions.ids
-        tops = tops_of.get(ids)
-        if tops is None:
+        pick = picks.get(ids)
+        if pick is None:
             for m in ranking:
                 if m not in ids:
                     raise errors.MissingModelPrediction(
                         f"sample {s.sample_id!r} has no prediction for model {m!r}"
                     )
-            tops = tops_of[ids] = []
-            for n in sizes:
-                top = [ids.index(m) for m in sorted(ranking[:n])]
-                tops.append((top, [None if strategy.order is _CONFIDENCE_ORDER
-                                   else in_tiebreak_order(top, strategy.order, predictions)
-                                   for strategy in distinct]))
+            pick = picks[ids] = [ids.index(m) for m in ranking]
+            if vote is None:
+                vote = TopNVote(
+                    [strategy.kind for strategy in distinct],
+                    [None if strategy.order is _CONFIDENCE_ORDER
+                     else _tiebreak_keys(pick, strategy.order, predictions)
+                     for strategy in distinct],
+                    _tiebreak_keys(pick, None, predictions))
             # Not counted: kept only because perfbench's traced sweep must
-            # enter core.*_fuse (EXPECTED_SPANS); the kernels below give the
+            # enter core.*_fuse (EXPECTED_SPANS); the block vote gives the
             # same texts.
             members = {m: predictions[m] for m in ranking}
             for strategy in distinct:
                 apply_strategy(members, strategy)
         truth = count_sample(totals, s)
         texts, confs = predictions.texts, predictions.confs
-        for n, (top, orders), counts in zip(sizes, tops, corrects):
-            by_confidence = None
-            settled: dict[str, str] = {}
-            for count, kind, order in zip(counts, kinds, orders):
-                text = settled.get(kind)
-                if text is None:
-                    if order is None:
-                        if by_confidence is None:
-                            by_confidence = in_tiebreak_order(
-                                top, _CONFIDENCE_ORDER, predictions)
-                        order = by_confidence
-                    if kind == _HC:
-                        index, tied = kernels.hc_select([confs[i] for i in order])
-                        text = texts[order[index]]
-                    else:
-                        values = [texts[i] for i in order]
-                        if kind == _MV:
-                            text, votes, tied = kernels.mv_select(values)
-                            if 2 * votes > n:
-                                settled[_MVCP] = text
-                        else:
-                            text, tied = kernels.mvcp_select(values)
-                    if not tied:
-                        settled[kind] = text
-                if text == truth:
-                    count[s.dataset] = count.get(s.dataset, 0) + 1
+        vote.add(s.dataset, truth, [texts[i] for i in pick], [confs[i] for i in pick])
+    # Per N and distinct strategy: dataset -> samples whose text is correct.
+    corrects: list[list[dict[str, int]]] = [[{} for _ in distinct] for _ in ranking]
+    if vote is not None:
+        vote.flush()
+        for dataset, counts in vote.corrects.items():
+            for k, by_n in enumerate(counts.tolist()):
+                for n, count in enumerate(by_n):
+                    corrects[n][k][dataset] = count
     rows = []
-    for n, counts in zip(sizes, corrects):
+    for n, counts in enumerate(corrects, 1):
         by_strategy = dict(zip(distinct, counts))
         rates = {
             strategy.name: macro_average(recognition_rate(totals, by_strategy[strategy]))

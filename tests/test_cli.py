@@ -3,8 +3,11 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -509,6 +512,25 @@ def test_a_sample_without_ground_truth_is_reported_before_a_later_rejection(
     assert capsys.readouterr().err == "error: sample 's0' has no ground truth\n"
 
 
+def test_sweep_reports_a_missing_ground_truth_before_a_missing_model(tmp_path, capsys):
+    # Both samples would fall in one voted block, but each is checked as it
+    # is read: the first has no ground truth, the second lacks ranked model n.
+    first, second = (json.loads(line) for line in _corpus_lines(2))
+    del first["ground_truth"]
+    first["predictions"]["n"] = {"text": "AB", "confidence": 0.5}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("".join(
+        json.dumps({"id": m, "accuracy_rank": rank, "latency_ms": 1.0}) + "\n"
+        for rank, m in enumerate("mn", 1)))
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--input", str(corpus), "--profiles", str(profiles),
+               "--output", str(out)) == 1
+    assert capsys.readouterr().err == "error: sample 's0' has no ground truth\n"
+    assert not out.exists()
+
+
 def test_sweep_reports_a_profiles_error_before_a_corpus_error(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("[1]\n")
@@ -661,6 +683,40 @@ def test_sweep_rejects_an_empty_strategy_list(tmp_path, profiles_path, capsys):
             "--strategies", " , ", "--output", str(out))
     assert exc.value.code == 2
     assert "error: no strategies to sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_import_the_sweep_vote():
+    # sweep_top_n imports platefuse.blockvote when a sweep runs.
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, platefuse.cli; print('platefuse.blockvote' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sweep", "--strategies", " , "), "no strategies to sweep"),
+    (("sweep", "--strategies", "mv-xx"), "unknown strategy 'mv-xx'"),
+    (("sweep", "--strategies", "hc,mv-hc, hc"), "strategy 'hc' given twice"),
+    (("fuse", "--strategy", "mv-bm"), "strategy 'mv-bm' requires --profiles"),
+    (("eval", "--strategy", "mvcp-bm"), "strategy 'mvcp-bm' requires --profiles"),
+], ids=["sweep-empty", "sweep-unknown", "sweep-repeated", "fuse-bm", "eval-bm"])
+def test_a_usage_error_prints_its_subcommand_usage(tmp_path, profiles_path, capsys,
+                                                  argv, message):
+    command, *options = argv
+    out = tmp_path / "out"
+    extra = {"sweep": ("--profiles", str(profiles_path)), "eval": ()}.get(
+        command, ("--output", str(out)))
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--input", str(SHOWCASE_PATH), *options, *extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: platefuse {command} [-h]")
+    assert err.endswith(f"platefuse {command}: error: {message}\n")
     assert not out.exists()
 
 

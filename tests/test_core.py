@@ -508,8 +508,9 @@ TIE_RICH_ENSEMBLES = st.dictionaries(
 @given(predictions=TIE_RICH_ENSEMBLES, data=st.data())
 @settings(max_examples=500)
 def test_sweep_reuse_rules(predictions, data):
-    # The two rules sweep_top_n uses to skip a fusion, checked against
-    # apply_strategy and the independent resolvers.
+    # Two properties of the vote rules, checked against apply_strategy and
+    # the independent resolvers: a vote that needed no tie-break gives the
+    # same text under any tie-break, and a strict mv majority is the mvcp text.
     ranking = tuple(data.draw(st.permutations(sorted(predictions))))
     tiebreaks = (TB_HC, tb_bm(ranking))
     resolvers = {StrategyKind.MV: resolve_mv, StrategyKind.MVCP: resolve_mvcp}

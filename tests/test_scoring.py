@@ -1,5 +1,7 @@
 """Unit tests for exact-match scoring, ranking, latency, and sweeps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from platefuse import (
     recognition_rate,
     sweep_top_n,
 )
+from platefuse import blockvote
 from platefuse.core import STRATEGY_NAMES
 from platefuse.scoring import count_sample
 
@@ -345,9 +348,9 @@ def _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode):
                 (mode, row.n, strategy.name)
 
 
-# The sweep reuses a text another strategy of the same sample already fixes,
-# so the rows must not depend on which strategies are asked for, or in what
-# order. Keyed by test id suffix. "hc-by-id" is hc built without a ranking,
+# The block vote walks the strategies of one kind together, so the rows
+# must not depend on which strategies are asked for, or in what order. Keyed
+# by test id suffix. "hc-by-id" is hc built without a ranking,
 # whose confidence ties go to the smallest model id: the one tie-break order
 # that neither a ranking nor the confidences give.
 SWEEP_STRATEGY_LISTS = {
@@ -403,20 +406,28 @@ def test_sweep_counts_a_tied_first_sample_over_two_model_id_sets(mode, names):
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
 
 
+# Texts the API accepts beyond an alphabet: a NUL, which must not be taken
+# for padding, a character outside the BMP, and a lone surrogate.
+SWEEP_SYMBOLS = ("A", "B", "\x00", "\U0001F600", "\ud800")
+
+
 @st.composite
 def tie_rich_sweeps(draw):
-    """A few samples over 1-5 models with texts of 1-3 symbols from ``AB``,
-    four confidences, shuffled accuracy ranks and repeated latencies."""
+    """A few samples over 1-5 ranked models with texts of 1-3 symbols from
+    ``SWEEP_SYMBOLS``, four confidences, shuffled accuracy ranks and repeated
+    latencies. Some samples also carry an unranked model, so that the sweep
+    meets more than one ids tuple."""
     n_models = draw(st.integers(1, 5))
     models = [f"m{j}" for j in range(n_models)]
     ranks = draw(st.permutations(range(1, n_models + 1)))
     profiles = [ModelProfile(m, draw(st.sampled_from([1.0, 2.0])), rank)
                 for m, rank in zip(models, ranks)]
-    texts = st.text(alphabet="AB", min_size=1, max_size=3)
+    texts = st.text(alphabet=SWEEP_SYMBOLS, min_size=1, max_size=3)
+    confs = st.sampled_from([0.25, 0.5, 0.75, 1.0])
     samples = [
         Sample(f"s{i}", draw(st.sampled_from(["d0", "d1"])), draw(texts), {
-            m: P(draw(texts), draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])))
-            for m in models
+            m: P(draw(texts), draw(confs))
+            for m in (*models, "m9")[:n_models + draw(st.integers(0, 1))]
         })
         for i in range(draw(st.integers(1, 6)))
     ]
@@ -424,14 +435,96 @@ def tie_rich_sweeps(draw):
 
 
 @given(sweep=tie_rich_sweeps(),
-       names=st.sampled_from(list(SWEEP_STRATEGY_LISTS.values())))
-@settings(max_examples=200, deadline=None)
-def test_every_sweep_row_matches_direct_evaluation_on_random_corpora(sweep, names):
+       names=st.sampled_from(list(SWEEP_STRATEGY_LISTS.values())),
+       block=st.sampled_from([2, blockvote._BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_every_sweep_row_matches_direct_evaluation_on_random_corpora(sweep, names, block):
+    # With blocks of 2 samples, a block ends mid-corpus and may hold samples
+    # of two ids tuples.
     samples, profiles = sweep
     accuracy_ranking = rank_models(profiles, "accuracy")
     strategies = [_strategy(name, accuracy_ranking) for name in names]
-    for mode in ("accuracy", "speed"):
-        _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+    with mock.patch.object(blockvote, "_BLOCK", block):
+        for mode in ("accuracy", "speed"):
+            _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+
+
+def test_a_nul_character_votes_as_a_character_not_as_padding():
+    # At position 1, m1's "B" and m2's NUL tie 1-1 and m1 wins under mvcp-bm;
+    # m0's text ends before position 1, so it does not vote there.
+    profiles = [ModelProfile(f"m{j}", 1.0, j + 1) for j in range(3)]
+    samples = [Sample("s0", "d", "A\x00", {
+        "m0": P("A", 0.5), "m1": P("AB", 0.5), "m2": P("A\x00", 0.5)})]
+    strategies = [parse_strategy(name, rank_models(profiles, "accuracy"))
+                  for name in STRATEGY_NAMES]
+    _assert_rows_match_direct_evaluation(samples, profiles, strategies, "accuracy")
+    report = sweep_top_n(samples, profiles, strategies, "accuracy")
+    assert report.rows[-1].per_strategy_rate["mvcp-bm"] == 0.0
+
+
+def _block_sizes(monkeypatch):
+    """The number of samples of each block the sweep votes, as it votes them."""
+    sizes = []
+    vote = blockvote.TopNVote._vote
+
+    def recorded(self):
+        sizes.append(len(self._datasets))
+        return vote(self)
+
+    monkeypatch.setattr(blockvote.TopNVote, "_vote", recorded)
+    return sizes
+
+
+def test_sweep_over_130_ranked_models_matches_direct_evaluation(monkeypatch):
+    # More members than a signed byte counts: 130 votes and keys up to 129.
+    # Most models cast the truth, so its counts pass 127; the rest split
+    # between two wrong texts at equal confidences, so ties are broken.
+    models = [f"m{j:03d}" for j in range(130)]
+    profiles = [ModelProfile(m, 1.0 + j % 7, 130 - j) for j, m in enumerate(models)]
+    samples = []
+    for i, truth in enumerate(["ABC", "BCA", "CAB", "AAB"]):
+        wrong = (truth[::-1], truth[:2], truth + "A")
+        samples.append(Sample(f"s{i}", f"d{i % 2}", truth, {
+            m: P(truth if (j + i) % 5 else wrong[j % 3], [0.5, 1.0][j % 2])
+            for j, m in enumerate(models)
+        }))
+    sizes = _block_sizes(monkeypatch)
+    accuracy_ranking = rank_models(profiles, "accuracy")
+    for names in (STRATEGY_NAMES, ("hc-by-id",)):
+        strategies = [_strategy(name, accuracy_ranking) for name in names]
+        for mode in ("accuracy", "speed"):
+            _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+    assert sizes == [4] * 4
+
+
+def test_a_text_longer_than_the_cell_cap_is_a_block_of_its_own(monkeypatch):
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(5), n_samples=6,
+                                         n_models=3)
+    long = Sample("s-long", "d0", "AB" * 40, {
+        m: P(text, 0.5) for m, text in zip(("m0", "m1", "m2"), ("AB" * 40, "A" * 81, "AB"))
+    })
+    samples.insert(3, long)
+    monkeypatch.setattr(blockvote, "_BLOCK_CELLS", 64)
+    assert 4 * 81 > blockvote._BLOCK_CELLS
+    sizes = _block_sizes(monkeypatch)
+    strategies = [parse_strategy(name, rank_models(profiles, "accuracy"))
+                  for name in STRATEGY_NAMES]
+    _assert_rows_match_direct_evaluation(samples, profiles, strategies, "accuracy")
+    # 4 rows (3 models and the truth) of at most 5 symbols: 3 samples fit.
+    assert sizes == [3, 1, 3]
+
+
+def test_sweep_raises_the_first_sample_error_within_a_block():
+    # The first sample has no ground truth and the second misses a ranked
+    # model; both would fall in one block, but each sample is checked as it
+    # is read.
+    profiles = [ModelProfile("m1", 1.0, 1), ModelProfile("m2", 1.0, 2)]
+    samples = [Sample("s0", "d", None, {"m1": P("AB", 0.5), "m2": P("AB", 0.5)}),
+               Sample("s1", "d", "AB", {"m1": P("AB", 0.5)})]
+    with pytest.raises(errors.MissingGroundTruth, match="'s0'"):
+        sweep_top_n(samples, profiles, [parse_strategy("mv-hc")], "accuracy")
+    with pytest.raises(errors.MissingModelPrediction, match="'s1'.*'m2'"):
+        sweep_top_n(samples[::-1], profiles, [parse_strategy("mv-hc")], "accuracy")
 
 
 def test_sweep_rejects_an_incomplete_ranking_without_ties():
