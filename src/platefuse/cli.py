@@ -11,7 +11,9 @@ APIs:
 
 All outputs are deterministic given the inputs (and the config seed); rerunning
 a command reproduces its output byte for byte. Exit status is 0 on success and
-1 on any named error, printed to stderr.
+1 on any named error, printed to stderr; a usage error prints the
+subcommand's usage and exits 2. ``--output -`` writes to stdout in every
+command.
 """
 
 from __future__ import annotations
@@ -63,28 +65,29 @@ def _load_corpus(args):
     return normalize_confidences(samples, _NORMALIZE_CHOICES[args.normalize])
 
 
-def _accuracy_ranking(args):
-    if not args.profiles:
-        return None
-    profiles = fileio.load_profiles(args.profiles, strict=args.strict)
-    return rank_models(profiles, "accuracy")
+def _strategies(parser, args, names):
+    """The ``--profiles`` (None without them) and a strategy per name.
 
-
-def _strategy(parser, args):
-    if args.strategy.endswith("-bm") and not args.profiles:
-        parser.error(f"strategy {args.strategy!r} requires --profiles")
-    return parse_strategy(args.strategy, _accuracy_ranking(args))
-
-
-def _write(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        fileio.write_atomic(output, (text,))
+    Only ``hc`` and the ``*-bm`` strategies read the accuracy ranking, so
+    only they need every profile to carry an ``accuracy_rank``.
+    """
+    for i, name in enumerate(names):
+        if name not in STRATEGY_NAMES:
+            parser.error(f"unknown strategy {name!r}")
+        if name in names[:i]:
+            parser.error(f"strategy {name!r} given twice")
+        if name.endswith("-bm") and not args.profiles:
+            parser.error(f"strategy {name!r} requires --profiles")
+    profiles = ranking = None
+    if args.profiles:
+        profiles = fileio.load_profiles(args.profiles, strict=args.strict)
+        if any(name == "hc" or name.endswith("-bm") for name in names):
+            ranking = rank_models(profiles, "accuracy")
+    return profiles, [parse_strategy(name, ranking) for name in names]
 
 
 def _cmd_fuse(parser, args) -> int:
-    strategy = _strategy(parser, args)
+    _, (strategy,) = _strategies(parser, args, [args.strategy])
     # Each record is fused and written as it is read.
     fileio.dump_fused((
         fileio.FusedRecord.from_result(s, apply_strategy(s.predictions, strategy))
@@ -94,9 +97,12 @@ def _cmd_fuse(parser, args) -> int:
 
 
 def _cmd_eval(parser, args) -> int:
-    strategy = None if args.fused else _strategy(parser, args)
-    fused = {}
-    if args.fused:
+    strategy, fused = None, {}
+    if args.strategy:
+        _, (strategy,) = _strategies(parser, args, [args.strategy])
+    else:
+        if args.profiles:
+            parser.error("--profiles applies only with --strategy")
         # Scoring fused records reads no confidence, so nothing is rescaled.
         args.normalize = "off"
         fused = {r.sample_id: r.text
@@ -123,7 +129,7 @@ def _cmd_eval(parser, args) -> int:
         tolerate("fused sample_ids not in the corpus", message, args.fused)
     tolerate.log_counts()
     reports = recognition_rate(totals, corrects)
-    _write(fileio.render_report(reports, args.format), args.output)
+    fileio.write_atomic(args.output, (fileio.render_report(reports, args.format),))
     return 0
 
 
@@ -131,18 +137,9 @@ def _cmd_sweep(parser, args) -> int:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     if not names:
         parser.error("no strategies to sweep")
-    for i, name in enumerate(names):
-        if name not in STRATEGY_NAMES:
-            parser.error(f"unknown strategy {name!r}")
-        if name in names[:i]:
-            parser.error(f"strategy {name!r} given twice")
-    profiles = fileio.load_profiles(args.profiles, strict=args.strict)
-    ranking = None
-    if any(name.endswith("-bm") or name == "hc" for name in names):
-        ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, ranking) for name in names]
+    profiles, strategies = _strategies(parser, args, names)
     report = sweep_top_n(_load_corpus(args), profiles, strategies, ranking_mode=args.rank)
-    _write(fileio.render_report(report, args.format), args.output)
+    fileio.write_atomic(args.output, (fileio.render_report(report, args.format),))
     return 0
 
 
@@ -154,7 +151,7 @@ def _cmd_simulate(parser, args) -> int:
 
 def _cmd_report(parser, args) -> int:
     text = fileio.read_text(args.input)
-    _write(fileio.reformat_report(text, args.format), args.output)
+    fileio.write_atomic(args.output, (fileio.reformat_report(text, args.format),))
     return 0
 
 
@@ -175,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     p.add_argument("--profiles", help="model profiles (JSONL); required for *-bm")
-    p.add_argument("--output", required=True, help="fused records (JSONL)")
+    p.add_argument("--output", required=True, help="fused records (JSONL); - for stdout")
 
     p = command("eval", _cmd_eval, "exact-match rates per dataset")
     _add_corpus_options(p)
@@ -186,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", help="model profiles (JSONL)")
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_DELIMITED)
-    p.add_argument("--output", help="report destination (default: stdout)")
+    p.add_argument("--output", default="-", help="report file (default: - for stdout)")
 
     p = command("sweep", _cmd_sweep, "accuracy/latency over top-N ensembles")
     _add_corpus_options(p)
@@ -196,17 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strategy names (default: all five)")
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_DELIMITED)
-    p.add_argument("--output", help="report destination (default: stdout)")
+    p.add_argument("--output", default="-", help="report file (default: - for stdout)")
 
     p = command("simulate", _cmd_simulate, "generate a synthetic prediction corpus")
     p.add_argument("--config", required=True, help="generator config (JSON)")
-    p.add_argument("--output", required=True, help="prediction corpus (JSONL)")
+    p.add_argument("--output", required=True, help="predictions (JSONL); - for stdout")
 
     p = command("report", _cmd_report, "re-render a delimited report")
     p.add_argument("--input", required=True, help="delimited report file")
     p.add_argument("--format", choices=(fileio.FORMAT_DELIMITED, fileio.FORMAT_TABLE),
                    default=fileio.FORMAT_TABLE)
-    p.add_argument("--output", help="destination (default: stdout)")
+    p.add_argument("--output", default="-", help="destination (default: - for stdout)")
 
     return parser
 
@@ -215,10 +212,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args.parser, args)
-    except errors.PlatefuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (errors.PlatefuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import stat
+import sys
 from dataclasses import MISSING, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
@@ -91,9 +92,13 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     ``Path.write_text``, a new file gets mode ``0o666`` less the umask, an
     existing one keeps its mode, a symlink is written through, and a
     destination that is not a regular file (a pipe, a device) is written in
-    place. Nothing is ``fsync``-ed: an interrupted command leaves the old
-    file, but after a power loss neither version may be on disk.
+    place. The path ``-`` is standard output, also written in place, through
+    ``sys.stdout``. Nothing is ``fsync``-ed: an interrupted command leaves
+    the old file, but after a power loss neither version may be on disk.
     """
+    if path == "-":
+        sys.stdout.writelines(chunks)
+        return
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode

@@ -18,12 +18,10 @@ from typing import Iterable, Mapping, Sequence
 from . import errors
 from .core import (
     _CONFIDENCE_ORDER,
-    Ensemble,
     FusionStrategy,
     ModelProfile,
     Sample,
     apply_strategy,
-    in_tiebreak_order,
 )
 
 RANK_BY_ACCURACY = "accuracy"
@@ -160,17 +158,20 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-def _tiebreak_keys(pick, order, ensemble: Ensemble) -> list[int]:
-    """Each ranked member's place among the members in the tie-break ``order``.
+def _tiebreak_keys(members: Sequence[str], order) -> list[int]:
+    """Each member's place among ``members`` in the tie-break ``order``.
 
-    ``pick`` holds the members' entry indices in ``ensemble``, in ``--rank``
-    order, and ``order`` is a ranking or None (model-id order). A ranking
-    that misses a member raises ``IncompleteRanking`` at the smallest N that
-    includes it.
+    ``members`` are model ids in ``--rank`` order, and ``order`` is a
+    ranking or None (model-id order). A ranking that misses a member raises
+    ``IncompleteRanking`` naming the first such member in ``members``: the
+    one that joins at the smallest N.
     """
-    for n in range(1, len(pick) + 1):
-        entries = in_tiebreak_order(sorted(pick[:n]), order, ensemble)
-    return [entries.index(i) for i in pick]
+    position = {m: i for i, m in enumerate(sorted(members) if order is None else order)}
+    for m in members:
+        if m not in position:
+            raise errors.IncompleteRanking(f"model {m!r} is missing from the ranking")
+    place = {m: i for i, m in enumerate(sorted(members, key=position.__getitem__))}
+    return [place[m] for m in members]
 
 
 def sweep_top_n(samples: Iterable[Sample],
@@ -226,9 +227,9 @@ def sweep_top_n(samples: Iterable[Sample],
                 vote = TopNVote(
                     [strategy.kind for strategy in distinct],
                     [None if strategy.order is _CONFIDENCE_ORDER
-                     else _tiebreak_keys(pick, strategy.order, predictions)
+                     else _tiebreak_keys(ranking, strategy.order)
                      for strategy in distinct],
-                    _tiebreak_keys(pick, None, predictions))
+                    _tiebreak_keys(ranking, None))
             # Not counted: kept only because perfbench's traced sweep must
             # enter core.*_fuse (EXPECTED_SPANS); the block vote gives the
             # same texts.
@@ -238,25 +239,21 @@ def sweep_top_n(samples: Iterable[Sample],
         truth = count_sample(totals, s)
         texts, confs = predictions.texts, predictions.confs
         vote.add(s.dataset, truth, [texts[i] for i in pick], [confs[i] for i in pick])
-    # Per N and distinct strategy: dataset -> samples whose text is correct.
-    corrects: list[list[dict[str, int]]] = [[{} for _ in distinct] for _ in ranking]
     if vote is not None:
         vote.flush()
-        for dataset, counts in vote.corrects.items():
-            for k, by_n in enumerate(counts.tolist()):
-                for n, count in enumerate(by_n):
-                    corrects[n][k][dataset] = count
+    # Dataset -> (distinct strategy, N) array of correct counts.
+    corrects = {} if vote is None else vote.corrects
     rows = []
-    for n, counts in enumerate(corrects, 1):
-        by_strategy = dict(zip(distinct, counts))
-        rates = {
-            strategy.name: macro_average(recognition_rate(totals, by_strategy[strategy]))
-            for strategy in strategies
-        }
+    for n, model in enumerate(ranking, 1):
+        rates = {}
+        for strategy in strategies:
+            k = distinct.index(strategy)
+            by_dataset = {d: int(c[k, n - 1]) for d, c in corrects.items()}
+            rates[strategy.name] = macro_average(recognition_rate(totals, by_dataset))
         latency, _ = ensemble_latency(ordered, n)
         rows.append(SweepRow(
             n=n,
-            added_model=ranking[n - 1],
+            added_model=model,
             per_strategy_rate=rates,
             cumulative_latency_ms=latency,
         ))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -110,6 +111,54 @@ def test_fuse_bm_with_profiles(tmp_path, profiles_path):
                "--profiles", str(profiles_path), "--output", str(out)) == 0
     # 2-2 tie on case-a resolved toward the rank-1 model's text.
     assert _fused_texts(out)["case-a"] == "AIQ1Q56"
+
+
+def test_only_a_strategy_that_reads_the_ranking_needs_accuracy_ranks(
+        tmp_path, capsys, stock_profiles):
+    # Latency-only profiles, as `sweep --rank speed` reads them: mv-hc and
+    # mvcp-hc read no ranking, so they fuse as without --profiles, while hc
+    # and mv-bm read the accuracy ranking and cannot build it.
+    latency_only = tmp_path / "latency.jsonl"
+    fileio.dump_profiles([dataclasses.replace(p, accuracy_rank=None)
+                          for p in stock_profiles], latency_only)
+    for command in ("fuse", "eval"):
+        for strategy in ("mv-hc", "mvcp-hc"):
+            plain, profiled = tmp_path / "plain", tmp_path / "profiled"
+            base = (command, "--input", str(SHOWCASE_PATH), "--strategy", strategy)
+            assert run(*base, "--output", str(plain)) == 0
+            assert run(*base, "--profiles", str(latency_only),
+                       "--output", str(profiled)) == 0
+            assert profiled.read_bytes() == plain.read_bytes()
+        for strategy in ("hc", "mv-bm"):
+            out = tmp_path / f"{command}-{strategy}"
+            assert run(command, "--input", str(SHOWCASE_PATH), "--strategy", strategy,
+                       "--profiles", str(latency_only), "--output", str(out)) == 1
+            assert "has no accuracy rank" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_output_dash_writes_the_file_bytes_to_stdout(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 5, "n_models": 3, "n_samples": 30, "plate_length": 5,
+        "alphabet": "\u00c4\u00d6\u20ac\u03a9Z",
+        "per_model": [{"insertion_rate": 0.2, "deletion_rate": 0.2}] * 3,
+    }))
+    corpus = tmp_path / "corpus.jsonl"
+    for argv, out in [
+        (("simulate", "--config", str(config)), corpus),
+        (("fuse", "--input", str(corpus), "--alphabet", "\u00c4\u00d6\u20ac\u03a9Z",
+          "--strategy", "mvcp-hc"), tmp_path / "fused.jsonl"),
+    ]:
+        assert run(*argv, "--output", str(out)) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "platefuse.cli", *argv, "--output", "-"],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+            capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+        assert not (tmp_path / "-").exists()
 
 
 def test_fuse_missing_input_fails_cleanly(tmp_path, capsys):
@@ -704,7 +753,11 @@ def test_importing_the_cli_does_not_import_the_sweep_vote():
     (("sweep", "--strategies", "hc,mv-hc, hc"), "strategy 'hc' given twice"),
     (("fuse", "--strategy", "mv-bm"), "strategy 'mv-bm' requires --profiles"),
     (("eval", "--strategy", "mvcp-bm"), "strategy 'mvcp-bm' requires --profiles"),
-], ids=["sweep-empty", "sweep-unknown", "sweep-repeated", "fuse-bm", "eval-bm"])
+    # Neither file exists: the usage error comes first.
+    (("eval", "--fused", "no-such-fused.jsonl", "--profiles", "no-such-profiles.jsonl"),
+     "--profiles applies only with --strategy"),
+], ids=["sweep-empty", "sweep-unknown", "sweep-repeated", "fuse-bm", "eval-bm",
+        "eval-fused-profiles"])
 def test_a_usage_error_prints_its_subcommand_usage(tmp_path, profiles_path, capsys,
                                                   argv, message):
     command, *options = argv

@@ -507,7 +507,8 @@ TIE_RICH_ENSEMBLES = st.dictionaries(
 
 @given(predictions=TIE_RICH_ENSEMBLES, data=st.data())
 @settings(max_examples=500)
-def test_sweep_reuse_rules(predictions, data):
+def test_an_untied_vote_ignores_its_tiebreak_and_a_strict_mv_majority_is_mvcp(
+        predictions, data):
     # Two properties of the vote rules, checked against apply_strategy and
     # the independent resolvers: a vote that needed no tie-break gives the
     # same text under any tie-break, and a strict mv majority is the mvcp text.
