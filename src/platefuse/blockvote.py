@@ -68,20 +68,22 @@ class _Walk:
 class TopNVote:
     """Correct counts per (strategy, N, dataset) of a top-N sweep.
 
-    ``kinds`` gives each strategy's :class:`StrategyKind` and ``keys`` its
-    tie-break keys: each member's place among the members
-    in its tie-break order, or None for most confident first, where equal
-    confidences go by ``id_keys``, the members' places in model-id order.
-    Members are given in ``--rank`` order.
+    ``strategies`` gives, per strategy, ``(kind, most_confident_first,
+    keys)``: its :class:`StrategyKind`, the first item of its
+    :attr:`~platefuse.core.FusionStrategy.order`, and its tie-break keys,
+    each member's place among the members in the order's ranking (model-id
+    order when it has none). Members are given in ``--rank`` order. Where
+    confidence comes first (``most_confident_first``, and every ``hc``
+    strategy), the members are ordered by confidence, highest first, equal
+    confidences by key.
     """
 
-    def __init__(self, kinds, keys, id_keys):
-        self._kinds = kinds
-        self._size = n = len(id_keys)
+    def __init__(self, strategies):
+        self._strategies = [(kind, confident, tuple(keys))
+                            for kind, confident, keys in strategies]
+        self._size = n = len(self._strategies[0][2])
         # A score (see _Walk) must hold n * (n + 1) + n.
         self._dtype = np.min_scalar_type(n * (n + 2))
-        self._keys = [None if k is None else np.array(k)[:, None] for k in keys]
-        self._id_keys = np.array(id_keys)[:, None]
         # Dataset -> (strategy, N) array of correct counts.
         self.corrects: dict[str, np.ndarray] = {}
         self._texts: list[str] = []
@@ -139,23 +141,29 @@ class TopNVote:
         # points, compared as one opaque value per text, are.
         texts = codes.view(f"V{4 * width}")[..., 0]
         hit = right_len & (texts == truth.view(f"V{4 * width}")[:, 0])
-        keys = self._keys
-        if any(k is None for k in keys):
-            # Most confident first, equal confidences in model-id order.
-            order = np.lexsort((np.broadcast_to(self._id_keys, (n, rows)), -confs), 0)
-            keys = [order.argsort(0) if k is None else k for k in keys]
-        correct = np.empty((len(keys), n, rows), bool)
-        for s, kind in enumerate(self._kinds):
+        # Where confidence comes first, per distinct keys: the members most
+        # confident first, equal confidences by key, and each member's place
+        # in that order.
+        by_confidence = {}
+        correct = np.empty((len(self._strategies), n, rows), bool)
+        rkeys = []
+        for s, (kind, confident, keys) in enumerate(self._strategies):
+            place = np.array(keys)[:, None]
+            if confident or kind is StrategyKind.HC:
+                if keys not in by_confidence:
+                    order = np.lexsort((np.broadcast_to(place, (n, rows)), -confs), 0)
+                    by_confidence[keys] = order, order.argsort(0)
+                order, place = by_confidence[keys]
             if kind is StrategyKind.HC:
-                # The most confident member, the smallest key among equals.
-                order = np.lexsort((np.broadcast_to(keys[s], (n, rows)), -confs), 0)
-                first = np.minimum.accumulate(order.argsort(0), 0)
+                # The first member in that order among the top N.
+                first = np.minimum.accumulate(place, 0)
                 correct[s] = np.take_along_axis(
                     hit, np.take_along_axis(order, first, 0), 0)
-        # Per strategy and member, unbroadcast, as a broadcast axis is slow.
-        rkeys = np.stack([np.broadcast_to(n - k, (n, rows)) for k in keys]).astype(dtype)
-        mv = [k is StrategyKind.MV for k in self._kinds]
-        mvcp = [k is StrategyKind.MVCP for k in self._kinds]
+            # Per member, unbroadcast, as a broadcast axis is slow.
+            rkeys.append(np.broadcast_to(n - place, (n, rows)))
+        rkeys = np.stack(rkeys).astype(dtype)
+        mv = [kind is StrategyKind.MV for kind, _, _ in self._strategies]
+        mvcp = [kind is StrategyKind.MVCP for kind, _, _ in self._strategies]
         text = chars = None
         if any(mv):
             text = _Walk(rkeys[mv], hit)

@@ -372,10 +372,6 @@ class TieBreakKind(Enum):
     BEST_MODEL = "bm"
 
 
-# Most-confident-first order; a bare object, so that no ranking equals it.
-_CONFIDENCE_ORDER = object()
-
-
 @dataclass(frozen=True)
 class TieBreak:
     """How vote ties are resolved.
@@ -406,11 +402,12 @@ class TieBreak:
             raise errors.InvalidConfig("best-model tie-break requires a ranking")
 
     @property
-    def order(self):
-        """The ranking, or most confident first (see :func:`in_tiebreak_order`)."""
+    def order(self) -> tuple[bool, tuple[str, ...] | None]:
+        """``(most_confident_first, ranking)``: most confident first for
+        HIGHEST_CONFIDENCE, the ranking for BEST_MODEL (see :func:`_prepare`)."""
         if self.kind is TieBreakKind.BEST_MODEL:
-            return self.ranking
-        return _CONFIDENCE_ORDER
+            return False, self.ranking
+        return True, None
 
 
 @dataclass(frozen=True)
@@ -440,12 +437,19 @@ class FusionStrategy:
         return f"{self.kind.value}-{self.tiebreak.kind.value}"
 
     @property
-    def order(self):
-        """The tie-break order :func:`apply_strategy` puts an ensemble in:
-        ``hc`` settles exact confidence ties by its ranking, else by id."""
-        order = None if self.tiebreak is None else self.tiebreak.order
-        hc_by_id = self.kind is StrategyKind.HC and order is _CONFIDENCE_ORDER
-        return None if hc_by_id else order
+    def order(self) -> tuple[bool, tuple[str, ...] | None]:
+        """``(most_confident_first, ranking)``, the tie-break order
+        :func:`apply_strategy` puts an ensemble in (see :func:`_prepare`).
+
+        ``*-bm`` gives its ranking and ``*-hc`` most confident first. ``hc``
+        gives its ranking or None (model-id order), never most confident
+        first: it picks the most confident entry itself, and the order only
+        settles exact confidence ties.
+        """
+        if self.kind is StrategyKind.HC:
+            ranking = None if self.tiebreak is None else self.tiebreak.order[1]
+            return False, ranking
+        return self.tiebreak.order
 
 
 STRATEGY_NAMES = ("hc", "mv-bm", "mv-hc", "mvcp-bm", "mvcp-hc")
@@ -495,41 +499,34 @@ def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
     return {m: i for i, m in enumerate(ranking)}
 
 
-def in_tiebreak_order(indices: Sequence[int], order, ensemble: Ensemble
-                      ) -> Sequence[int]:
-    """``indices`` of entries of ``ensemble``, given in model-id order, in the
-    tie-break ``order``.
-
-    ``order`` is a strategy's :attr:`~FusionStrategy.order`: a ranking, most
-    confident first, or None for model-id order. Both sorts are stable, so
-    equal confidences stay in id order and a ranking that misses several ids
-    names the smallest of them.
-    """
-    if order is None:
-        return indices
-    if order is _CONFIDENCE_ORDER:
-        return sorted(indices, key=ensemble.confs.__getitem__, reverse=True)
-    position, ids = _positions(tuple(order)), ensemble.ids
-    try:
-        return sorted(indices, key=lambda i: position[ids[i]])
-    except KeyError as exc:
-        raise errors.IncompleteRanking(
-            f"model {exc.args[0]!r} is missing from the ranking"
-        ) from None
-
-
 def _prepare(predictions: Mapping[str, Prediction], order):
     """The ensemble as parallel kernel inputs in tie-break ``order``.
 
     A map that is not an :class:`Ensemble` is converted first. Its entries
     are then in model-id order, so results never depend on map iteration
-    order, and ``order`` is a permutation of them.
+    order. ``order`` is a strategy's :attr:`~FusionStrategy.order`,
+    ``(most_confident_first, ranking)``: the entries are sorted by
+    ``ranking`` when one is given, then by confidence, highest first, when
+    ``most_confident_first``. Both sorts are stable, so equal confidences
+    keep the order before them and a ranking that misses several ids names
+    the smallest of them.
     """
     ensemble = _as_ensemble(predictions)
     ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
     if not ids:
         raise errors.EmptyEnsemble("no predictions to fuse")
-    entries = in_tiebreak_order(range(len(ids)), order, ensemble)
+    most_confident_first, ranking = order
+    entries = range(len(ids))
+    if ranking is not None:
+        position = _positions(tuple(ranking))
+        try:
+            entries = sorted(entries, key=lambda i: position[ids[i]])
+        except KeyError as exc:
+            raise errors.IncompleteRanking(
+                f"model {exc.args[0]!r} is missing from the ranking"
+            ) from None
+    if most_confident_first:
+        entries = sorted(entries, key=confs.__getitem__, reverse=True)
     return ([ids[i] for i in entries], [texts[i] for i in entries],
             [confs[i] for i in entries])
 
@@ -542,7 +539,7 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     or to the smallest model id when ``ranking`` is None; ``tie_broken``
     reports whether that happened.
     """
-    ids, texts, confs = _prepare(predictions, ranking)
+    ids, texts, confs = _prepare(predictions, (False, ranking))
     idx, tie = kernels.hc_select(confs)
     text = texts[idx]
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
@@ -589,7 +586,7 @@ def apply_strategy(predictions: Mapping[str, Prediction],
     model-id order.
     """
     if strategy.kind is StrategyKind.HC:
-        return hc_fuse(predictions, strategy.order)
+        return hc_fuse(predictions, strategy.order[1])
     if strategy.kind is StrategyKind.MV:
         return mv_fuse(predictions, strategy.tiebreak)
     return mvcp_fuse(predictions, strategy.tiebreak)

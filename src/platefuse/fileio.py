@@ -92,12 +92,15 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     ``Path.write_text``, a new file gets mode ``0o666`` less the umask, an
     existing one keeps its mode, a symlink is written through, and a
     destination that is not a regular file (a pipe, a device) is written in
-    place. The path ``-`` is standard output, also written in place, through
-    ``sys.stdout``. Nothing is ``fsync``-ed: an interrupted command leaves
-    the old file, but after a power loss neither version may be on disk.
+    place. The path ``-`` is standard output, also written in place: it gets
+    the same UTF-8 bytes, through ``sys.stdout.buffer`` after ``sys.stdout``
+    is flushed, whatever encoding ``sys.stdout`` has. Nothing is
+    ``fsync``-ed: an interrupted command leaves the old file, but after a
+    power loss neither version may be on disk.
     """
     if path == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
         return
     target = os.path.realpath(path)
     try:

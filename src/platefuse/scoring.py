@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import errors
-from .core import (
-    _CONFIDENCE_ORDER,
-    FusionStrategy,
-    ModelProfile,
-    Sample,
-    apply_strategy,
-)
+from .core import FusionStrategy, ModelProfile, Sample, apply_strategy
 
 RANK_BY_ACCURACY = "accuracy"
 RANK_BY_SPEED = "speed"
@@ -158,15 +152,15 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-def _tiebreak_keys(members: Sequence[str], order) -> list[int]:
-    """Each member's place among ``members`` in the tie-break ``order``.
+def _tiebreak_keys(members: Sequence[str], ranking) -> list[int]:
+    """Each member's place among ``members`` in the tie-break ``ranking``.
 
-    ``members`` are model ids in ``--rank`` order, and ``order`` is a
-    ranking or None (model-id order). A ranking that misses a member raises
-    ``IncompleteRanking`` naming the first such member in ``members``: the
-    one that joins at the smallest N.
+    ``members`` are model ids in ``--rank`` order, and ``ranking`` is a
+    tie-break ranking or None (model-id order). A ranking that misses a
+    member raises ``IncompleteRanking`` naming the first such member in
+    ``members``: the one that joins at the smallest N.
     """
-    position = {m: i for i, m in enumerate(sorted(members) if order is None else order)}
+    position = {m: i for i, m in enumerate(sorted(members) if ranking is None else ranking)}
     for m in members:
         if m not in position:
             raise errors.IncompleteRanking(f"model {m!r} is missing from the ranking")
@@ -186,18 +180,26 @@ def sweep_top_n(samples: Iterable[Sample],
     per-image latency of its members and the resulting FPS.
 
     ``samples`` may be any iterable. It is read once, and only integer
-    counts per (N, strategy, dataset) are kept. Each sample is checked as it
-    is read: a missing ranked model raises ``MissingModelPrediction``, a
-    ranking that misses a member raises ``IncompleteRanking`` at the
-    smallest N that includes it, even where its tie-break is never read, and
-    a sample without a ground truth raises ``MissingGroundTruth``.
+    counts per (N, strategy, dataset) are kept, with one pick: where the
+    current model set's ranked members are among its entries. It is redone
+    when a sample's model ids differ from the previous sample's, so a corpus
+    whose samples carry other, unranked models holds no more. Each sample is
+    checked as it is read: a missing ranked model raises
+    ``MissingModelPrediction``, a ranking that misses a member raises
+    ``IncompleteRanking`` at the smallest N that includes it, even where its
+    tie-break is never read, and a sample without a ground truth raises
+    ``MissingGroundTruth``.
 
     The samples are then voted a block at a time by
-    :class:`platefuse.blockvote.TopNVote`: one walk along the ranking gives
-    every N's winner for a whole block, and each sample counts as correct
-    where the text :func:`apply_strategy` gives for that N and strategy
-    equals its ground truth. So the report does not depend on the order of
-    ``strategies`` or on which of them are present.
+    :class:`platefuse.blockvote.TopNVote`, given each strategy's
+    :attr:`~platefuse.core.FusionStrategy.order` as ``(most_confident_first,
+    keys)``: one walk along the ranking gives every N's winner for a whole
+    block, and each sample counts as correct where the text
+    :func:`apply_strategy` gives for that N and strategy equals its ground
+    truth. So the report does not depend on the order of ``strategies`` or
+    on which of them are present. :func:`apply_strategy` itself runs once
+    per sweep and strategy, on the first sample's members, and is not
+    counted.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -208,28 +210,26 @@ def sweep_top_n(samples: Iterable[Sample],
     by_id = {p.model_id: p for p in profiles}
     ordered = [by_id[m] for m in ranking]
     distinct = list(dict.fromkeys(strategies))
-    # Per distinct ids tuple: the ranked members' entry indices, in ranking order.
-    picks: dict[tuple[str, ...], list[int]] = {}
-    vote = None
+    vote = ids = pick = None
     totals: dict[str, int] = {}
     for s in samples:
         predictions = s.predictions
-        ids = predictions.ids
-        pick = picks.get(ids)
-        if pick is None:
+        # Consecutive samples with the same models share one ids tuple, so
+        # the pick is redone only where the model set changes.
+        if predictions.ids != ids:
+            ids = predictions.ids
             for m in ranking:
                 if m not in ids:
                     raise errors.MissingModelPrediction(
                         f"sample {s.sample_id!r} has no prediction for model {m!r}"
                     )
-            pick = picks[ids] = [ids.index(m) for m in ranking]
-            if vote is None:
-                vote = TopNVote(
-                    [strategy.kind for strategy in distinct],
-                    [None if strategy.order is _CONFIDENCE_ORDER
-                     else _tiebreak_keys(ranking, strategy.order)
-                     for strategy in distinct],
-                    _tiebreak_keys(ranking, None))
+            # The ranked members' entry indices, in ranking order.
+            pick = [ids.index(m) for m in ranking]
+        if vote is None:
+            vote = TopNVote([
+                (strategy.kind, strategy.order[0],
+                 _tiebreak_keys(ranking, strategy.order[1]))
+                for strategy in distinct])
             # Not counted: kept only because perfbench's traced sweep must
             # enter core.*_fuse (EXPECTED_SPANS); the block vote gives the
             # same texts.

@@ -161,6 +161,33 @@ def test_output_dash_writes_the_file_bytes_to_stdout(tmp_path):
         assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_a_report_on_stdout_is_the_file_bytes_under_any_stdout_encoding(
+        tmp_path, encoding):
+    # A report is UTF-8 on stdout as in a file: under ascii, writing through
+    # stdout's encoding failed, and under latin-1 it wrote other bytes.
+    src = Path(cli.__file__).resolve().parent.parent
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "n_models": 3, "n_samples": 20,
+                                  "plate_length": 5, "dataset": "g\u00e4te"}))
+    corpus = tmp_path / "corpus.jsonl"
+    assert run("simulate", "--config", str(config), "--output", str(corpus)) == 0
+    report = tmp_path / "eval.csv"
+    for argv, out in [
+        (("eval", "--input", str(corpus), "--strategy", "hc"), report),
+        (("report", "--input", str(report), "--format", "table"),
+         tmp_path / "table.txt"),
+    ]:
+        assert run(*argv, "--output", str(out)) == 0
+        assert "g\u00e4te".encode() in out.read_bytes()
+        proc = subprocess.run(
+            [sys.executable, "-m", "platefuse.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding},
+            cwd=tmp_path, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+
 def test_fuse_missing_input_fails_cleanly(tmp_path, capsys):
     assert run("fuse", "--input", str(tmp_path / "nope.jsonl"),
                "--strategy", "mv-hc", "--output", str(tmp_path / "o")) == 1
@@ -379,11 +406,10 @@ def test_eval_strategy_memory_per_sample(tmp_path, memory_corpora):
     assert (large - small) / (large_n - small_n) < 200, (small, large)
 
 
-def test_sweep_memory_per_sample(tmp_path, memory_corpora):
-    # sweep scores each sample for every N and strategy as it is read, so
-    # it holds only the loader's set of sample ids, about 90 bytes a sample
-    # here. Holding the corpus and a fused-text map per (strategy, N) cost
-    # some 1,970.
+def _sweep_bytes_per_sample(tmp_path, corpora):
+    """Peak-memory growth per sample of sweeping the larger corpus of
+    ``corpora``, ``(size, path)`` pairs, over the smaller, under the
+    memory corpora's 12 ranked models."""
     profiles = tmp_path / "profiles.jsonl"
     profiles.write_text("".join(
         json.dumps({"id": f"m{i:02d}", "accuracy_rank": i + 1, "latency_ms": 5.0 + i})
@@ -391,11 +417,41 @@ def test_sweep_memory_per_sample(tmp_path, memory_corpora):
     out = tmp_path / "sweep.csv"
     args = [("sweep", "--input", str(corpus), "--profiles", str(profiles),
              "--output", str(out))
-            for _, corpus, _ in memory_corpora]
+            for _, corpus in corpora]
     assert run(*args[0]) == 0
     small, large = (_peak_bytes(*argv) for argv in args)
-    (small_n, *_), (large_n, *_) = memory_corpora
-    assert (large - small) / (large_n - small_n) < 300, (small, large)
+    (small_n, _), (large_n, _) = corpora
+    return (large - small) / (large_n - small_n), (small, large)
+
+
+def test_sweep_memory_per_sample(tmp_path, memory_corpora):
+    # sweep scores each sample for every N and strategy as it is read, so
+    # it holds only the loader's set of sample ids, about 90 bytes a sample
+    # here. Holding the corpus and a fused-text map per (strategy, N) cost
+    # some 1,970.
+    per_sample, peaks = _sweep_bytes_per_sample(
+        tmp_path, [(size, corpus) for size, corpus, _ in memory_corpora])
+    assert per_sample < 300, peaks
+
+
+def test_sweep_memory_with_a_model_set_per_sample(tmp_path, memory_corpora):
+    # Each sample also carries an unranked model of its own, so no two
+    # samples share a model set. sweep keeps the current model set's pick
+    # only; the loader's set of model ids grows by one id a sample, as its
+    # set of sample ids does. A pick per model set cost some 1,180 bytes a
+    # sample.
+    corpora = []
+    for size, corpus, _ in memory_corpora:
+        varied = tmp_path / f"varied-{size}.jsonl"
+        with open(corpus, encoding="utf-8") as lines, \
+                open(varied, "w", encoding="utf-8") as out:
+            for i, line in enumerate(lines):
+                record = json.loads(line)
+                record["predictions"][f"x{i:05d}"] = {"text": "A", "confidence": 0.5}
+                out.write(json.dumps(record) + "\n")
+        corpora.append((size, varied))
+    per_sample, peaks = _sweep_bytes_per_sample(tmp_path, corpora)
+    assert per_sample < 300, peaks
 
 
 # --- eval ------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from platefuse import (
     recognition_rate,
     sweep_top_n,
 )
-from platefuse import blockvote
+from platefuse import blockvote, scoring
 from platefuse.core import STRATEGY_NAMES
 from platefuse.scoring import count_sample
 
@@ -404,6 +404,42 @@ def test_sweep_counts_a_tied_first_sample_over_two_model_id_sets(mode, names):
     top2 = {m: first.predictions[m] for m in rank_models(profiles, mode)[:2]}
     assert all(apply_strategy(top2, strategy).tie_broken for strategy in strategies)
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+
+
+def test_sweep_picks_again_where_the_model_set_changes():
+    # Every other sample carries an unranked model whose id sorts first, so
+    # each ranked model's entry index shifts with the model set; a sample
+    # that then misses a ranked model is still caught at that sample.
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(13), n_samples=40)
+    samples = [Sample(s.sample_id, s.dataset, s.ground_truth,
+                      {**s.predictions, "a": P("AB", 1.0)}) if i % 2 else s
+               for i, s in enumerate(samples)]
+    ranking = rank_models(profiles, "accuracy")
+    strategies = [parse_strategy(name, ranking) for name in STRATEGY_NAMES]
+    for mode in ("accuracy", "speed"):
+        _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
+    last = samples[-1]
+    short = Sample("s-short", "d0", "AB", {m: p for m, p in last.predictions.items()
+                                           if m != "m3"})
+    with pytest.raises(errors.MissingModelPrediction, match="'s-short'.*'m3'"):
+        sweep_top_n([*samples, short], profiles, strategies, "accuracy")
+
+
+def test_sweep_applies_each_strategy_once_uncounted(monkeypatch):
+    # The block vote counts; apply_strategy runs once per sweep and distinct
+    # strategy, on the first sample, however often the model set changes.
+    samples, profiles = _tie_rich_corpus(np.random.default_rng(5), n_samples=20)
+    samples = [Sample(s.sample_id, s.dataset, s.ground_truth,
+                      {**s.predictions, f"x{i}": P("AB", 1.0)}) if i % 2 else s
+               for i, s in enumerate(samples)]
+    assert len({s.predictions.ids for s in samples}) == 11
+    calls = []
+    monkeypatch.setattr(scoring, "apply_strategy",
+                        lambda predictions, strategy: calls.append(strategy.name))
+    ranking = rank_models(profiles, "accuracy")
+    strategies = [_strategy(name, ranking) for name in (*STRATEGY_NAMES, "hc", "hc-by-id")]
+    sweep_top_n(samples, profiles, strategies, "accuracy")
+    assert sorted(calls) == sorted([*STRATEGY_NAMES, "hc"])
 
 
 # Texts the API accepts beyond an alphabet: a NUL, which must not be taken
