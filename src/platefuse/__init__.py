@@ -34,7 +34,6 @@ from .scoring import (
     SweepReport,
     SweepRow,
     ensemble_latency,
-    is_correct,
     macro_average,
     per_model_accuracy,
     rank_models,
@@ -67,7 +66,6 @@ __all__ = [
     "fileio",
     "generate",
     "hc_fuse",
-    "is_correct",
     "macro_average",
     "mv_fuse",
     "mvcp_fuse",

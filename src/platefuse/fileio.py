@@ -312,10 +312,12 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     so a rejection surfaces after the samples on the lines before it. An
     invalid ``alphabet`` is rejected at the call, before any record is read.
 
-    A prediction value already in canonical form (a text made of
-    ``alphabet`` symbols only, a float confidence in [0, 1]) is accepted by
-    inline tests. Any other value goes through the one rule that normalizes
-    or rejects it (:func:`~platefuse.core.normalize_text`,
+    A value already in canonical form (a model id that is a non-empty ASCII
+    string, a text made of ``alphabet`` symbols only, a float confidence in
+    [0, 1]) is accepted by inline tests. Any other value goes through the one
+    rule that checks, normalizes or rejects it
+    (:func:`~platefuse.core.check_identifier`,
+    :func:`~platefuse.core.normalize_text`,
     :func:`~platefuse.core.check_confidence`), so the accepts and the
     messages are the rule's. A ground truth always goes through the rule.
     Each sample's :class:`~platefuse.core.Ensemble` is built from the values
@@ -326,7 +328,6 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     check_alphabet(alphabet)
     tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
-    model_ids: set[str] = set()
     last_ids = ()
     def sample(record, where):
         nonlocal last_ids
@@ -344,8 +345,8 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
             raise errors.ParseError("predictions must be a non-empty object")
         texts, confs = [], []
         for model_id, entry in raw_predictions.items():
-            if model_id not in model_ids:
-                model_ids.add(check_identifier(model_id, "model id", errors.ParseError))
+            if not model_id.isascii() or not model_id:
+                check_identifier(model_id, "model id", errors.ParseError)
             try:
                 if not isinstance(entry, dict):
                     raise errors.ParseError("prediction must be an object")
@@ -499,8 +500,8 @@ def load_fused(path, *, strict: bool = True,
     after the records on the lines before it. Every field must have its
     written type and ``text`` must already be normalized under ``alphabet``;
     violations are rejected with the line number in both modes.
-    A text of ``alphabet`` symbols only is accepted inline, and contributors
-    that are all known model ids by one set test; any other value goes
+    A text of ``alphabet`` symbols only is accepted inline, and so is a
+    contributor that is a non-empty ASCII string; any other value goes
     through the rule that names what is wrong with it. A repeated sample id
     is an error when ``strict``; otherwise the first record is kept and each
     repeat warned about and ignored. An invalid ``alphabet`` is rejected
@@ -509,7 +510,6 @@ def load_fused(path, *, strict: bool = True,
     check_alphabet(alphabet)
     tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
-    model_ids: set[str] = set()
     def fused(record, where):
         _check_keys(record, _FUSED_KEYS, where, tolerate)
         try:
@@ -534,15 +534,9 @@ def load_fused(path, *, strict: bool = True,
             raise errors.ParseError(
                 f"contributors must be a list of model ids, got {contributors!r}"
             )
-        try:
-            known = model_ids.issuperset(contributors)
-        except TypeError:  # an unhashable contributor
-            known = False
-        if not known:
-            for model_id in contributors:
-                if type(model_id) is not str or model_id not in model_ids:
-                    model_ids.add(check_identifier(model_id, "contributor",
-                                                   errors.ParseError))
+        for model_id in contributors:
+            if type(model_id) is not str or not model_id.isascii() or not model_id:
+                check_identifier(model_id, "contributor", errors.ParseError)
         if _first(sample_id, seen_ids, where, tolerate):
             return FusedRecord(sample_id, dataset, text, votes, tie_broken,
                                tuple(contributors))
@@ -552,35 +546,40 @@ def load_fused(path, *, strict: bool = True,
 # --- synthetic config -------------------------------------------------------------
 
 def parse_synth_config(text: str) -> SynthConfig:
-    """Parse a generator config from a JSON document."""
+    """Parse a generator config from a JSON document.
+
+    Every rejection names the config (``config: ...``), whether the JSON,
+    a field or a value of :class:`~platefuse.synth.SynthConfig` is at fault.
+    """
     record = _json(text, "config", unique=True)
-    if not isinstance(record, dict):
-        raise errors.ParseError("config: document is not an object")
-    unknown = sorted(set(record) - _CONFIG_KEYS)
-    if unknown:
-        raise errors.InvalidConfig(
-            f"config: unknown field(s) {', '.join(map(repr, unknown))}"
-        )
-    entries = record.get("per_model", [])
-    if not isinstance(entries, list):
-        raise errors.InvalidConfig(f"per_model must be a list, got {entries!r}")
-    per_model = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise errors.InvalidConfig(f"per_model[{index}] must be an object")
-        unknown = sorted(set(entry) - _ERROR_MODEL_KEYS)
+    try:
+        if not isinstance(record, dict):
+            raise errors.ParseError("document is not an object")
+        unknown = sorted(set(record) - _CONFIG_KEYS)
         if unknown:
-            raise errors.InvalidConfig(
-                f"per_model[{index}]: unknown field(s) {', '.join(map(repr, unknown))}"
-            )
-        try:
-            per_model.append(ErrorModel(**entry))
-        except errors.InvalidConfig as exc:
-            raise errors.InvalidConfig(f"per_model[{index}]: {exc}") from None
-    missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in record]
-    if missing:
-        raise errors.InvalidConfig(f"config: missing field(s) {', '.join(missing)}")
-    return SynthConfig(**{**record, "per_model": tuple(per_model)})
+            raise errors.InvalidConfig(f"unknown field(s) {', '.join(map(repr, unknown))}")
+        entries = record.get("per_model", [])
+        if not isinstance(entries, list):
+            raise errors.InvalidConfig(f"per_model must be a list, got {entries!r}")
+        per_model = []
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise errors.InvalidConfig(f"per_model[{index}] must be an object")
+            unknown = sorted(set(entry) - _ERROR_MODEL_KEYS)
+            if unknown:
+                raise errors.InvalidConfig(
+                    f"per_model[{index}]: unknown field(s) {', '.join(map(repr, unknown))}"
+                )
+            try:
+                per_model.append(ErrorModel(**entry))
+            except errors.InvalidConfig as exc:
+                raise errors.InvalidConfig(f"per_model[{index}]: {exc}") from None
+        missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in record]
+        if missing:
+            raise errors.InvalidConfig(f"missing field(s) {', '.join(missing)}")
+        return SynthConfig(**{**record, "per_model": tuple(per_model)})
+    except errors.PlatefuseError as exc:
+        raise type(exc)(f"config: {exc}") from None
 
 
 def load_synth_config(path) -> SynthConfig:

@@ -64,13 +64,6 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def is_correct(fused: str, ground_truth: str | None) -> bool:
-    """Exact sequence match; both sides must already be normalized."""
-    if ground_truth is None:
-        raise errors.MissingGroundTruth("sample has no ground truth")
-    return fused == ground_truth
-
-
 def count_sample(totals: dict[str, int], sample: Sample) -> str:
     """Count ``sample`` in ``totals`` under its dataset; return its ground truth."""
     if sample.ground_truth is None:

@@ -330,6 +330,36 @@ def memory_corpora(tmp_path_factory):
     return corpora
 
 
+@pytest.fixture(scope="module")
+def varied_corpora(memory_corpora, tmp_path_factory):
+    """The memory corpora as ``(size, path)`` pairs, each sample with an
+    unranked model of its own too, so that no two samples share a model set."""
+    tmp_path = tmp_path_factory.mktemp("varied")
+    corpora = []
+    for size, corpus, _ in memory_corpora:
+        varied = tmp_path / f"varied-{size}.jsonl"
+        with open(corpus, encoding="utf-8") as lines, \
+                open(varied, "w", encoding="utf-8") as out:
+            for i, line in enumerate(lines):
+                record = json.loads(line)
+                record["predictions"][f"x{i:05d}"] = {"text": "A", "confidence": 0.5}
+                out.write(json.dumps(record) + "\n")
+        corpora.append((size, varied))
+    return corpora
+
+
+def _bytes_per_sample(corpora, command, *options):
+    """Peak-memory growth per sample of running ``command`` with ``options``
+    on the larger corpus of ``corpora``, ``(size, path)`` pairs, over the
+    smaller; and the two peaks."""
+    args = [(command, "--input", str(corpus), *options) for _, corpus in corpora]
+    # Untraced first, so that one-time set-up is not counted.
+    assert run(*args[0]) == 0
+    small, large = (_peak_bytes(*argv) for argv in args)
+    (small_n, _), (large_n, _) = corpora
+    return (large - small) / (large_n - small_n), (small, large)
+
+
 def test_fuse_memory_does_not_grow_with_the_corpus(tmp_path, memory_corpora):
     out = tmp_path / "fused.jsonl"
     # Each corpus was fused once already, so one-time set-up (caches,
@@ -414,14 +444,8 @@ def _sweep_bytes_per_sample(tmp_path, corpora):
     profiles.write_text("".join(
         json.dumps({"id": f"m{i:02d}", "accuracy_rank": i + 1, "latency_ms": 5.0 + i})
         + "\n" for i in range(12)))
-    out = tmp_path / "sweep.csv"
-    args = [("sweep", "--input", str(corpus), "--profiles", str(profiles),
-             "--output", str(out))
-            for _, corpus in corpora]
-    assert run(*args[0]) == 0
-    small, large = (_peak_bytes(*argv) for argv in args)
-    (small_n, _), (large_n, _) = corpora
-    return (large - small) / (large_n - small_n), (small, large)
+    return _bytes_per_sample(corpora, "sweep", "--profiles", str(profiles),
+                             "--output", str(tmp_path / "sweep.csv"))
 
 
 def test_sweep_memory_per_sample(tmp_path, memory_corpora):
@@ -434,24 +458,25 @@ def test_sweep_memory_per_sample(tmp_path, memory_corpora):
     assert per_sample < 300, peaks
 
 
-def test_sweep_memory_with_a_model_set_per_sample(tmp_path, memory_corpora):
-    # Each sample also carries an unranked model of its own, so no two
-    # samples share a model set. sweep keeps the current model set's pick
-    # only; the loader's set of model ids grows by one id a sample, as its
-    # set of sample ids does. A pick per model set cost some 1,180 bytes a
-    # sample.
-    corpora = []
-    for size, corpus, _ in memory_corpora:
-        varied = tmp_path / f"varied-{size}.jsonl"
-        with open(corpus, encoding="utf-8") as lines, \
-                open(varied, "w", encoding="utf-8") as out:
-            for i, line in enumerate(lines):
-                record = json.loads(line)
-                record["predictions"][f"x{i:05d}"] = {"text": "A", "confidence": 0.5}
-                out.write(json.dumps(record) + "\n")
-        corpora.append((size, varied))
-    per_sample, peaks = _sweep_bytes_per_sample(tmp_path, corpora)
-    assert per_sample < 300, peaks
+def test_sweep_memory_with_a_model_set_per_sample(tmp_path, varied_corpora):
+    # No two samples share a model set. sweep keeps the current model set's
+    # pick only, and the loader checks each model id without keeping it, so
+    # sweep holds only the set of sample ids, as with fixed model sets (about
+    # 90 bytes a sample). A pick per model set cost some 1,180 bytes a
+    # sample; a set of the model ids checked, some 85 more.
+    per_sample, peaks = _sweep_bytes_per_sample(tmp_path, varied_corpora)
+    assert per_sample < 130, peaks
+
+
+def test_fuse_and_eval_memory_with_a_model_set_per_sample(tmp_path, varied_corpora):
+    # fuse and eval --strategy hold only the loader's set of sample ids
+    # whatever model ids the samples carry (about 90 bytes a sample). A set
+    # of the model ids checked grew by one id a sample, some 85 bytes more.
+    for command, out in (("fuse", "fused.jsonl"), ("eval", "eval.csv")):
+        per_sample, peaks = _bytes_per_sample(varied_corpora, command,
+                                              "--strategy", "mvcp-hc",
+                                              "--output", str(tmp_path / out))
+        assert per_sample < 130, (command, peaks)
 
 
 # --- eval ------------------------------------------------------------------------
@@ -901,7 +926,7 @@ def test_simulate_rejects_a_confidence_past_float_range(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     assert run("simulate", "--config", str(config), "--output", str(out)) == 1
     assert capsys.readouterr().err == (
-        "error: per_model[0]: confidence_when_correct mean must be in (0, 1]\n")
+        "error: config: per_model[0]: confidence_when_correct mean must be in (0, 1]\n")
     assert not out.exists()
 
 
@@ -912,7 +937,7 @@ def test_simulate_rejects_an_alphabet_utf8_cannot_encode(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     assert run("simulate", "--config", str(config), "--output", str(out)) == 1
     assert capsys.readouterr().err == (
-        "error: alphabet symbol '\\ud800' is not encodable as UTF-8\n")
+        "error: config: alphabet symbol '\\ud800' is not encodable as UTF-8\n")
     assert not out.exists()
 
 

@@ -931,7 +931,9 @@ _CONFIG = {"seed": 7, "n_models": 2, "n_samples": 3, "plate_length": 5}
     ({"alphabet": "\ud800A"}, r"^alphabet symbol '\\ud800' is not encodable as UTF-8$"),
 ])
 def test_synth_config_rejects_wrong_types(fields, message):
-    with pytest.raises(errors.InvalidConfig, match=message):
+    # Each message is given after the "config: " prefix every config error carries.
+    with pytest.raises(errors.InvalidConfig,
+                       match="^config: " + message.removeprefix("^")):
         fileio.parse_synth_config(json.dumps({**_CONFIG, **fields}))
 
 

@@ -1,5 +1,6 @@
 """Property-based tests for the fusion and scoring invariants."""
 
+import dataclasses
 import json
 import pickle
 from collections import Counter
@@ -334,20 +335,49 @@ def _profile_record(number):
     return {"id": f"m{number}", "accuracy_rank": number, "latency_ms": 5.0}
 
 
+def _config_record(number):
+    return {"seed": number, "n_models": 1, "n_samples": 2, "plate_length": 3,
+            "alphabet": "AB", "dataset": "d",
+            "per_model": [{"per_char_sub_rate": 0.1, "insertion_rate": 0.05,
+                           "deletion_rate": 0.0, "confidence_when_correct": [0.9, 0.1],
+                           "confidence_when_wrong": [0.5, 0.2], "overconfident": False}]}
+
+
+def _model_ids(record):
+    """The model ids that a loaded record names."""
+    if isinstance(record, Sample):
+        return record.predictions.ids
+    if isinstance(record, fileio.FusedRecord):
+        return record.contributors
+    return (record.model_id,)
+
+
+# Stands for a model id drawn from arbitrary text: the key of a second
+# prediction, or a second contributor.
+_MODEL_ID = object()
+MODEL_IDS = (st.sampled_from(["", "m", "é", "\ud800"]) | _IDS
+             | st.text(st.characters(exclude_categories=()), max_size=4))
+
 # For each record file: a valid record for a line, its loader and dumper,
 # and the paths of the fields that the property sets to an arbitrary value
-# ("extra" names a field no record has).
+# ("extra" names a field no record has). A generator config is one document
+# whose every field is tried, and has no dumper.
 BOUNDARIES = {
     "predictions": (_sample_record, fileio.load_predictions, fileio.dump_predictions,
                     [("sample_id",), ("dataset",), ("ground_truth",), ("predictions",),
                      ("predictions", "m"), ("predictions", "m", "text"),
                      ("predictions", "m", "confidence"), ("predictions", "m", "extra"),
-                     ("predictions", "m2"), ("extra",)]),
+                     ("predictions", "m2"), ("predictions", _MODEL_ID), ("extra",)]),
     "fused": (_fused_record, fileio.load_fused, fileio.dump_fused,
               [("sample_id",), ("dataset",), ("text",), ("winning_votes",),
-               ("tie_broken",), ("contributors",), ("extra",)]),
+               ("tie_broken",), ("contributors",), ("contributors", _MODEL_ID),
+               ("extra",)]),
     "profiles": (_profile_record, fileio.load_profiles, fileio.dump_profiles,
                  [("id",), ("accuracy_rank",), ("latency_ms",), ("extra",)]),
+    "config": (_config_record, fileio.load_synth_config, None,
+               [(f.name,) for f in dataclasses.fields(SynthConfig)]
+               + [("per_model", 0, f.name) for f in dataclasses.fields(ErrorModel)]
+               + [("extra",), ("per_model", 0, "extra")]),
 }
 
 
@@ -370,11 +400,19 @@ def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
     target = second
     for key in parents:
         target = target[key]
-    target[name] = data.draw(JSON_VALUES)
+    if name is _MODEL_ID:
+        name = data.draw(MODEL_IDS)
+        if isinstance(target, list):
+            target.append(name)
+        else:
+            target[name] = {"text": "AB", "confidence": 0.5}
+    else:
+        target[name] = data.draw(JSON_VALUES)
     # Or the field is repeated: a stand-in key, longer than any key
     # JSON_VALUES draws, is written and then renamed to the field's name,
     # which no dict can hold twice. Whitespace before a colon must not hide it.
-    repeat = data.draw(st.booleans())
+    # A contributor is no key, and is not repeated.
+    repeat = isinstance(target, dict) and data.draw(st.booleans())
     if repeat:
         target[_REPEAT] = data.draw(JSON_VALUES)
     line = json.dumps(second, separators=data.draw(st.sampled_from([(", ", ": "),
@@ -382,16 +420,32 @@ def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
     if repeat:
         line = line.replace(json.dumps(_REPEAT), json.dumps(name), 1)
     path = boundary_dir / f"{kind}.jsonl"
-    path.write_text(json.dumps(record(1)) + "\n" + line + "\n")
-    for strict in (True, False):
+    if kind == "config":
+        path.write_text(line)
+        where, modes = "config:", [None]
+    else:
+        path.write_text(json.dumps(record(1)) + "\n" + line + "\n")
+        where, modes = "line 2:", [True, False]
+    for strict in modes:
         try:
-            records = list(load(path, strict=strict))
+            records = load(path) if strict is None else list(load(path, strict=strict))
         except errors.PlatefuseError as exc:
-            assert str(exc).startswith("line 2:"), exc
+            assert str(exc).startswith(where), exc
             if repeat:
-                assert str(exc) == f"line 2: repeated key {name!r}"
+                assert str(exc) == f"{where} repeated key {name!r}"
         else:
             assert not repeat
+            if kind == "config":
+                # An empty per_model stands for one default model each. Both
+                # sides as JSON values: a pair is a list, and an integer
+                # equals the float it became.
+                defaults = [dataclasses.asdict(ErrorModel())] * second["n_models"]
+                given = {**second, "per_model": second["per_model"] or defaults}
+                loaded = json.loads(json.dumps(dataclasses.asdict(records)))
+                assert loaded == json.loads(json.dumps(given))
+                continue
+            for model_id in (m for r in records for m in _model_ids(r)):
+                core.check_identifier(model_id, "model id", AssertionError)
             copy = boundary_dir / f"{kind}-copy.jsonl"
             dump(records, copy)
             assert list(load(copy)) == records

@@ -16,7 +16,6 @@ from platefuse import (
     apply_strategy,
     ensemble_latency,
     errors,
-    is_correct,
     macro_average,
     parse_strategy,
     per_model_accuracy,
@@ -36,19 +35,6 @@ SPEED_ORDER = [
     "Multi-Task-LR", "Holistic-CNN", "CRNN", "Fast-OCR", "Rosetta",
     "CR-NET", "STAR-Net", "ViTSTR-Base", "GRCNN", "RARE", "R2AM", "TRBA",
 ]
-
-
-# --- is_correct ------------------------------------------------------------
-
-def test_is_correct():
-    assert not is_correct("MRD3095", "MRU3095")
-    assert is_correct("AIQ1056", "AIQ1056")
-    assert not is_correct("ABC123", "ABC1234")
-
-
-def test_is_correct_requires_ground_truth():
-    with pytest.raises(errors.MissingGroundTruth):
-        is_correct("ABC123", None)
 
 
 # --- recognition_rate ---------------------------------------------------------
