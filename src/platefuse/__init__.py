@@ -17,9 +17,6 @@ from .core import (
     ModelProfile,
     Prediction,
     Sample,
-    StrategyKind,
-    TieBreak,
-    TieBreakKind,
     apply_strategy,
     backend_name,
     hc_fuse,
@@ -27,7 +24,6 @@ from .core import (
     mvcp_fuse,
     normalize_confidences,
     normalize_text,
-    parse_strategy,
 )
 from .scoring import (
     DatasetReport,
@@ -54,12 +50,9 @@ __all__ = [
     "ModelProfile",
     "Prediction",
     "Sample",
-    "StrategyKind",
     "SweepReport",
     "SweepRow",
     "SynthConfig",
-    "TieBreak",
-    "TieBreakKind",
     "apply_strategy",
     "backend_name",
     "ensemble_latency",
@@ -71,7 +64,6 @@ __all__ = [
     "mvcp_fuse",
     "normalize_confidences",
     "normalize_text",
-    "parse_strategy",
     "per_model_accuracy",
     "rank_models",
     "recognition_rate",

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StrategyKind
-
 # Samples voted at once: enough to spread numpy's per-call cost, few enough
 # to keep the working arrays small; long texts make smaller blocks.
 _BLOCK = 128
@@ -69,7 +67,8 @@ class TopNVote:
     """Correct counts per (strategy, N, dataset) of a top-N sweep.
 
     ``strategies`` gives, per strategy, ``(kind, most_confident_first,
-    keys)``: its :class:`StrategyKind`, the first item of its
+    keys)``: its :attr:`~platefuse.core.FusionStrategy.kind` (``"hc"``,
+    ``"mv"`` or ``"mvcp"``), the first item of its
     :attr:`~platefuse.core.FusionStrategy.order`, and its tie-break keys,
     each member's place among the members in the order's ranking (model-id
     order when it has none). Members are given in ``--rank`` order. Where
@@ -149,12 +148,12 @@ class TopNVote:
         rkeys = []
         for s, (kind, confident, keys) in enumerate(self._strategies):
             place = np.array(keys)[:, None]
-            if confident or kind is StrategyKind.HC:
+            if confident or kind == "hc":
                 if keys not in by_confidence:
                     order = np.lexsort((np.broadcast_to(place, (n, rows)), -confs), 0)
                     by_confidence[keys] = order, order.argsort(0)
                 order, place = by_confidence[keys]
-            if kind is StrategyKind.HC:
+            if kind == "hc":
                 # The first member in that order among the top N.
                 first = np.minimum.accumulate(place, 0)
                 correct[s] = np.take_along_axis(
@@ -162,8 +161,8 @@ class TopNVote:
             # Per member, unbroadcast, as a broadcast axis is slow.
             rkeys.append(np.broadcast_to(n - place, (n, rows)))
         rkeys = np.stack(rkeys).astype(dtype)
-        mv = [kind is StrategyKind.MV for kind, _, _ in self._strategies]
-        mvcp = [kind is StrategyKind.MVCP for kind, _, _ in self._strategies]
+        mv = [kind == "mv" for kind, _, _ in self._strategies]
+        mvcp = [kind == "mvcp" for kind, _, _ in self._strategies]
         text = chars = None
         if any(mv):
             text = _Walk(rkeys[mv], hit)

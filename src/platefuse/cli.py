@@ -24,19 +24,14 @@ import sys
 from . import errors, fileio
 from .core import (
     DEFAULT_ALPHABET,
-    NORMALIZE_OFF,
-    NORMALIZE_PER_MODEL_MEAN,
     STRATEGY_NAMES,
+    FusionStrategy,
     apply_strategy,
     check_alphabet,
     normalize_confidences,
-    parse_strategy,
 )
 from .scoring import count_sample, rank_models, recognition_rate, sweep_top_n
 from .synth import generate
-
-
-_NORMALIZE_CHOICES = {"off": NORMALIZE_OFF, "per-model-mean": NORMALIZE_PER_MODEL_MEAN}
 
 
 def _alphabet(value: str) -> str:
@@ -50,7 +45,7 @@ def _add_corpus_options(parser):
     parser.add_argument("--input", required=True, help="prediction corpus (JSONL)")
     parser.add_argument("--alphabet", default=DEFAULT_ALPHABET, type=_alphabet,
                         help="allowed symbols after normalization")
-    parser.add_argument("--normalize", choices=sorted(_NORMALIZE_CHOICES),
+    parser.add_argument("--normalize", choices=("off", "per-model-mean"),
                         default="off",
                         help="confidence rescaling before fusing (default: off)")
     parser.add_argument("--strict", action="store_true",
@@ -62,7 +57,7 @@ def _load_corpus(args):
     """The corpus samples, with confidences rescaled as ``--normalize`` says."""
     samples = fileio.load_predictions(args.input, strict=args.strict,
                                       alphabet=args.alphabet)
-    return normalize_confidences(samples, _NORMALIZE_CHOICES[args.normalize])
+    return normalize_confidences(samples, args.normalize)
 
 
 def _strategies(parser, args, names):
@@ -83,7 +78,7 @@ def _strategies(parser, args, names):
         profiles = fileio.load_profiles(args.profiles, strict=args.strict)
         if any(name == "hc" or name.endswith("-bm") for name in names):
             ranking = rank_models(profiles, "accuracy")
-    return profiles, [parse_strategy(name, ranking) for name in names]
+    return profiles, [FusionStrategy(name, ranking) for name in names]
 
 
 def _cmd_fuse(parser, args) -> int:

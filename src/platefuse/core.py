@@ -10,13 +10,15 @@ are provided:
 * :func:`mv_fuse`    plurality vote over whole sequences;
 * :func:`mvcp_fuse`  plurality vote per character position, concatenated.
 
-Vote ties are resolved by a :class:`TieBreak`: either the tied candidate
-backed by the highest confidence, or the one predicted by the best model
-under a fixed ranking. Exact confidence ties fall back to the ranking for
-:func:`hc_fuse` and to model-id order elsewhere. Each rule is an order of the
-ensemble's entries, chosen in one place, and every kernel lets the earliest
-entry win, so every operation is a pure, deterministic function of its inputs
-and safe to call from any number of threads.
+Each takes the ensemble and an optional ``ranking`` of model ids, most
+trusted first. With a ranking, every tie goes to the best-ranked model.
+Without one, a vote tie goes to the tied candidate backed by the highest
+confidence, and an exact confidence tie to the smallest model id. A
+:class:`FusionStrategy` is one of the five named configurations with the
+ranking it reads, and :func:`apply_strategy` fuses with it. Each rule is an
+order of the ensemble's entries, chosen in one place, and every kernel lets
+the earliest entry win, so every operation is a pure, deterministic function
+of its inputs and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from . import errors, kernels
@@ -35,9 +36,6 @@ DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 # Characters dropped (not rejected) during normalization: hyphen, period, and
 # whitespace.
 _SEPARATORS = frozenset("-. \t\r\n\f\v")
-
-NORMALIZE_OFF = "off"
-NORMALIZE_PER_MODEL_MEAN = "per_model_mean_scaling"
 
 
 def backend_name() -> str:
@@ -361,120 +359,72 @@ class ModelProfile:
             )
 
 
-class StrategyKind(Enum):
-    HC = "hc"
-    MV = "mv"
-    MVCP = "mvcp"
+STRATEGY_NAMES = ("hc", "mv-bm", "mv-hc", "mvcp-bm", "mvcp-hc")
 
 
-class TieBreakKind(Enum):
-    HIGHEST_CONFIDENCE = "hc"
-    BEST_MODEL = "bm"
+def _check_ranking(ranking) -> tuple[str, ...]:
+    """``ranking`` as a tuple if it is a tie-break ranking: a non-empty
+    sequence, not a string, of unique model ids, each as
+    :func:`check_identifier` requires.
 
-
-@dataclass(frozen=True)
-class TieBreak:
-    """How vote ties are resolved.
-
-    ``ranking`` (most trusted model first) is required for BEST_MODEL and
-    ignored for HIGHEST_CONFIDENCE.
+    This is the one ranking rule: :class:`FusionStrategy` applies it, and so
+    do the fuse functions, once per ranking, through :func:`_positions`.
     """
-
-    kind: TieBreakKind
-    ranking: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, TieBreakKind):
-            raise errors.InvalidConfig(
-                f"tie-break kind must be a TieBreakKind, got {self.kind!r}")
-        if self.ranking is not None:
-            if isinstance(self.ranking, str) or not isinstance(self.ranking, Iterable):
-                raise errors.InvalidConfig(
-                    f"tie-break ranking must be a sequence of model ids, "
-                    f"got {self.ranking!r}")
-            ranking = tuple(self.ranking)
-            for model_id in ranking:
-                check_identifier(model_id, "tie-break ranking entry", errors.InvalidConfig)
-            object.__setattr__(self, "ranking", ranking)
-            if len(set(self.ranking)) != len(self.ranking):
-                raise errors.InvalidConfig("tie-break ranking contains duplicates")
-        if self.kind is TieBreakKind.BEST_MODEL and not self.ranking:
-            raise errors.InvalidConfig("best-model tie-break requires a ranking")
-
-    @property
-    def order(self) -> tuple[bool, tuple[str, ...] | None]:
-        """``(most_confident_first, ranking)``: most confident first for
-        HIGHEST_CONFIDENCE, the ranking for BEST_MODEL (see :func:`_prepare`)."""
-        if self.kind is TieBreakKind.BEST_MODEL:
-            return False, self.ranking
-        return True, None
+    if isinstance(ranking, str) or not isinstance(ranking, Sequence):
+        raise errors.InvalidConfig(
+            f"tie-break ranking must be a sequence of model ids, got {ranking!r}")
+    ranking = tuple(ranking)
+    if not ranking:
+        raise errors.InvalidConfig("tie-break ranking is empty")
+    for model_id in ranking:
+        check_identifier(model_id, "tie-break ranking entry", errors.InvalidConfig)
+    if len(set(ranking)) != len(ranking):
+        raise errors.InvalidConfig("tie-break ranking contains duplicates")
+    return ranking
 
 
 @dataclass(frozen=True)
 class FusionStrategy:
-    """One of the five supported configurations (see :func:`parse_strategy`)."""
+    """One of the five strategies, with the ranking it reads.
 
-    kind: StrategyKind
-    tiebreak: TieBreak | None = None
+    ``name`` is one of :data:`STRATEGY_NAMES`. ``ranking``, most trusted
+    model first, must be a non-empty sequence, not a string, of unique model
+    ids; a list is stored as a tuple. The ``*-bm`` strategies require one.
+    ``hc`` settles exact confidence ties by it, or by model-id order without
+    one. ``*-hc`` reads none, so it checks the one given and stores None:
+    two ``*-hc`` strategies of one name compare equal whatever ranking they
+    were given.
+
+    ``kind`` is ``"hc"``, ``"mv"`` or ``"mvcp"``. ``order`` is
+    ``(most_confident_first, ranking)``, the tie-break order
+    :func:`apply_strategy` puts an ensemble in (see :func:`_prepare`): most
+    confident first for ``*-hc``, the ranking otherwise. ``hc`` is never most
+    confident first: it picks the most confident entry itself, and the order
+    only settles exact confidence ties.
+    """
+
+    name: str
+    ranking: tuple[str, ...] | None = None
+    kind: str = field(init=False, repr=False, compare=False)
+    order: tuple[bool, tuple[str, ...] | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.kind, StrategyKind):
+        if self.name not in STRATEGY_NAMES:
             raise errors.InvalidConfig(
-                f"strategy kind must be a StrategyKind, got {self.kind!r}")
-        if self.tiebreak is not None and not isinstance(self.tiebreak, TieBreak):
-            raise errors.InvalidConfig(
-                f"tiebreak must be a TieBreak, got {self.tiebreak!r}")
-        if self.kind is not StrategyKind.HC and self.tiebreak is None:
-            raise errors.InvalidConfig(
-                f"{self.kind.value} fusion requires a tie-break"
-            )
-
-    @property
-    def name(self) -> str:
-        """Canonical spelling: hc, mv-bm, mv-hc, mvcp-bm, mvcp-hc."""
-        if self.kind is StrategyKind.HC:
-            return "hc"
-        return f"{self.kind.value}-{self.tiebreak.kind.value}"
-
-    @property
-    def order(self) -> tuple[bool, tuple[str, ...] | None]:
-        """``(most_confident_first, ranking)``, the tie-break order
-        :func:`apply_strategy` puts an ensemble in (see :func:`_prepare`).
-
-        ``*-bm`` gives its ranking and ``*-hc`` most confident first. ``hc``
-        gives its ranking or None (model-id order), never most confident
-        first: it picks the most confident entry itself, and the order only
-        settles exact confidence ties.
-        """
-        if self.kind is StrategyKind.HC:
-            ranking = None if self.tiebreak is None else self.tiebreak.order[1]
-            return False, ranking
-        return self.tiebreak.order
-
-
-STRATEGY_NAMES = ("hc", "mv-bm", "mv-hc", "mvcp-bm", "mvcp-hc")
-
-
-def parse_strategy(name: str, ranking: Sequence[str] | None = None) -> FusionStrategy:
-    """Build a :class:`FusionStrategy` from its canonical spelling.
-
-    ``ranking`` is required for the ``*-bm`` strategies. When given with
-    ``hc`` it is used to settle exact confidence ties.
-    """
-    if name not in STRATEGY_NAMES:
-        raise errors.InvalidConfig(
-            f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}"
-        )
-    if name == "hc":
-        tb = TieBreak(TieBreakKind.BEST_MODEL, ranking) if ranking else None
-        return FusionStrategy(StrategyKind.HC, tb)
-    kind_s, _, tb_s = name.partition("-")
-    kind = StrategyKind(kind_s)
-    if tb_s == "hc":
-        return FusionStrategy(kind, TieBreak(TieBreakKind.HIGHEST_CONFIDENCE))
-    if ranking is None:
-        raise errors.InvalidConfig(f"strategy {name!r} requires a model ranking")
-    return FusionStrategy(kind, TieBreak(TieBreakKind.BEST_MODEL, ranking))
+                f"unknown strategy {self.name!r}; "
+                f"expected one of {', '.join(STRATEGY_NAMES)}")
+        ranking = self.ranking
+        if ranking is not None:
+            ranking = _check_ranking(ranking)
+        elif self.name.endswith("-bm"):
+            raise errors.InvalidConfig(f"strategy {self.name!r} requires a model ranking")
+        most_confident_first = self.name.endswith("-hc")
+        if most_confident_first:
+            ranking = None
+        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "kind", self.name.partition("-")[0])
+        object.__setattr__(self, "order", (most_confident_first, ranking))
 
 
 @dataclass(frozen=True)
@@ -494,9 +444,9 @@ class FusionResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _positions(ranking: tuple[str, ...]) -> dict[str, int]:
-    """Model id -> its position in ``ranking``."""
-    return {m: i for i, m in enumerate(ranking)}
+def _positions(ranking) -> dict[str, int]:
+    """Model id -> its position in ``ranking``, checked by :func:`_check_ranking`."""
+    return {m: i for i, m in enumerate(_check_ranking(ranking))}
 
 
 def _prepare(predictions: Mapping[str, Prediction], order):
@@ -518,7 +468,11 @@ def _prepare(predictions: Mapping[str, Prediction], order):
     most_confident_first, ranking = order
     entries = range(len(ids))
     if ranking is not None:
-        position = _positions(tuple(ranking))
+        try:
+            position = _positions(ranking)
+        except TypeError:
+            # An unhashable ranking, such as a list, never reaches the cache.
+            position = _positions(_check_ranking(ranking))
         try:
             entries = sorted(entries, key=lambda i: position[ids[i]])
         except KeyError as exc:
@@ -532,12 +486,12 @@ def _prepare(predictions: Mapping[str, Prediction], order):
 
 
 def hc_fuse(predictions: Mapping[str, Prediction],
-            ranking: Sequence[str] | None) -> FusionResult:
+            ranking: Sequence[str] | None = None) -> FusionResult:
     """Select the prediction with the highest confidence.
 
     Exact confidence ties go to the model appearing earliest in ``ranking``,
-    or to the smallest model id when ``ranking`` is None; ``tie_broken``
-    reports whether that happened.
+    or to the smallest model id without one; ``tie_broken`` reports whether
+    that happened.
     """
     ids, texts, confs = _prepare(predictions, (False, ranking))
     idx, tie = kernels.hc_select(confs)
@@ -547,29 +501,31 @@ def hc_fuse(predictions: Mapping[str, Prediction],
 
 
 def mv_fuse(predictions: Mapping[str, Prediction],
-            tiebreak: TieBreak) -> FusionResult:
+            ranking: Sequence[str] | None = None) -> FusionResult:
     """Plurality vote over whole sequences.
 
-    The text predicted by the most models wins. Ties among maximal-vote texts
-    are settled by ``tiebreak``: highest confidence backing a tied text, or
-    the tied text predicted by the best-ranked model among their predictors.
+    The text predicted by the most models wins. A tie among maximal-vote
+    texts goes to the tied text of the model appearing earliest in
+    ``ranking`` or, without one, to the tied text backed by the highest
+    confidence (equal confidences by model id).
     """
-    ids, texts, _ = _prepare(predictions, tiebreak.order)
+    ids, texts, _ = _prepare(predictions, (ranking is None, ranking))
     text, votes, tie = kernels.mv_select(texts)
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
 
 def mvcp_fuse(predictions: Mapping[str, Prediction],
-              tiebreak: TieBreak) -> FusionResult:
+              ranking: Sequence[str] | None = None) -> FusionResult:
     """Plurality vote per character position.
 
     The output length is chosen by plurality over prediction lengths; each
     position then takes the modal character among predictions long enough to
-    vote there. Positional and length ties use ``tiebreak`` with the
-    sequence-level confidence (or rank) of the contributing prediction.
+    vote there. Length and positional ties are settled as in
+    :func:`mv_fuse`, by the rank or else the confidence of each tied value's
+    predictors.
     """
-    ids, texts, _ = _prepare(predictions, tiebreak.order)
+    ids, texts, _ = _prepare(predictions, (ranking is None, ranking))
     fused, tie = kernels.mvcp_select(texts)
     votes = texts.count(fused)
     contributors = frozenset(compress(
@@ -580,31 +536,27 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
 
 def apply_strategy(predictions: Mapping[str, Prediction],
                    strategy: FusionStrategy) -> FusionResult:
-    """Dispatch to the fusion operation selected by ``strategy``.
-
-    An ``hc`` strategy without a ranking settles exact confidence ties by
-    model-id order.
-    """
-    if strategy.kind is StrategyKind.HC:
-        return hc_fuse(predictions, strategy.order[1])
-    if strategy.kind is StrategyKind.MV:
-        return mv_fuse(predictions, strategy.tiebreak)
-    return mvcp_fuse(predictions, strategy.tiebreak)
+    """Fuse ``predictions`` with the function of ``strategy``'s kind, given
+    its ranking."""
+    if strategy.kind == "hc":
+        return hc_fuse(predictions, strategy.ranking)
+    if strategy.kind == "mv":
+        return mv_fuse(predictions, strategy.ranking)
+    return mvcp_fuse(predictions, strategy.ranking)
 
 
 def normalize_confidences(samples: Iterable[Sample],
-                          mode: str = NORMALIZE_OFF) -> Iterable[Sample]:
+                          mode: str = "off") -> Iterable[Sample]:
     """Optionally rescale confidences before fusing.
 
     ``off`` returns ``samples`` itself, unread (the default: rescaling has not
-    proved helpful). ``per_model_mean_scaling`` reads all of ``samples``,
-    divides each model's confidences by that model's corpus-wide mean and
-    clamps to [0, 1], and returns a list. A model whose mean is zero is left
-    unscaled.
+    proved helpful). ``per-model-mean`` reads all of ``samples``, divides
+    each model's confidences by that model's corpus-wide mean and clamps to
+    [0, 1], and returns a list. A model whose mean is zero is left unscaled.
     """
-    if mode == NORMALIZE_OFF:
+    if mode == "off":
         return samples
-    if mode != NORMALIZE_PER_MODEL_MEAN:
+    if mode != "per-model-mean":
         raise errors.InvalidConfig(f"unknown normalization mode {mode!r}")
     samples = list(samples)
     sums: dict[str, float] = {}

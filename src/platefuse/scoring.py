@@ -170,7 +170,9 @@ def sweep_top_n(samples: Iterable[Sample],
     Models are ordered by ``ranking_mode``; for each N the samples'
     predictions are restricted to the first N models, fused per strategy,
     scored per dataset, and macro-averaged. Each row also carries the summed
-    per-image latency of its members and the resulting FPS.
+    per-image latency of its members and the resulting FPS. Each strategy's
+    name heads its column, so two strategies that share a name raise
+    ``InvalidConfig``.
 
     ``samples`` may be any iterable. It is read once, and only integer
     counts per (N, strategy, dataset) are kept, with one pick: where the
@@ -196,13 +198,16 @@ def sweep_top_n(samples: Iterable[Sample],
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
+    names = [strategy.name for strategy in strategies]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise errors.InvalidConfig(f"strategy {name!r} given twice")
     # Imported when a sweep runs, so that importing the CLI does not.
     from .blockvote import TopNVote
 
     ranking = rank_models(profiles, ranking_mode)
     by_id = {p.model_id: p for p in profiles}
     ordered = [by_id[m] for m in ranking]
-    distinct = list(dict.fromkeys(strategies))
     vote = ids = pick = None
     totals: dict[str, int] = {}
     for s in samples:
@@ -222,27 +227,26 @@ def sweep_top_n(samples: Iterable[Sample],
             vote = TopNVote([
                 (strategy.kind, strategy.order[0],
                  _tiebreak_keys(ranking, strategy.order[1]))
-                for strategy in distinct])
+                for strategy in strategies])
             # Not counted: kept only because perfbench's traced sweep must
             # enter core.*_fuse (EXPECTED_SPANS); the block vote gives the
             # same texts.
             members = {m: predictions[m] for m in ranking}
-            for strategy in distinct:
+            for strategy in strategies:
                 apply_strategy(members, strategy)
         truth = count_sample(totals, s)
         texts, confs = predictions.texts, predictions.confs
         vote.add(s.dataset, truth, [texts[i] for i in pick], [confs[i] for i in pick])
     if vote is not None:
         vote.flush()
-    # Dataset -> (distinct strategy, N) array of correct counts.
+    # Dataset -> (strategy, N) array of correct counts.
     corrects = {} if vote is None else vote.corrects
     rows = []
     for n, model in enumerate(ranking, 1):
         rates = {}
-        for strategy in strategies:
-            k = distinct.index(strategy)
+        for k, name in enumerate(names):
             by_dataset = {d: int(c[k, n - 1]) for d, c in corrects.items()}
-            rates[strategy.name] = macro_average(recognition_rate(totals, by_dataset))
+            rates[name] = macro_average(recognition_rate(totals, by_dataset))
         latency, _ = ensemble_latency(ordered, n)
         rows.append(SweepRow(
             n=n,
@@ -252,7 +256,7 @@ def sweep_top_n(samples: Iterable[Sample],
         ))
     return SweepReport(
         ranking_mode=ranking_mode,
-        strategies=tuple(s.name for s in strategies),
+        strategies=tuple(names),
         rows=tuple(rows),
     )
 

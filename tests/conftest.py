@@ -7,18 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platefuse import Prediction, TieBreak, TieBreakKind, fileio
+from platefuse import Prediction, fileio
 
 DATA_DIR = Path(__file__).parent / "data"
 SHOWCASE_PATH = DATA_DIR / "showcase_plates.jsonl"
 
 TOP5_RANKING = ("ViTSTR-Base", "STAR-Net", "TRBA", "CR-NET", "RARE")
-
-TB_HC = TieBreak(TieBreakKind.HIGHEST_CONFIDENCE)
-
-
-def tb_bm(ranking) -> TieBreak:
-    return TieBreak(TieBreakKind.BEST_MODEL, tuple(ranking))
 
 
 def P(text: str, confidence: float) -> Prediction:

@@ -31,9 +31,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from platefuse import errors
-from platefuse.core import (
-    Ensemble, Prediction, Sample, TieBreak, TieBreakKind, _symbol_table,
-)
+from platefuse.core import Ensemble, Prediction, Sample, _symbol_table
 from platefuse.scoring import DatasetReport
 from platefuse.synth import SynthConfig
 
@@ -75,18 +73,19 @@ def oracle_mvcp_positions(predictions: Mapping[str, Prediction],
     return out
 
 
-def _break_tie(predictions, tiebreak, tied, value_of, eligible):
-    """Pick the winning value among ``tied`` per the tie-break rule."""
+def _break_tie(predictions, ranking, tied, value_of, eligible):
+    """Pick the winning value among ``tied``: the best-ranked predictor's in
+    ``ranking``, or without one the most confident predictor's."""
     pool = [
         (model_id, p)
         for model_id, p in predictions.items()
         if eligible(p) and value_of(p) in tied
     ]
-    if tiebreak.kind is TieBreakKind.HIGHEST_CONFIDENCE:
+    if ranking is None:
         # Highest confidence wins; exact ties go to the smallest model id.
         best = min(pool, key=lambda mp: (-mp[1].confidence, mp[0]))
     else:
-        position = {m: i for i, m in enumerate(tiebreak.ranking)}
+        position = {m: i for i, m in enumerate(ranking)}
         best = min(pool, key=lambda mp: position[mp[0]])
     return value_of(best[1])
 
@@ -103,28 +102,26 @@ def resolve_hc(predictions: Mapping[str, Prediction],
     return best[1].text
 
 
-def resolve_mv(predictions: Mapping[str, Prediction],
-               tiebreak: TieBreak) -> str:
+def resolve_mv(predictions: Mapping[str, Prediction], ranking) -> str:
     """Independent whole-sequence vote resolution."""
     tied, _ = oracle_mv(predictions)
     if len(tied) == 1:
         return tied[0]
     return _break_tie(
-        predictions, tiebreak, set(tied),
+        predictions, ranking, set(tied),
         value_of=lambda p: p.text,
         eligible=lambda p: True,
     )
 
 
-def resolve_mvcp(predictions: Mapping[str, Prediction],
-                 tiebreak: TieBreak) -> str:
+def resolve_mvcp(predictions: Mapping[str, Prediction], ranking) -> str:
     """Independent per-position vote resolution."""
     lengths = oracle_mvcp_lengths(predictions)
     if len(lengths) == 1:
         length = lengths[0]
     else:
         length = _break_tie(
-            predictions, tiebreak, set(lengths),
+            predictions, ranking, set(lengths),
             value_of=lambda p: len(p.text),
             eligible=lambda p: True,
         )
@@ -134,7 +131,7 @@ def resolve_mvcp(predictions: Mapping[str, Prediction],
             chars.append(tied[0])
             continue
         chars.append(_break_tie(
-            predictions, tiebreak, set(tied),
+            predictions, ranking, set(tied),
             value_of=lambda p: p.text[pos],
             eligible=lambda p: len(p.text) > pos,
         ))

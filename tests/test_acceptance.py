@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from conftest import SHOWCASE_PATH, TB_HC, P, random_ensemble, tb_bm
+from conftest import SHOWCASE_PATH, P, random_ensemble
 from oracles import (
     mvcp_accuracy_estimate,
     oracle_mv,
@@ -161,7 +161,7 @@ def test_criterion_4_oracle_equivalence():
     tied_mv = tied_mvcp = 0
     for _ in range(10_000):
         predictions, ranking = random_ensemble(rng)
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             mv = mv_fuse(predictions, tiebreak)
             tied, votes = oracle_mv(predictions)
             tied_mv += len(tied) > 1
@@ -210,7 +210,7 @@ def test_criterion_5_invariant_suite():
         predictions, ranking = random_ensemble(rng)
         text = _random_text(rng)
         forced = {m: P(text, p.confidence) for m, p in predictions.items()}
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             assert mv_fuse(forced, tiebreak).text == text
             assert mvcp_fuse(forced, tiebreak).text == text
         assert hc_fuse(forced, ranking).text == text
@@ -220,7 +220,7 @@ def test_criterion_5_invariant_suite():
         conf = grid[int(rng.integers(len(grid)))]
         single = {"only": P(text, conf)}
         assert hc_fuse(single, ("only",)).text == text
-        for tiebreak in (TB_HC, tb_bm(("only",))):
+        for tiebreak in (None, ("only",)):
             assert mv_fuse(single, tiebreak).text == text
             assert mvcp_fuse(single, tiebreak).text == text
 
@@ -233,7 +233,7 @@ def test_criterion_5_invariant_suite():
         }
         merged = {**predictions, **majority}
         ranking = tuple(sorted(merged))
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             assert mv_fuse(merged, tiebreak).text == text
 
     transforms = [lambda c: c / 2, lambda c: 0.25 + c / 2,
@@ -251,7 +251,7 @@ def test_criterion_5_invariant_suite():
         items = list(predictions.items())
         order = rng.permutation(len(items))
         reordered = {items[j][0]: items[j][1] for j in order}
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             assert mv_fuse(predictions, tiebreak) == mv_fuse(reordered, tiebreak)
             assert mvcp_fuse(predictions, tiebreak) == \
                 mvcp_fuse(reordered, tiebreak)
@@ -260,7 +260,7 @@ def test_criterion_5_invariant_suite():
     for _ in range(CASES):  # determinism
         predictions, ranking = random_ensemble(rng)
         clone = {m: P(p.text, p.confidence) for m, p in predictions.items()}
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             assert mv_fuse(predictions, tiebreak) == mv_fuse(clone, tiebreak)
             assert mvcp_fuse(predictions, tiebreak) == \
                 mvcp_fuse(clone, tiebreak)
@@ -295,7 +295,7 @@ def test_criterion_6_fusion_benefit():
         config = _noise_config(seed, sub=0.2, n_samples=10_000)
         samples = list(generate(config))
         mvcp_acc = sum(
-            mvcp_fuse(s.predictions, TB_HC).text == s.ground_truth
+            mvcp_fuse(s.predictions).text == s.ground_truth
             for s in samples
         ) / len(samples)
         best_single = max(per_model_accuracy(samples).values())
@@ -329,11 +329,11 @@ def test_criterion_7_length_noise_sensitivity():
                 _noise_config(seed, sub=0.1, n_samples=4000, ins=ins, dele=dele)
             ))
             mv_acc = sum(
-                mv_fuse(s.predictions, TB_HC).text == s.ground_truth
+                mv_fuse(s.predictions).text == s.ground_truth
                 for s in samples
             ) / len(samples)
             mvcp_acc = sum(
-                mvcp_fuse(s.predictions, TB_HC).text == s.ground_truth
+                mvcp_fuse(s.predictions).text == s.ground_truth
                 for s in samples
             ) / len(samples)
             margins[label] = mvcp_acc - mv_acc
@@ -364,7 +364,7 @@ def test_criterion_8_mean_scaling_preserves_mv_hc():
         })
         for i in range(12)
     ]
-    scaled = normalize_confidences(samples, "per_model_mean_scaling")
+    scaled = normalize_confidences(samples, "per-model-mean")
     changed = sum(
         scaled[i].predictions["m1"].confidence
         != samples[i].predictions["m1"].confidence
@@ -372,6 +372,6 @@ def test_criterion_8_mean_scaling_preserves_mv_hc():
     )
     assert changed > 0  # the ablation switch really rescaled something
     for before, after in zip(samples, scaled):
-        assert mv_fuse(before.predictions, TB_HC).text == \
-            mv_fuse(after.predictions, TB_HC).text
+        assert mv_fuse(before.predictions).text == \
+            mv_fuse(after.predictions).text
     _report("criterion 8 (mean scaling preserves sequence-vote outputs): PASS")

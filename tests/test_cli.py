@@ -15,13 +15,13 @@ import pytest
 from conftest import SHOWCASE_PATH
 from platefuse import (
     ErrorModel,
+    FusionStrategy,
     SynthConfig,
     apply_strategy,
     cli,
     fileio,
     generate,
     normalize_confidences,
-    parse_strategy,
 )
 
 
@@ -272,12 +272,12 @@ def test_per_model_mean_from_a_file_and_from_a_pipe(tmp_path, caplog):
     lines = [json.dumps(json.loads(line) | {"camera": "c3"})  # an unknown field
              for line in SHOWCASE_PATH.read_text().splitlines()]
     corpus.write_text("\n".join(lines) + "\n")
-    strategy = parse_strategy("hc")
+    strategy = FusionStrategy("hc")
     def fused(samples):
         return [fileio.FusedRecord.from_result(s, apply_strategy(s.predictions, strategy))
                 for s in samples]
     expected = fused(normalize_confidences(fileio.load_predictions(SHOWCASE_PATH),
-                                           "per_model_mean_scaling"))
+                                           "per-model-mean"))
     assert expected != fused(fileio.load_predictions(SHOWCASE_PATH))
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)

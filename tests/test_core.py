@@ -1,13 +1,14 @@
 """Unit tests for normalization, domain types, and the five fusion strategies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P, TB_HC, TOP5_RANKING, random_ensemble, tb_bm
+from conftest import P, TOP5_RANKING, random_ensemble
 from oracles import (
     normalize_by_table,
     oracle_mv,
@@ -24,9 +25,6 @@ from platefuse import (
     ModelProfile,
     Prediction,
     Sample,
-    StrategyKind,
-    TieBreak,
-    TieBreakKind,
     apply_strategy,
     errors,
     hc_fuse,
@@ -34,9 +32,9 @@ from platefuse import (
     mvcp_fuse,
     normalize_confidences,
     normalize_text,
-    parse_strategy,
 )
 from platefuse import backend_name, core, kernels
+from platefuse.core import STRATEGY_NAMES
 
 
 # --- normalize_text ---------------------------------------------------------
@@ -204,53 +202,88 @@ def test_ensemble_checks_its_fields():
 
 
 def test_tiebreak_validation():
-    with pytest.raises(errors.InvalidConfig):
-        TieBreak(TieBreakKind.BEST_MODEL)
-    with pytest.raises(errors.InvalidConfig):
-        TieBreak(TieBreakKind.BEST_MODEL, ("a", "a"))
-    bm, hc = TieBreakKind.BEST_MODEL, TieBreakKind.HIGHEST_CONFIDENCE
-    for kind, ranking, message in [
-        ("bm", ("a",), r"^tie-break kind must be a TieBreakKind, got 'bm'$"),
-        (bm, 5, r"^tie-break ranking must be a sequence of model ids, got 5$"),
-        (bm, "m1", r"^tie-break ranking must be a sequence of model ids, got 'm1'$"),
-        (bm, [[1]], r"^tie-break ranking entry must be a non-empty string$"),
-        (bm, [1, 2], r"^tie-break ranking entry must be a non-empty string$"),
-        (hc, ["a", ""], r"^tie-break ranking entry must be a non-empty string$"),
+    # The one ranking rule, as every strategy applies it: *-hc checks the
+    # ranking it is given before it drops it.
+    for ranking, message in [
+        (5, r"^tie-break ranking must be a sequence of model ids, got 5$"),
+        ("m1", r"^tie-break ranking must be a sequence of model ids, got 'm1'$"),
+        ({"a"}, r"^tie-break ranking must be a sequence of model ids, got \{'a'\}$"),
+        ([[1]], r"^tie-break ranking entry must be a non-empty string$"),
+        ([1, 2], r"^tie-break ranking entry must be a non-empty string$"),
+        (["a", ""], r"^tie-break ranking entry must be a non-empty string$"),
+        (("a", "a"), r"^tie-break ranking contains duplicates$"),
+        ((), r"^tie-break ranking is empty$"),
     ]:
-        with pytest.raises(errors.InvalidConfig, match=message):
-            TieBreak(kind, ranking)
+        for name in STRATEGY_NAMES:
+            with pytest.raises(errors.InvalidConfig, match=message):
+                FusionStrategy(name, ranking)
 
 
 def test_strategy_rejects_malformed_fields():
-    with pytest.raises(errors.InvalidConfig,
-                       match=r"^strategy kind must be a StrategyKind, got 'mv'$"):
-        FusionStrategy("mv", tb_bm(("a", "b")))
-    with pytest.raises(errors.InvalidConfig, match=r"^tiebreak must be a TieBreak, got 'bm'$"):
-        FusionStrategy(StrategyKind.MV, "bm")
+    for name in ("mv", "bm", "MV-HC", "hc ", None, ["hc"]):
+        with pytest.raises(errors.InvalidConfig, match=(
+                rf"^unknown strategy {re.escape(repr(name))}; "
+                r"expected one of hc, mv-bm, mv-hc, mvcp-bm, mvcp-hc$")):
+            FusionStrategy(name, ("a", "b"))
 
 
 def test_strategy_requires_tiebreak_for_votes():
-    with pytest.raises(errors.InvalidConfig):
-        FusionStrategy(StrategyKind.MV)
-    assert FusionStrategy(StrategyKind.HC).name == "hc"
-
-
-def test_parse_strategy_spellings():
-    assert parse_strategy("hc").name == "hc"
-    assert parse_strategy("mv-hc").name == "mv-hc"
-    assert parse_strategy("mvcp-hc").name == "mvcp-hc"
-    assert parse_strategy("mv-bm", ("a", "b")).name == "mv-bm"
-    assert parse_strategy("mvcp-bm", ("a", "b")).name == "mvcp-bm"
-    with pytest.raises(errors.InvalidConfig):
-        parse_strategy("mv")
-    with pytest.raises(errors.InvalidConfig):
-        parse_strategy("mv-bm")
-    # A bare string is not split into one-character model ids.
-    for name in ("hc", "mv-bm", "mvcp-bm"):
+    # A best-model vote needs a ranking; the other strategies fuse without.
+    for name in ("mv-bm", "mvcp-bm"):
         with pytest.raises(errors.InvalidConfig,
-                           match=r"^tie-break ranking must be a sequence"):
-            parse_strategy(name, "m1")
-    assert parse_strategy("mv-bm", ["m1"]).tiebreak.ranking == ("m1",)
+                           match=rf"^strategy '{name}' requires a model ranking$"):
+            FusionStrategy(name)
+    for name in ("hc", "mv-hc", "mvcp-hc"):
+        assert FusionStrategy(name).order == (name != "hc", None)
+
+
+def test_strategy_spellings():
+    for name in STRATEGY_NAMES:
+        strategy = FusionStrategy(name, ["m1", "m2"])
+        assert strategy.name == name
+        assert strategy.kind == name.partition("-")[0]
+        # A list is stored as a tuple; *-hc reads no ranking and keeps none.
+        ranking = None if name.endswith("-hc") else ("m1", "m2")
+        assert strategy.ranking == ranking
+        assert strategy.order == (name.endswith("-hc"), ranking)
+    # So two strategies that fuse alike compare and hash alike.
+    assert len({FusionStrategy("mv-hc", r) for r in (None, ["a"], ("b", "a"))}) == 1
+    assert FusionStrategy("hc", ("a",)) != FusionStrategy("hc")
+    assert repr(FusionStrategy("mv-bm", ("a",))) == (
+        "FusionStrategy(name='mv-bm', ranking=('a',))")
+
+
+@pytest.mark.parametrize("ranking,outcome", [
+    pytest.param(("b", "a"), "XY", id="tuple"),
+    pytest.param(["b", "a"], "XY", id="list"),
+    pytest.param(None, "AB", id="none"),
+    pytest.param("ba", r"^tie-break ranking must be a sequence of model ids, got 'ba'$",
+                 id="string"),
+    pytest.param(["b", "a", "b"], r"^tie-break ranking contains duplicates$",
+                 id="repeated-id"),
+    pytest.param(["b", 1, "a"], r"^tie-break ranking entry must be a non-empty string$",
+                 id="non-string-id"),
+    pytest.param((), r"^tie-break ranking is empty$", id="empty"),
+])
+def test_every_entry_point_reads_a_ranking_one_way(ranking, outcome):
+    # Equal confidences and a 1-1 vote, so every fusion reads its tie-break:
+    # a ranking that puts b first gives XY, no ranking gives the smallest id's.
+    predictions = {"a": P("AB", 0.5), "b": P("XY", 0.5)}
+    fuses = (hc_fuse, mv_fuse, mvcp_fuse)
+    if outcome in ("AB", "XY"):
+        for fuse in fuses:
+            assert fuse(predictions, ranking).text == outcome
+        for name in STRATEGY_NAMES:
+            if ranking is not None or not name.endswith("-bm"):
+                result = apply_strategy(predictions, FusionStrategy(name, ranking))
+                assert result.text == ("AB" if name.endswith("-hc") else outcome)
+        return
+    for fuse in fuses:
+        with pytest.raises(errors.InvalidConfig, match=outcome):
+            fuse(predictions, ranking)
+    for name in STRATEGY_NAMES:
+        with pytest.raises(errors.InvalidConfig, match=outcome):
+            FusionStrategy(name, ranking)
 
 
 # --- highest confidence --------------------------------------------------------
@@ -311,7 +344,7 @@ def test_mv_strict_majority():
         "CR-NET": P("MRD3095", 0.94),
         "RARE": P("MRD3095", 0.87),
     }
-    result = mv_fuse(preds, TB_HC)
+    result = mv_fuse(preds)
     assert result.text == "MRD3095"
     assert result.winning_votes == 3
     assert not result.tie_broken
@@ -319,7 +352,7 @@ def test_mv_strict_majority():
 
 
 def test_mv_tie_resolved_by_confidence():
-    result = mv_fuse(FIG_A, TB_HC)
+    result = mv_fuse(FIG_A)
     assert result.text == "AIQ1056"
     assert result.winning_votes == 2
     assert result.tie_broken
@@ -333,7 +366,7 @@ def test_mv_two_votes_beat_singletons():
         "CR-NET": P("HLP4594", 0.85),
         "RARE": P("HLPA59A", 0.93),
     }
-    result = mv_fuse(preds, TB_HC)
+    result = mv_fuse(preds)
     assert result.text == "HLP4594"
     assert result.winning_votes == 2
     assert not result.tie_broken
@@ -342,7 +375,7 @@ def test_mv_two_votes_beat_singletons():
 def test_mv_unanimity():
     preds = {m: P("XYZ999", c) for m, c in
              [("a", 0.1), ("b", 0.2), ("c", 0.3), ("d", 0.4), ("e", 0.5)]}
-    result = mv_fuse(preds, TB_HC)
+    result = mv_fuse(preds)
     assert result.text == "XYZ999"
     assert result.winning_votes == 5
 
@@ -357,7 +390,7 @@ def test_mv_best_model_tiebreak_considers_only_tied_predictors():
         "d": P("YYYY", 0.2),
         "e": P("ZZZZ", 0.99),
     }
-    result = mv_fuse(preds, tb_bm(("e", "b", "a", "c", "d")))
+    result = mv_fuse(preds, ("e", "b", "a", "c", "d"))
     assert result.text == "YYYY"
     assert result.tie_broken
 
@@ -372,7 +405,7 @@ def test_mvcp_per_position_tally():
         "CR-NET": P("AS518D", 0.83),
         "RARE": P("AS5I8D", 0.79),
     }
-    result = mvcp_fuse(preds, TB_HC)
+    result = mvcp_fuse(preds)
     assert result.text == "AS518D"
     # Brute-force per-position histogram oracle.
     from collections import Counter
@@ -393,43 +426,43 @@ def test_mvcp_majority_column():
         "CR-NET": P("KRH7E95", 0.73),
         "RARE": P("KRM7E95", 0.60),
     }
-    assert mvcp_fuse(preds, TB_HC).text == "KRM7E95"
+    assert mvcp_fuse(preds).text == "KRM7E95"
 
 
 def test_mvcp_length_majority():
     preds = {"a": P("ABC12", 0.9), "b": P("ABC123", 0.8), "c": P("ABC123", 0.7)}
-    result = mvcp_fuse(preds, TB_HC)
+    result = mvcp_fuse(preds)
     assert result.text == "ABC123"
     assert not result.tie_broken
 
 
 def test_mvcp_unanimity():
     preds = {m: P("AB1", 0.5) for m in "abcde"}
-    assert mvcp_fuse(preds, TB_HC).text == "AB1"
+    assert mvcp_fuse(preds).text == "AB1"
 
 
 def test_mvcp_short_predictions_skip_late_positions():
     preds = {"a": P("AB", 0.9), "b": P("ABC", 0.1), "c": P("ABC", 0.2)}
-    result = mvcp_fuse(preds, TB_HC)
+    result = mvcp_fuse(preds)
     assert result.text == "ABC"
 
 
 def test_mvcp_length_tie_uses_tiebreak():
     preds = {"x": P("AB", 0.5), "y": P("ABCD", 0.9)}
-    assert mvcp_fuse(preds, TB_HC).text == "ABCD"  # y is more confident
-    assert mvcp_fuse(preds, tb_bm(("x", "y"))).text == "AB"
-    assert mvcp_fuse(preds, TB_HC).tie_broken
+    assert mvcp_fuse(preds).text == "ABCD"  # y is more confident
+    assert mvcp_fuse(preds, ("x", "y")).text == "AB"
+    assert mvcp_fuse(preds).tie_broken
 
 
 def test_mvcp_positional_tie_uses_sequence_confidence():
     preds = {"a": P("AX", 0.9), "b": P("AY", 0.8), "c": P("AZ", 0.7)}
-    assert mvcp_fuse(preds, TB_HC).text == "AX"
-    assert mvcp_fuse(preds, tb_bm(("c", "b", "a"))).text == "AZ"
+    assert mvcp_fuse(preds).text == "AX"
+    assert mvcp_fuse(preds, ("c", "b", "a")).text == "AZ"
 
 
 def test_mvcp_empty_ensemble():
     with pytest.raises(errors.EmptyEnsemble):
-        mvcp_fuse({}, TB_HC)
+        mvcp_fuse({})
 
 
 # --- provenance against the brute-force oracles ------------------------------------
@@ -465,7 +498,7 @@ def test_tie_flags_and_contributors_match_oracles():
             sum(p.confidence == top_conf for p in predictions.values()) > 1)
         assert hc.contributors == {
             m for m, p in predictions.items() if p.text == hc.text}
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             mv = mv_fuse(predictions, tiebreak)
             tied_texts, top_votes = oracle_mv(predictions)
             assert mv.text == resolve_mv(predictions, tiebreak)
@@ -513,32 +546,33 @@ def test_an_untied_vote_ignores_its_tiebreak_and_a_strict_mv_majority_is_mvcp(
     # the independent resolvers: a vote that needed no tie-break gives the
     # same text under any tie-break, and a strict mv majority is the mvcp text.
     ranking = tuple(data.draw(st.permutations(sorted(predictions))))
-    tiebreaks = (TB_HC, tb_bm(ranking))
-    resolvers = {StrategyKind.MV: resolve_mv, StrategyKind.MVCP: resolve_mvcp}
+    # Each vote under either tie-break: confidence (-hc) or the ranking (-bm).
+    strategies = {kind: (FusionStrategy(f"{kind}-hc"),
+                         FusionStrategy(f"{kind}-bm", ranking))
+                  for kind in ("mv", "mvcp")}
+    resolvers = {"mv": resolve_mv, "mvcp": resolve_mvcp}
     # Rule 1: a vote that needed no tie-break gives its text under either.
     for kind, resolve in resolvers.items():
-        for tiebreak in tiebreaks:
-            result = apply_strategy(predictions, FusionStrategy(kind, tiebreak))
-            assert result.text == resolve(predictions, tiebreak)
+        for strategy in strategies[kind]:
+            result = apply_strategy(predictions, strategy)
+            assert result.text == resolve(predictions, strategy.ranking)
             if not result.tie_broken:
-                for other in tiebreaks:
-                    assert apply_strategy(
-                        predictions, FusionStrategy(kind, other)).text == result.text
-                    assert resolve(predictions, other) == result.text
+                for other in strategies[kind]:
+                    assert apply_strategy(predictions, other).text == result.text
+                    assert resolve(predictions, other.ranking) == result.text
     # The same holds for hc with and without a ranking.
-    hc = apply_strategy(predictions, FusionStrategy(StrategyKind.HC))
+    hc = apply_strategy(predictions, FusionStrategy("hc"))
     if not hc.tie_broken:
         assert hc_fuse(predictions, ranking).text == hc.text
         assert resolve_hc(predictions, ranking) == hc.text
     # Rule 2: a strict mv majority is the mvcp text, with no tie-break.
-    for tiebreak in tiebreaks:
-        mv = apply_strategy(predictions, FusionStrategy(StrategyKind.MV, tiebreak))
+    for strategy in strategies["mv"]:
+        mv = apply_strategy(predictions, strategy)
         if 2 * mv.winning_votes > len(predictions):
-            for other in tiebreaks:
-                mvcp = apply_strategy(
-                    predictions, FusionStrategy(StrategyKind.MVCP, other))
+            for other in strategies["mvcp"]:
+                mvcp = apply_strategy(predictions, other)
                 assert mvcp.text == mv.text and not mvcp.tie_broken
-                assert resolve_mvcp(predictions, other) == mv.text
+                assert resolve_mvcp(predictions, other.ranking) == mv.text
 
 
 @given(predictions=TIE_RICH_ENSEMBLES)
@@ -548,8 +582,8 @@ def test_hc_without_a_ranking_settles_confidence_ties_by_model_id(predictions):
     # tie must go to the smallest model id, not to the first one inserted:
     # in hc without a ranking and among the voters of the -hc tie-break.
     assert hc_fuse(predictions, None).text == resolve_hc(predictions, sorted(predictions))
-    assert mv_fuse(predictions, TB_HC).text == resolve_mv(predictions, TB_HC)
-    assert mvcp_fuse(predictions, TB_HC).text == resolve_mvcp(predictions, TB_HC)
+    assert mv_fuse(predictions).text == resolve_mv(predictions, None)
+    assert mvcp_fuse(predictions).text == resolve_mvcp(predictions, None)
 
 
 # --- kernel implementation ----------------------------------------------------------
@@ -573,7 +607,7 @@ def test_apply_strategy_dispatches_all_five():
         "mvcp-hc": "AIQ1056",
     }
     for name, expected in by_name.items():
-        strategy = parse_strategy(name, TOP5_RANKING)
+        strategy = FusionStrategy(name, TOP5_RANKING)
         assert apply_strategy(FIG_A, strategy).text == expected, name
 
 
@@ -585,19 +619,18 @@ TIE_RICH_RANKING = ("c", "a", "d", "b")
 
 
 @pytest.mark.parametrize("strategy,expected", [
-    pytest.param(parse_strategy("hc", TIE_RICH_RANKING), ["c", "a", "d", "b"],
+    pytest.param(FusionStrategy("hc", TIE_RICH_RANKING), ["c", "a", "d", "b"],
                  id="hc"),
-    pytest.param(parse_strategy("mv-bm", TIE_RICH_RANKING), ["c", "a", "d", "b"],
+    pytest.param(FusionStrategy("mv-bm", TIE_RICH_RANKING), ["c", "a", "d", "b"],
                  id="mv-bm"),
-    pytest.param(parse_strategy("mvcp-bm", TIE_RICH_RANKING),
+    pytest.param(FusionStrategy("mvcp-bm", TIE_RICH_RANKING),
                  ["c", "a", "d", "b"], id="mvcp-bm"),
-    pytest.param(parse_strategy("mv-hc", TIE_RICH_RANKING), ["b", "d", "a", "c"],
+    pytest.param(FusionStrategy("mv-hc", TIE_RICH_RANKING), ["b", "d", "a", "c"],
                  id="mv-hc"),
-    pytest.param(parse_strategy("mvcp-hc", TIE_RICH_RANKING),
+    pytest.param(FusionStrategy("mvcp-hc", TIE_RICH_RANKING),
                  ["b", "d", "a", "c"], id="mvcp-hc"),
-    pytest.param(parse_strategy("hc"), ["a", "b", "c", "d"], id="hc-no-ranking"),
-    pytest.param(FusionStrategy(StrategyKind.HC, TB_HC), ["a", "b", "c", "d"],
-                 id="hc-highest-confidence"),
+    pytest.param(FusionStrategy("hc"), ["a", "b", "c", "d"], id="hc-no-ranking"),
+    pytest.param(FusionStrategy("mv-hc"), ["b", "d", "a", "c"], id="mv-hc-no-ranking"),
 ])
 def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(strategy, expected):
     ids, texts, confs = core._prepare(TIE_RICH, strategy.order)
@@ -619,7 +652,7 @@ def test_normalize_off_is_identity():
 
 def test_normalize_scales_by_model_mean():
     samples = [_sample(0, {"m": P("A", 0.5)}), _sample(1, {"m": P("B", 1.0)})]
-    out = normalize_confidences(samples, "per_model_mean_scaling")
+    out = normalize_confidences(samples, "per-model-mean")
     # Reference computation: mean 0.75; 0.5/0.75 = 2/3; 1.0/0.75 clamps to 1.
     mean = (0.5 + 1.0) / 2
     assert out[0].predictions["m"].confidence == pytest.approx(0.5 / mean)
@@ -643,7 +676,7 @@ def test_normalize_equal_means_preserves_mv_hc():
         _sample(i, {"m1": P(m1_text[i], m1_conf[i]), "m2": P(m2_text[i], m2_conf[i])})
         for i in range(6)
     ]
-    scaled = normalize_confidences(samples, "per_model_mean_scaling")
+    scaled = normalize_confidences(samples, "per-model-mean")
     for before, after in zip(samples, scaled):
-        assert mv_fuse(before.predictions, TB_HC).text == \
-            mv_fuse(after.predictions, TB_HC).text
+        assert mv_fuse(before.predictions).text == \
+            mv_fuse(after.predictions).text

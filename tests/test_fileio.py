@@ -13,13 +13,13 @@ from conftest import SHOWCASE_PATH
 from platefuse import (
     DatasetReport,
     ErrorModel,
+    FusionStrategy,
     ModelProfile,
     Prediction,
     Sample,
     SynthConfig,
     errors,
     generate,
-    parse_strategy,
     rank_models,
     sweep_top_n,
 )
@@ -991,7 +991,7 @@ def test_a_dataset_table_left_aligns_only_the_dataset():
 def test_render_sweep_formats(stock_profiles, showcase_samples):
     top5 = [p for p in stock_profiles if p.accuracy_rank <= 5]
     ranking = rank_models(top5, "accuracy")
-    strategies = [parse_strategy(n, ranking) for n in ("mv-hc", "mv-bm")]
+    strategies = [FusionStrategy(n, ranking) for n in ("mv-hc", "mv-bm")]
     report = sweep_top_n(showcase_samples, top5, strategies, "accuracy")
     csv_text = fileio.render_report(report, "delimited")
     header = csv_text.splitlines()[0]
@@ -1012,7 +1012,7 @@ def test_render_rejects_a_cell_that_would_split(name, fmt):
     # parse the report back.
     sample = Sample("s1", "d", "AB", {name: Prediction("AB", 0.5)})
     sweep = sweep_top_n([sample], [ModelProfile(name, 2.0, 1)],
-                        [parse_strategy("hc")], "accuracy")
+                        [FusionStrategy("hc")], "accuracy")
     message = rf"^report cell {re.escape(repr(name))} holds a comma or line break$"
     for report in ([DatasetReport(name, 2, 1)], sweep):
         with pytest.raises(errors.InvalidConfig, match=message):
@@ -1022,7 +1022,7 @@ def test_render_rejects_a_cell_that_would_split(name, fmt):
 def test_render_rejects_unknown_format(stock_profiles, showcase_samples):
     top2 = [p for p in stock_profiles if p.accuracy_rank <= 2]
     sweep = sweep_top_n(showcase_samples, top2,
-                        [parse_strategy("mv-hc", rank_models(top2, "accuracy"))],
+                        [FusionStrategy("mv-hc", rank_models(top2, "accuracy"))],
                         "accuracy")
     # render_report checks the format before it reads the report.
     for report in ([DatasetReport("d", 1, 1)], sweep, [], None):

@@ -11,13 +11,13 @@ from conftest import P
 from oracles import reference_recognition_rate
 from platefuse import (
     DatasetReport,
+    FusionStrategy,
     ModelProfile,
     Sample,
     apply_strategy,
     ensemble_latency,
     errors,
     macro_average,
-    parse_strategy,
     per_model_accuracy,
     rank_models,
     recognition_rate,
@@ -172,7 +172,7 @@ def test_sweep_rejects_duplicate_model_ids():
     samples = [Sample(f"s{i}", "lab", "X", {"a": P("X", 0.5), "b": P("Y", 0.8)})
                for i in range(3)]
     with pytest.raises(errors.DuplicateModelId, match="'a'"):
-        sweep_top_n(samples, profiles, [parse_strategy("mv-hc")], "accuracy")
+        sweep_top_n(samples, profiles, [FusionStrategy("mv-hc")], "accuracy")
 
 
 def test_rank_models_missing_rank():
@@ -249,7 +249,7 @@ PLANTED_EXPECTED = {
 def test_sweep_planted_votes():
     samples, profiles = _planted_corpus()
     ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, ranking) for name in PLANTED_EXPECTED]
+    strategies = [FusionStrategy(name, ranking) for name in PLANTED_EXPECTED]
     report = sweep_top_n(samples, profiles, strategies, "accuracy")
     assert [row.n for row in report.rows] == [1, 2, 3]
     assert [row.added_model for row in report.rows] == ["m1", "m2", "m3"]
@@ -263,7 +263,7 @@ def test_sweep_planted_votes():
 def test_sweep_singleton_rates_match_across_strategies():
     samples, profiles = _planted_corpus()
     ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(n, ranking) for n in PLANTED_EXPECTED]
+    strategies = [FusionStrategy(n, ranking) for n in PLANTED_EXPECTED]
     report = sweep_top_n(samples, profiles, strategies, "accuracy")
     first = report.rows[0].per_strategy_rate
     assert len(set(first.values())) == 1
@@ -272,7 +272,7 @@ def test_sweep_singleton_rates_match_across_strategies():
 def test_sweep_monotone_bookkeeping(stock_profiles, showcase_samples):
     # Showcase corpus has the top-5 models only.
     top5 = [p for p in stock_profiles if p.accuracy_rank <= 5]
-    strategies = [parse_strategy("mv-hc")]
+    strategies = [FusionStrategy("mv-hc")]
     report = sweep_top_n(showcase_samples, top5, strategies, "accuracy")
     latencies = [row.cumulative_latency_ms for row in report.rows]
     fps = [row.fps for row in report.rows]
@@ -286,7 +286,7 @@ def test_sweep_full_ensemble_row_matches_direct_eval(stock_profiles,
     # cases a, c, e, f, g of the eight.
     top5 = [p for p in stock_profiles if p.accuracy_rank <= 5]
     report = sweep_top_n(showcase_samples, top5,
-                         [parse_strategy("mv-hc")], "accuracy")
+                         [FusionStrategy("mv-hc")], "accuracy")
     assert report.rows[-1].n == 5
     assert report.rows[-1].per_strategy_rate["mv-hc"] == pytest.approx(5 / 8)
 
@@ -344,13 +344,12 @@ SWEEP_STRATEGY_LISTS = {
     "-reversed": STRATEGY_NAMES[::-1],
     "-mvcp-bm": ("mvcp-bm",),
     "-mvcp-hc+mv-bm": ("mvcp-hc", "mv-bm"),
-    "-repeated": ("mv-hc", "mvcp-bm", "mv-hc"),
     "-hc-by-id": ("mvcp-hc", "hc-by-id", "mv-bm"),
 }
 
 
 def _strategy(name, ranking):
-    return parse_strategy("hc") if name == "hc-by-id" else parse_strategy(name, ranking)
+    return FusionStrategy("hc") if name == "hc-by-id" else FusionStrategy(name, ranking)
 
 
 @pytest.mark.parametrize("mode,names", [
@@ -386,7 +385,7 @@ def test_sweep_counts_a_tied_first_sample_over_two_model_id_sets(mode, names):
     )]
     assert len({s.predictions.ids for s in samples}) == 2
     accuracy_ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, accuracy_ranking) for name in names]
+    strategies = [FusionStrategy(name, accuracy_ranking) for name in names]
     top2 = {m: first.predictions[m] for m in rank_models(profiles, mode)[:2]}
     assert all(apply_strategy(top2, strategy).tie_broken for strategy in strategies)
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
@@ -401,7 +400,7 @@ def test_sweep_picks_again_where_the_model_set_changes():
                       {**s.predictions, "a": P("AB", 1.0)}) if i % 2 else s
                for i, s in enumerate(samples)]
     ranking = rank_models(profiles, "accuracy")
-    strategies = [parse_strategy(name, ranking) for name in STRATEGY_NAMES]
+    strategies = [FusionStrategy(name, ranking) for name in STRATEGY_NAMES]
     for mode in ("accuracy", "speed"):
         _assert_rows_match_direct_evaluation(samples, profiles, strategies, mode)
     last = samples[-1]
@@ -412,8 +411,8 @@ def test_sweep_picks_again_where_the_model_set_changes():
 
 
 def test_sweep_applies_each_strategy_once_uncounted(monkeypatch):
-    # The block vote counts; apply_strategy runs once per sweep and distinct
-    # strategy, on the first sample, however often the model set changes.
+    # The block vote counts; apply_strategy runs once per sweep and strategy,
+    # on the first sample, however often the model set changes.
     samples, profiles = _tie_rich_corpus(np.random.default_rng(5), n_samples=20)
     samples = [Sample(s.sample_id, s.dataset, s.ground_truth,
                       {**s.predictions, f"x{i}": P("AB", 1.0)}) if i % 2 else s
@@ -423,9 +422,9 @@ def test_sweep_applies_each_strategy_once_uncounted(monkeypatch):
     monkeypatch.setattr(scoring, "apply_strategy",
                         lambda predictions, strategy: calls.append(strategy.name))
     ranking = rank_models(profiles, "accuracy")
-    strategies = [_strategy(name, ranking) for name in (*STRATEGY_NAMES, "hc", "hc-by-id")]
+    strategies = [FusionStrategy(name, ranking) for name in STRATEGY_NAMES]
     sweep_top_n(samples, profiles, strategies, "accuracy")
-    assert sorted(calls) == sorted([*STRATEGY_NAMES, "hc"])
+    assert sorted(calls) == sorted(STRATEGY_NAMES)
 
 
 # Texts the API accepts beyond an alphabet: a NUL, which must not be taken
@@ -477,7 +476,7 @@ def test_a_nul_character_votes_as_a_character_not_as_padding():
     profiles = [ModelProfile(f"m{j}", 1.0, j + 1) for j in range(3)]
     samples = [Sample("s0", "d", "A\x00", {
         "m0": P("A", 0.5), "m1": P("AB", 0.5), "m2": P("A\x00", 0.5)})]
-    strategies = [parse_strategy(name, rank_models(profiles, "accuracy"))
+    strategies = [FusionStrategy(name, rank_models(profiles, "accuracy"))
                   for name in STRATEGY_NAMES]
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, "accuracy")
     report = sweep_top_n(samples, profiles, strategies, "accuracy")
@@ -529,7 +528,7 @@ def test_a_text_longer_than_the_cell_cap_is_a_block_of_its_own(monkeypatch):
     monkeypatch.setattr(blockvote, "_BLOCK_CELLS", 64)
     assert 4 * 81 > blockvote._BLOCK_CELLS
     sizes = _block_sizes(monkeypatch)
-    strategies = [parse_strategy(name, rank_models(profiles, "accuracy"))
+    strategies = [FusionStrategy(name, rank_models(profiles, "accuracy"))
                   for name in STRATEGY_NAMES]
     _assert_rows_match_direct_evaluation(samples, profiles, strategies, "accuracy")
     # 4 rows (3 models and the truth) of at most 5 symbols: 3 samples fit.
@@ -544,9 +543,9 @@ def test_sweep_raises_the_first_sample_error_within_a_block():
     samples = [Sample("s0", "d", None, {"m1": P("AB", 0.5), "m2": P("AB", 0.5)}),
                Sample("s1", "d", "AB", {"m1": P("AB", 0.5)})]
     with pytest.raises(errors.MissingGroundTruth, match="'s0'"):
-        sweep_top_n(samples, profiles, [parse_strategy("mv-hc")], "accuracy")
+        sweep_top_n(samples, profiles, [FusionStrategy("mv-hc")], "accuracy")
     with pytest.raises(errors.MissingModelPrediction, match="'s1'.*'m2'"):
-        sweep_top_n(samples[::-1], profiles, [parse_strategy("mv-hc")], "accuracy")
+        sweep_top_n(samples[::-1], profiles, [FusionStrategy("mv-hc")], "accuracy")
 
 
 def test_sweep_rejects_an_incomplete_ranking_without_ties():
@@ -560,8 +559,8 @@ def test_sweep_rejects_an_incomplete_ranking_without_ties():
                           {m: P("AB", 0.5) for m in models}) for i in range(3)]
         profiles = [ModelProfile(m, 1.0, rank)
                     for rank, m in enumerate(models, 1)]
-        strategies = [parse_strategy("mv-hc"),
-                      parse_strategy("mv-bm", bm_ranking)]
+        strategies = [FusionStrategy("mv-hc"),
+                      FusionStrategy("mv-bm", bm_ranking)]
         with pytest.raises(errors.IncompleteRanking, match="'m3'"):
             sweep_top_n(samples, profiles, strategies, "accuracy")
 
@@ -569,14 +568,32 @@ def test_sweep_rejects_an_incomplete_ranking_without_ties():
 def test_sweep_without_samples_is_empty_input_before_the_ranking_check():
     profiles = [ModelProfile("m1", 1.0, 1), ModelProfile("m2", 1.0, 2)]
     with pytest.raises(errors.EmptyInput):
-        sweep_top_n([], profiles, [parse_strategy("mv-bm", ("m2",))],
+        sweep_top_n([], profiles, [FusionStrategy("mv-bm", ("m2",))],
                     "accuracy")
 
 
 def test_sweep_missing_model_prediction(stock_profiles, showcase_samples):
     with pytest.raises(errors.MissingModelPrediction):
         sweep_top_n(showcase_samples, stock_profiles,
-                    [parse_strategy("mv-hc")], "accuracy")
+                    [FusionStrategy("mv-hc")], "accuracy")
+
+
+def test_sweep_rejects_strategies_that_share_a_name():
+    # Each name heads a report column, so a second strategy of one name
+    # would replace the first one's rates, however their rankings differ.
+    profiles = [ModelProfile(m, 1.0, rank) for rank, m in enumerate("abc", 1)]
+    samples = [Sample(f"s{i}", "d", "AB", {"a": P("AB", 0.5), "b": P("XY", 0.5),
+                                           "c": P("CD", 0.5)}) for i in range(2)]
+    for strategies in [
+        [FusionStrategy("mv-bm", ("a", "b", "c")),
+         FusionStrategy("mv-bm", ("b", "a", "c"))],
+        [FusionStrategy("hc"), FusionStrategy("hc", ("a", "b", "c"))],
+        [FusionStrategy("mv-hc"), FusionStrategy("mvcp-bm", ("a", "b", "c")),
+         FusionStrategy("mv-hc")],
+    ]:
+        name = strategies[-1].name
+        with pytest.raises(errors.InvalidConfig, match=rf"^strategy '{name}' given twice$"):
+            sweep_top_n(samples, profiles, strategies, "accuracy")
 
 
 def test_sweep_requires_strategies(stock_profiles, showcase_samples):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import P, TB_HC, random_ensemble, tb_bm
+from conftest import P, random_ensemble
 from oracles import (
     mvcp_accuracy_estimate,
     oracle_mv,
@@ -18,6 +18,7 @@ from oracles import (
 )
 from platefuse import (
     ErrorModel,
+    FusionStrategy,
     SynthConfig,
     apply_strategy,
     errors,
@@ -25,7 +26,6 @@ from platefuse import (
     generate,
     mv_fuse,
     mvcp_fuse,
-    parse_strategy,
     synth,
 )
 
@@ -113,7 +113,7 @@ def test_zero_noise_reproduces_ground_truth():
         for p in s.predictions.values():
             assert p.text == s.ground_truth
         for name in ("hc", "mv-hc", "mvcp-hc"):
-            strategy = parse_strategy(name, ("m00", "m01", "m02"))
+            strategy = FusionStrategy(name, ("m00", "m01", "m02"))
             assert apply_strategy(s.predictions, strategy).text == s.ground_truth
 
 
@@ -300,7 +300,7 @@ def test_estimator_matches_pipeline_at_small_scale():
                   per_char_sub_rate=0.25)
     samples = generate(cfg)
     acc = np.mean([
-        mvcp_fuse(s.predictions, TB_HC).text == s.ground_truth for s in samples
+        mvcp_fuse(s.predictions).text == s.ground_truth for s in samples
     ])
     est = mvcp_accuracy_estimate(cfg)
     assert abs(acc - est) < 0.03
@@ -357,7 +357,7 @@ def test_resolvers_agree_with_fusion_on_random_ensembles():
     rng = np.random.default_rng(987)
     for _ in range(500):
         predictions, ranking = random_ensemble(rng)
-        for tiebreak in (TB_HC, tb_bm(ranking)):
+        for tiebreak in (None, ranking):
             mv = mv_fuse(predictions, tiebreak)
             tied, votes = oracle_mv(predictions)
             assert mv.winning_votes == votes
