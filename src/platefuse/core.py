@@ -2,9 +2,10 @@
 
 An ensemble is one input's predictions, held as an :class:`Ensemble`: a
 read-only map ``model id -> Prediction`` kept as parallel tuples of ids,
-texts and confidences in model-id order. The fusion functions also accept
-any other such map, and convert it first. Three ways to combine an ensemble
-are provided:
+texts and confidences in model-id order. ``Ensemble(predictions)`` builds one
+from any such map, and a :class:`Sample` and the fusion functions convert any
+other map they are given the same way. Three ways to combine an ensemble are
+provided:
 
 * :func:`hc_fuse`    take the single most confident prediction;
 * :func:`mv_fuse`    plurality vote over whole sequences;
@@ -177,59 +178,62 @@ def check_confidence(value) -> float:
     return c
 
 
+def _check_text(value, name: str) -> None:
+    """The one text rule, of a prediction and of a ground truth: a non-empty string."""
+    if not isinstance(value, str):
+        raise errors.InvalidConfig(f"{name} must be a string, got {value!r}")
+    if not value:
+        raise errors.EmptyAfterNormalization(f"{name} is empty")
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One model's output for one input: a normalized string plus confidence.
 
-    The confidence must pass :func:`check_confidence`; an integer is stored
-    as the equal float.
+    The text must be a non-empty string, and the confidence must pass
+    :func:`check_confidence`; an integer is stored as the equal float.
     """
 
     text: str
     confidence: float
 
     def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise errors.InvalidConfig(
-                f"prediction text must be a string, got {self.text!r}")
-        if not self.text:
-            raise errors.EmptyAfterNormalization("prediction text is empty")
+        _check_text(self.text, "prediction text")
         object.__setattr__(self, "confidence", check_confidence(self.confidence))
-
-
-def _tuple(value, name: str) -> tuple:
-    if isinstance(value, str) or not isinstance(value, Iterable):
-        raise errors.InvalidConfig(f"ensemble {name} must be a sequence, got {value!r}")
-    return tuple(value)
 
 
 class Ensemble(Mapping):
     """One input's predictions: a read-only map ``model id -> Prediction``.
 
-    It is held as three parallel tuples: ``ids`` strictly increasing, and
-    ``texts`` and ``confs`` in the same order. So every ensemble is in
-    model-id order once it is built, and looking a model up builds its
-    :class:`Prediction`. The constructor checks every id as
-    :func:`check_identifier` does and every text and confidence as
-    :class:`Prediction` does, and stores an integer confidence as the equal
-    float. An ensemble may be empty; fusing one raises ``EmptyEnsemble``.
+    ``Ensemble(predictions)`` takes any map ``model id -> Prediction``, empty
+    by default. Each id must pass :func:`check_identifier` and each value
+    must be a :class:`Prediction`, which has checked its own text and
+    confidence. The entries are held as three parallel tuples in model-id
+    order, ``ids``, ``texts`` and ``confs``, so an ensemble never depends on
+    the order of the map it was built from, and looking a model up builds
+    its :class:`Prediction`. An ensemble may be empty; fusing one raises
+    ``EmptyEnsemble``.
     """
 
     __slots__ = ("ids", "texts", "confs")
 
-    def __init__(self, ids: Iterable[str] = (), texts: Iterable[str] = (),
-                 confs: Iterable[float] = ()):
-        ids, texts, confs = (_tuple(ids, "ids"), _tuple(texts, "texts"),
-                             _tuple(confs, "confs"))
-        if not len(ids) == len(texts) == len(confs):
-            raise errors.InvalidConfig("ensemble ids, texts and confs differ in length")
-        for model_id in ids:
+    # __new__, not __init__: the checked entries are built by _trusted.
+    def __new__(cls, predictions: Mapping[str, Prediction] | None = None):
+        if predictions is None:
+            predictions = {}
+        elif not isinstance(predictions, Mapping):
+            raise errors.InvalidConfig(
+                f"predictions must map model ids to Predictions, got {predictions!r}")
+        ids, texts, confs = [], [], []
+        for model_id, p in predictions.items():
             check_identifier(model_id, "model id", errors.InvalidConfig)
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise errors.InvalidConfig("ensemble model ids must be strictly increasing")
-        confs = tuple(Prediction(t, c).confidence for t, c in zip(texts, confs))
-        for name, value in (("ids", ids), ("texts", texts), ("confs", confs)):
-            object.__setattr__(self, name, value)
+            if not isinstance(p, Prediction):
+                raise errors.InvalidConfig(
+                    f"prediction of model {model_id!r} must be a Prediction, got {p!r}")
+            ids.append(model_id)
+            texts.append(p.text)
+            confs.append(p.confidence)
+        return cls._trusted(tuple(ids), texts, confs)
 
     @classmethod
     def _trusted(cls, ids: tuple, texts: Iterable[str], confs: Iterable[float],
@@ -261,7 +265,7 @@ class Ensemble(Mapping):
 
     def __reduce__(self):
         # Pickle and copy would restore the slots through __setattr__.
-        return Ensemble, (self.ids, self.texts, self.confs)
+        return Ensemble, (dict(self.items()),)
 
     def __getitem__(self, model_id) -> Prediction:
         try:
@@ -276,43 +280,20 @@ class Ensemble(Mapping):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other):
-        if isinstance(other, Ensemble):
-            return (self.ids == other.ids and self.texts == other.texts
-                    and self.confs == other.confs)
-        return super().__eq__(other)
-
     def __repr__(self) -> str:
         return f"Ensemble({dict(self.items())!r})"
-
-
-def _as_ensemble(predictions) -> Ensemble:
-    """``predictions``, an :class:`Ensemble` or a map ``model id -> Prediction``,
-    as an :class:`Ensemble`."""
-    if isinstance(predictions, Ensemble):
-        return predictions
-    if not isinstance(predictions, Mapping):
-        raise errors.InvalidConfig(
-            f"predictions must map model ids to Predictions, got {predictions!r}")
-    ids, texts, confs = [], [], []
-    for model_id, p in predictions.items():
-        check_identifier(model_id, "model id", errors.InvalidConfig)
-        if not isinstance(p, Prediction):
-            raise errors.InvalidConfig(
-                f"prediction of model {model_id!r} must be a Prediction, got {p!r}")
-        ids.append(model_id)
-        texts.append(p.text)
-        confs.append(p.confidence)
-    return Ensemble._trusted(tuple(ids), texts, confs)
 
 
 @dataclass(frozen=True)
 class Sample:
     """A single test instance and the predictions made for it.
 
-    ``ground_truth`` is optional; exact-match scoring requires it. Texts are
-    expected to be normalized already (loaders and the generator take care of
-    that). ``predictions`` is always an :class:`Ensemble`: any other map
+    ``sample_id`` must pass :func:`check_identifier` and ``dataset``
+    :func:`check_cell`, the rules the corpus loader applies to them.
+    ``ground_truth`` is None or a non-empty string, as a prediction's text
+    is; exact-match scoring requires it. Texts are
+    expected to be normalized already (loaders and the generator take care
+    of that). ``predictions`` is always an :class:`Ensemble`: any other map
     ``model id -> Prediction`` given is converted into one.
     """
 
@@ -323,15 +304,20 @@ class Sample:
 
     def __post_init__(self):
         check_identifier(self.sample_id, "sample_id", errors.InvalidConfig)
-        check_identifier(self.dataset, "dataset", errors.InvalidConfig)
-        object.__setattr__(self, "predictions", _as_ensemble(self.predictions))
+        check_cell(self.dataset, "dataset", errors.InvalidConfig)
+        if self.ground_truth is not None:
+            _check_text(self.ground_truth, "ground_truth")
+        if not isinstance(self.predictions, Ensemble):
+            object.__setattr__(self, "predictions", Ensemble(self.predictions))
 
 
 @dataclass(frozen=True)
 class ModelProfile:
     """A model's identity, accuracy-rank position (1 = best), and mean latency.
 
-    The latency must be a real in [0.001, 1e9] ms; an integer is stored as
+    The id must pass :func:`check_cell`, as the profiles loader requires, so
+    that every profile written loads and names one cell of a report. The
+    latency must be a real in [0.001, 1e9] ms; an integer is stored as
     the equal float, as in :class:`Prediction`. In that range any sum of
     latencies and its FPS are finite and render at display precision.
     """
@@ -341,7 +327,7 @@ class ModelProfile:
     accuracy_rank: int | None = None
 
     def __post_init__(self):
-        check_identifier(self.model_id, "model id", errors.InvalidConfig)
+        check_cell(self.model_id, "model id", errors.InvalidConfig)
         latency = _real(self.latency_ms, "latency_ms", errors.InvalidConfig)
         object.__setattr__(self, "latency_ms", latency)
         # NaN fails both comparisons.
@@ -461,7 +447,7 @@ def _prepare(predictions: Mapping[str, Prediction], order):
     keep the order before them and a ranking that misses several ids names
     the smallest of them.
     """
-    ensemble = _as_ensemble(predictions)
+    ensemble = predictions if isinstance(predictions, Ensemble) else Ensemble(predictions)
     ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
     if not ids:
         raise errors.EmptyEnsemble("no predictions to fuse")

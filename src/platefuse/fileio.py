@@ -414,17 +414,17 @@ def parse_profiles(text: str | Iterable[str], *,
         if model_id in ids:
             raise errors.DuplicateModelId(f"duplicate model id {model_id!r}")
         ids.add(model_id)
-        rank = record.get("accuracy_rank")
+        try:
+            profile = ModelProfile(model_id, record.get("latency_ms"),
+                                   record.get("accuracy_rank"))
+        except errors.InvalidConfig as exc:
+            raise errors.ParseError(str(exc)) from None
+        rank = profile.accuracy_rank
         if rank is not None:
-            if isinstance(rank, bool) or not isinstance(rank, int):
-                raise errors.ParseError("accuracy_rank must be an integer")
             if rank in ranks:
                 raise errors.DuplicateRank(f"rank {rank} already used by {ranks[rank]!r}")
             ranks[rank] = model_id
-        try:
-            return ModelProfile(model_id, record.get("latency_ms"), rank)
-        except errors.InvalidConfig as exc:
-            raise errors.ParseError(str(exc)) from None
+        return profile
     return list(_parse_records(text, "profile", profile, tolerate))
 
 
@@ -627,8 +627,9 @@ def render_report(report, fmt: str = FORMAT_DELIMITED) -> str:
         if not reports or not all(isinstance(r, DatasetReport) for r in reports):
             raise errors.EmptyInput("nothing to render")
         header, rows = _dataset_cells(reports, fmt)
-    # A dataset or model id built through the API may hold what the loaders
-    # reject: it would split its cell or row, and no reader could parse it.
+    # A report built directly, not by scoring, may hold a dataset or model
+    # id that the loaders reject: it would split its cell or row, and no
+    # reader could parse it.
     for row in (header, *rows):
         for cell in row:
             if "," in cell or "\r" in cell or "\n" in cell:

@@ -59,7 +59,6 @@ class SweepRow:
 class SweepReport:
     """Accuracy and latency bookkeeping for ensembles of size 1..K."""
 
-    ranking_mode: str
     strategies: tuple[str, ...]
     rows: tuple[SweepRow, ...]
 
@@ -254,11 +253,7 @@ def sweep_top_n(samples: Iterable[Sample],
             per_strategy_rate=rates,
             cumulative_latency_ms=latency,
         ))
-    return SweepReport(
-        ranking_mode=ranking_mode,
-        strategies=tuple(names),
-        rows=tuple(rows),
-    )
+    return SweepReport(strategies=tuple(names), rows=tuple(rows))
 
 
 def per_model_accuracy(samples: Sequence[Sample]) -> dict[str, float]:

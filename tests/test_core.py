@@ -171,32 +171,53 @@ def test_sample_requires_identifiers():
         ModelProfile([1], 2.0)
 
 
+@pytest.mark.parametrize("truth, error, message", [
+    (5, errors.InvalidConfig, r"^{} must be a string, got 5$"),
+    (["AB"], errors.InvalidConfig, r"^{} must be a string, got \['AB'\]$"),
+    ("", errors.EmptyAfterNormalization, r"^{} is empty$"),
+], ids=["int", "list", "empty"])
+def test_a_ground_truth_is_checked_as_a_prediction_text_is(truth, error, message):
+    # Scoring would die on 5 or ["AB"] and count "" as never matched, and the
+    # corpus loader rejects all three.
+    with pytest.raises(error, match=message.format("ground_truth")):
+        Sample("s", "d", truth, {"m": P("AB", 0.5)})
+    with pytest.raises(error, match=message.format("prediction text")):
+        Prediction(truth, 0.5)
+    for valid in (None, "AB"):
+        assert Sample("s", "d", valid, {"m": P("AB", 0.5)}).ground_truth == valid
+
+
 def test_ensemble_checks_its_fields():
-    ensemble = Ensemble(["a", "b"], ["X", "Y"], [1, 0.5])
+    ensemble = Ensemble({"b": P("Y", 0.5), "a": P("X", 1)})
+    assert ensemble.ids == ("a", "b") and ensemble.texts == ("X", "Y")
     assert ensemble.confs == (1.0, 0.5) and type(ensemble.confs[0]) is float
     assert ensemble == {"b": P("Y", 0.5), "a": P("X", 1.0)}
-    for other in (Ensemble(["a", "b"], ["X", "Y"], [1, 0.25]),
-                  Ensemble(["a", "b"], ["X", "Z"], [1, 0.5]),
-                  Ensemble(["a", "c"], ["X", "Y"], [1, 0.5])):
+    assert ensemble == Ensemble(ensemble) == Ensemble(predictions=dict(ensemble))
+    for other in (Ensemble({"a": P("X", 1), "b": P("Y", 0.25)}),
+                  Ensemble({"a": P("X", 1), "b": P("Z", 0.5)}),
+                  Ensemble({"a": P("X", 1), "c": P("Y", 0.5)}),
+                  {"a": P("X", 1)}, [("a", P("X", 1)), ("b", P("Y", 0.5))]):
         assert ensemble != other
-    for fields, error, message in [
-        ((["b", "a"], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
-         "model ids must be strictly increasing"),
-        ((["a", "a"], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
-         "model ids must be strictly increasing"),
-        ((["a"], ["X", "Y"], [0.1]), errors.InvalidConfig, "differ in length"),
-        (("ab", "XY", [0.1, 0.2]), errors.InvalidConfig, "ids must be a sequence"),
-        ((["a", ""], ["X", "Y"], [0.1, 0.2]), errors.InvalidConfig,
-         "model id must be a non-empty string"),
-        ((["a"], [""], [0.1]), errors.EmptyAfterNormalization, "text is empty"),
-        ((["a"], ["X"], [1.5]), errors.InvalidConfidence, "outside"),
+    assert Ensemble({"a": P("X", -0.0)}) == Ensemble({"a": P("X", 0.0)})
+    assert Ensemble() == Ensemble(None) == Ensemble({}) == {}
+    assert Ensemble().ids == Ensemble().texts == Ensemble().confs == ()
+    for predictions, message in [
+        ({"a": P("X", 0.1), "": P("Y", 0.2)}, r"^model id must be a non-empty string$"),
+        ({5: P("X", 0.1)}, r"^model id must be a non-empty string$"),
+        ({"a\ud800": P("X", 0.1)}, r"^model id 'a\\ud800' is not encodable as UTF-8$"),
+        ({"m": ("A", 0.5)},
+         r"^prediction of model 'm' must be a Prediction, got \('A', 0\.5\)$"),
+        ([("a", P("X", 0.1))], r"^predictions must map model ids to Predictions, got \["),
+        ("ab", r"^predictions must map model ids to Predictions, got 'ab'$"),
     ]:
-        with pytest.raises(error, match=message):
-            Ensemble(*fields)
-    with pytest.raises(errors.InvalidConfig, match="must be a Prediction"):
-        Sample("s", "d", None, {"m": ("A", 0.5)})
+        with pytest.raises(errors.InvalidConfig, match=message):
+            Ensemble(predictions)
+        with pytest.raises(errors.InvalidConfig, match=message):
+            Sample("s", "d", None, predictions)
     with pytest.raises(AttributeError):
         ensemble.ids = ("c",)
+    with pytest.raises(AttributeError):
+        del ensemble.texts
     with pytest.raises(errors.EmptyEnsemble):
         hc_fuse(Ensemble(), None)
 

@@ -17,6 +17,8 @@ from platefuse import (
     ModelProfile,
     Prediction,
     Sample,
+    SweepReport,
+    SweepRow,
     SynthConfig,
     errors,
     generate,
@@ -361,6 +363,17 @@ def test_profile_bad_latency_names_line(tmp_path):
     path.write_text('{"id":"a","latency_ms":1.0}\n{"id":"b","latency_ms":true}\n')
     with pytest.raises(errors.ParseError,
                        match=r"^line 2: latency_ms True is not a number$"):
+        fileio.load_profiles(path)
+
+
+@pytest.mark.parametrize("rank", ["[1]", "true", "1.5", "0", "-3", '"2"'])
+def test_profiles_loader_checks_a_rank_as_model_profile_does(tmp_path, rank):
+    with pytest.raises(errors.InvalidConfig) as built:
+        ModelProfile("b", 2.0, json.loads(rank))
+    path = tmp_path / "profiles.jsonl"
+    path.write_text('{"id":"a","accuracy_rank":1,"latency_ms":1.0}\n'
+                    f'{{"id":"b","accuracy_rank":{rank},"latency_ms":2.0}}\n')
+    with pytest.raises(errors.ParseError, match=f"^line 2: {re.escape(str(built.value))}$"):
         fileio.load_profiles(path)
 
 
@@ -1007,16 +1020,41 @@ def test_render_sweep_formats(stock_profiles, showcase_samples):
 @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
 @pytest.mark.parametrize("fmt", ["delimited", "table"])
 def test_render_rejects_a_cell_that_would_split(name, fmt):
-    # Built through the API, a dataset or model id may hold what the loaders
-    # reject; its cell would split in two, or its row, and no reader could
-    # parse the report back.
-    sample = Sample("s1", "d", "AB", {name: Prediction("AB", 0.5)})
-    sweep = sweep_top_n([sample], [ModelProfile(name, 2.0, 1)],
-                        [FusionStrategy("hc")], "accuracy")
+    # A report built directly may hold a dataset or model id that Sample,
+    # ModelProfile and the loaders reject; its cell would split in two, or
+    # its row, and no reader could parse the report back.
+    sweep = SweepReport(("hc",), (SweepRow(1, name, {"hc": 1.0}, 2.0),))
     message = rf"^report cell {re.escape(repr(name))} holds a comma or line break$"
     for report in ([DatasetReport(name, 2, 1)], sweep):
         with pytest.raises(errors.InvalidConfig, match=message):
             fileio.render_report(report, fmt)
+
+
+def _written(field, value):
+    """Records built with ``field`` set to ``value``, their dumper and loader."""
+    if field == "id":
+        return [ModelProfile(value, 2.0, 1)], fileio.dump_profiles, fileio.load_profiles
+    record = {"sample_id": "s1", "dataset": "d", "ground_truth": "AB",
+              "predictions": {"m": Prediction("AB", 0.5)}, field: value}
+    return [Sample(**record)], fileio.dump_predictions, fileio.load_predictions
+
+
+_IDS_WRITTEN = ["d", "gäte", "a b", "a,b", "a\nb", "a\rb", "", "a\ud800", 5]
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(field, value) for field in ("dataset", "id") for value in _IDS_WRITTEN],
+    *[("ground_truth", value) for value in ["AB", None, 5, "", ["AB"]]],
+])
+def test_a_value_is_rejected_when_built_or_loads_back_equal(tmp_path, field, value):
+    # A writer must not write what its own loader rejects.
+    try:
+        records, dump, load = _written(field, value)
+    except errors.PlatefuseError:
+        return
+    path = tmp_path / "written.jsonl"
+    dump(records, path)
+    assert list(load(path)) == records
 
 
 def test_render_rejects_unknown_format(stock_profiles, showcase_samples):

@@ -267,11 +267,13 @@ _COUNTS = st.integers(1, 4)
 _RATES = st.floats(0.0, 0.2)
 _PAIRS = st.lists(st.floats(0.0, 1.0) | NUMBERS, min_size=2, max_size=2)
 _TEXTS = st.text(alphabet="AB", min_size=1, max_size=4)
+_ENSEMBLES = st.dictionaries(_IDS, st.builds(Prediction, _TEXTS, st.floats(0.0, 1.0)),
+                             max_size=3)
 CONSTRUCTOR_FIELDS = {
     Prediction: dict(text=_field(_TEXTS), confidence=_field(NUMBERS)),
-    Ensemble: dict(ids=_field(st.lists(_IDS, unique=True, max_size=3).map(sorted)),
-                   texts=_field(st.lists(_TEXTS, max_size=3)),
-                   confs=_field(st.lists(st.floats(0.0, 1.0) | NUMBERS, max_size=3))),
+    Ensemble: dict(predictions=_field(_ENSEMBLES)),
+    Sample: dict(sample_id=_field(_IDS), dataset=_field(_IDS),
+                 ground_truth=_field(st.none() | _TEXTS), predictions=_field(_ENSEMBLES)),
     ModelProfile: dict(model_id=_field(_IDS), latency_ms=_field(NUMBERS),
                        accuracy_rank=_field(st.integers())),
     ErrorModel: dict(per_char_sub_rate=_field(_RATES), insertion_rate=_field(_RATES),
