@@ -129,7 +129,7 @@ class TopNVote:
                               ).reshape(rows, n + 1)
         codes = np.zeros((rows, n + 1, width), np.uint32)
         codes[np.arange(width) < lengths[..., None]] = np.frombuffer(
-            "".join(self._texts).encode("utf-32-le", "surrogatepass"), "<u4")
+            "".join(self._texts).encode("utf-32-le"), "<u4")
         codes = np.ascontiguousarray(codes.transpose(1, 0, 2))
         lengths = lengths.T
         truth, truth_len = codes[n], lengths[n]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 
 from . import errors, kernels
@@ -58,15 +58,21 @@ def check_alphabet(alphabet) -> str:
     if len(set(alphabet)) != len(alphabet):
         raise errors.InvalidConfig("alphabet symbols must be unique")
     for symbol in alphabet:
-        if "\ud800" <= symbol <= "\udfff":  # the code points UTF-8 cannot encode
-            raise errors.InvalidConfig(
-                f"alphabet symbol {symbol!r} is not encodable as UTF-8")
-        if symbol in _SEPARATORS:
-            raise errors.InvalidConfig(f"alphabet symbol {symbol!r} is a separator")
-        if symbol.upper() != symbol:
-            raise errors.InvalidConfig(
-                f"alphabet symbol {symbol!r} is not its own uppercase")
+        fault = _symbol_fault(symbol)
+        if fault:
+            raise errors.InvalidConfig(f"alphabet symbol {symbol!r} {fault}")
     return alphabet
+
+
+def _symbol_fault(symbol: str) -> str | None:
+    """Why no alphabet may hold the character ``symbol``, or None if one may."""
+    if "\ud800" <= symbol <= "\udfff":  # the code points UTF-8 cannot encode
+        return "is not encodable as UTF-8"
+    if symbol in _SEPARATORS:
+        return "is a separator"
+    if symbol.upper() != symbol:
+        return "is not its own uppercase"
+    return None
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,19 +185,30 @@ def check_confidence(value) -> float:
 
 
 def _check_text(value, name: str) -> None:
-    """The one text rule, of a prediction and of a ground truth: a non-empty string."""
+    """The one text rule, of a prediction and of a ground truth.
+
+    A text is a non-empty string of characters that some alphabet may hold
+    (see :func:`check_alphabet`), so that it loads back as written: the
+    loader would read ``"a-b"`` as ``"AB"``.
+    """
     if not isinstance(value, str):
         raise errors.InvalidConfig(f"{name} must be a string, got {value!r}")
     if not value:
         raise errors.EmptyAfterNormalization(f"{name} is empty")
+    for ch in value:
+        fault = _symbol_fault(ch)
+        if fault:
+            raise errors.InvalidConfig(f"{name} {value!r} holds {ch!r}, which {fault}")
 
 
 @dataclass(frozen=True)
 class Prediction:
     """One model's output for one input: a normalized string plus confidence.
 
-    The text must be a non-empty string, and the confidence must pass
-    :func:`check_confidence`; an integer is stored as the equal float.
+    The text must be a non-empty string of characters that some alphabet
+    may hold: each its own uppercase, none a separator or a lone surrogate.
+    The confidence must pass :func:`check_confidence`; an integer is stored
+    as the equal float.
     """
 
     text: str
@@ -290,11 +307,10 @@ class Sample:
 
     ``sample_id`` must pass :func:`check_identifier` and ``dataset``
     :func:`check_cell`, the rules the corpus loader applies to them.
-    ``ground_truth`` is None or a non-empty string, as a prediction's text
-    is; exact-match scoring requires it. Texts are
-    expected to be normalized already (loaders and the generator take care
-    of that). ``predictions`` is always an :class:`Ensemble`: any other map
-    ``model id -> Prediction`` given is converted into one.
+    ``ground_truth`` is None or a text that passes the rule a prediction's
+    text does; exact-match scoring requires it. ``predictions`` is always an
+    :class:`Ensemble`: any other map ``model id -> Prediction`` given is
+    converted into one.
     """
 
     sample_id: str
@@ -309,6 +325,16 @@ class Sample:
             _check_text(self.ground_truth, "ground_truth")
         if not isinstance(self.predictions, Ensemble):
             object.__setattr__(self, "predictions", Ensemble(self.predictions))
+
+    @classmethod
+    def _trusted(cls, sample_id: str, dataset: str, ground_truth: str | None,
+                 predictions: Ensemble) -> Sample:
+        """A sample of values that were checked already, without a check,
+        as :meth:`Ensemble._trusted` builds an ensemble."""
+        self = object.__new__(cls)
+        self.__dict__.update(sample_id=sample_id, dataset=dataset,
+                             ground_truth=ground_truth, predictions=predictions)
+        return self
 
 
 @dataclass(frozen=True)
@@ -557,6 +583,7 @@ def normalize_confidences(samples: Iterable[Sample],
         ids = s.predictions.ids
         scaled = [c if means[m] == 0.0 else min(1.0, c / means[m])
                   for m, c in zip(ids, s.predictions.confs)]
-        out.append(replace(s, predictions=Ensemble._trusted(
-            ids, s.predictions.texts, scaled, ids)))
+        out.append(Sample._trusted(s.sample_id, s.dataset, s.ground_truth,
+                                   Ensemble._trusted(ids, s.predictions.texts,
+                                                     scaled, ids)))
     return out

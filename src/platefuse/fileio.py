@@ -1,7 +1,11 @@
 """File formats and report rendering.
 
 Predictions, profiles, and fused outputs are line-delimited JSON (UTF-8, one
-record per line) so corpora stream and diff cleanly. Reports render either as
+record per line) so corpora stream and diff cleanly. Every line is what
+``json.dumps(record, separators=(",", ":"))`` writes. Profiles and fused
+records are encoded from dicts by ``json``'s encoder. A corpus line, the
+bulk of what ``simulate`` writes, is joined from strings by the functions
+that encoder calls (see :func:`dump_predictions`). Reports render either as
 comma-delimited text or as an aligned human-readable table; both apply the
 display rounding rules (rates to one decimal percent, latency to one decimal
 millisecond, FPS to a half-up integer) while all internal values stay
@@ -48,6 +52,8 @@ _ERROR_MODEL_KEYS = {f.name for f in fields(ErrorModel)}
 # new encoder for each record.
 _scan_json = json.JSONDecoder().scan_once
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+# What json's encoder writes for a string under ensure_ascii, the default.
+_quote = json.encoder.encode_basestring_ascii
 
 
 # --- shared parsing helpers --------------------------------------------------
@@ -320,10 +326,11 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     :func:`~platefuse.core.normalize_text`,
     :func:`~platefuse.core.check_confidence`), so the accepts and the
     messages are the rule's. A ground truth always goes through the rule.
-    Each sample's :class:`~platefuse.core.Ensemble` is built from the values
-    so checked, without a check of its own; a record whose model ids are out
-    of order is sorted, and samples with the same model ids as the sample
-    before share its ``ids`` tuple.
+    Each :class:`~platefuse.core.Sample` and its
+    :class:`~platefuse.core.Ensemble` are built from the values so checked,
+    without a check of their own; a record whose model ids are out of order
+    is sorted, and samples with the same model ids as the sample before
+    share its ``ids`` tuple.
     """
     check_alphabet(alphabet)
     tolerate = _Tolerance(strict)
@@ -369,7 +376,7 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
             predictions = Ensemble._trusted(tuple(raw_predictions), texts, confs,
                                             last_ids)
             last_ids = predictions.ids
-            return Sample(sample_id, dataset, ground_truth, predictions)
+            return Sample._trusted(sample_id, dataset, ground_truth, predictions)
     return _parse_records(text, "prediction", sample, tolerate, _sample_keys)
 
 
@@ -385,19 +392,36 @@ def load_predictions(path, *, strict: bool = True,
 
 
 def dump_predictions(samples: Iterable[Sample], path) -> None:
-    """Write samples as line-delimited JSON; inverse of :func:`load_predictions`."""
-    def records():
+    """Write samples as line-delimited JSON; inverse of :func:`load_predictions`.
+
+    Each line is the bytes ``json.dumps(record, separators=(",", ":"))``
+    writes for the record ``{"sample_id", "dataset", "ground_truth" (unless
+    None), "predictions": {model id: {"text", "confidence"}}}``, keys in that
+    order and model ids in the ensemble's order, but it is joined from
+    strings, not encoded from a dict. Every string goes through
+    ``encode_basestring_ascii`` and every confidence through
+    ``float.__repr__``, the functions ``json``'s encoder calls for them (an
+    :class:`~platefuse.core.Ensemble` holds only finite floats), between
+    the same separators. The part of a line that depends only on the model
+    ids, ``"<id>":{"text":`` before each text, is made once per distinct
+    ``ids`` tuple, which the samples of a generated or loaded corpus share.
+    """
+    def lines():
+        ids = None
         for s in samples:
-            record = {"sample_id": s.sample_id, "dataset": s.dataset}
-            if s.ground_truth is not None:
-                record["ground_truth"] = s.ground_truth
             e = s.predictions
-            record["predictions"] = {
-                m: {"text": t, "confidence": c}
-                for m, t, c in zip(e.ids, e.texts, e.confs)
-            }
-            yield record
-    _write_jsonl(path, records())
+            if e.ids is not ids:
+                ids = e.ids
+                keys = [("{" if i == 0 else "},") + _quote(m) + ':{"text":'
+                        for i, m in enumerate(ids)]
+                end = "}}}\n" if ids else "{}}\n"
+            line = '{"sample_id":' + _quote(s.sample_id) + ',"dataset":' + _quote(s.dataset)
+            if s.ground_truth is not None:
+                line += ',"ground_truth":' + _quote(s.ground_truth)
+            yield line + ',"predictions":' + "".join([
+                key + _quote(t) + ',"confidence":' + repr(c)
+                for key, t, c in zip(keys, e.texts, e.confs)]) + end
+    write_atomic(path, lines())
 
 
 # --- profiles ------------------------------------------------------------------

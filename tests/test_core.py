@@ -175,10 +175,17 @@ def test_sample_requires_identifiers():
     (5, errors.InvalidConfig, r"^{} must be a string, got 5$"),
     (["AB"], errors.InvalidConfig, r"^{} must be a string, got \['AB'\]$"),
     ("", errors.EmptyAfterNormalization, r"^{} is empty$"),
-], ids=["int", "list", "empty"])
+    ("ab", errors.InvalidConfig, r"^{} 'ab' holds 'a', which is not its own uppercase$"),
+    ("A-B", errors.InvalidConfig, r"^{} 'A-B' holds '-', which is a separator$"),
+    ("ß", errors.InvalidConfig, r"^{} 'ß' holds 'ß', which is not its own uppercase$"),
+    ("A\ud800", errors.InvalidConfig,
+     r"^{} 'A\\ud800' holds '\\ud800', which is not encodable as UTF-8$"),
+], ids=["int", "list", "empty", "lowercase", "separator", "sharp-s", "surrogate"])
 def test_a_ground_truth_is_checked_as_a_prediction_text_is(truth, error, message):
     # Scoring would die on 5 or ["AB"] and count "" as never matched, and the
-    # corpus loader rejects all three.
+    # corpus loader rejects all three. No alphabet holds 'a', '-', 'ß' or a lone
+    # surrogate, so a text with one would not load back as written: "ab" loads
+    # as "AB".
     with pytest.raises(error, match=message.format("ground_truth")):
         Sample("s", "d", truth, {"m": P("AB", 0.5)})
     with pytest.raises(error, match=message.format("prediction text")):

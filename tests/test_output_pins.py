@@ -10,11 +10,14 @@ levels shared between models (a spread of 0 gives exactly the mean; a mean of
 relation to model ids, and latencies that repeat, so the speed order falls
 back to model ids. In both sweep orders the hc, mv and mvcp votes each need
 a tie-break on many samples, and the two tie-breaks of each kind give
-different texts on some of them.
+different texts on some of them. The corpus bytes are pinned too, as
+`simulate` writes each dataset, and so are those of a corpus on a non-ASCII
+alphabet.
 """
 
 import hashlib
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -49,6 +52,9 @@ PINS = {
     "report-eval-table": "2924657d7b0d6cf3408e49df7f81db691d4565f33dfd5a8c9b4545ca6cbae380",
     "report-sweep-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",
     "report-sweep-table": "f570f308efd53af1a613b72d0a6efdf73201beb4ab73a158bf4c2fa5bb3cebc2",
+    "simulate-indel": "4f246a358bc1bcf42b317a062e7d6679a58a4e7c74f2090a710b14d28c6af4c0",
+    "simulate-plates3": "e7da39416e3b2efe417ec76c0eca38cf6879d82e9fa1f2a143396b4591923060",
+    "simulate-plates4": "65f4bd2ac321eda509ac3ac0e4b794a76640390eef8d53dc193182a260c22de0",
     "sweep-accuracy-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",
     "sweep-accuracy-table": "2e70653ee35f924b18dd59403eb7b3e7ce2000860f19cfc3abc109c360c18a45",
     "sweep-speed-delimited": "e1f6121f27c105227d84f5f876a17a03a56efe9f9f477f1eebb00dedd4a7f102",
@@ -56,21 +62,33 @@ PINS = {
 }
 
 
-def _corpus():
+def _configs():
+    """The generator config of each dataset of the corpus."""
     per_model = tuple(
         ErrorModel(per_char_sub_rate=sub, insertion_rate=0.1, deletion_rate=0.1,
                    confidence_when_correct=right, confidence_when_wrong=wrong,
                    overconfident=j in (3, 7))
         for j, (sub, right, wrong) in enumerate(MODELS)
     )
-    samples = []
-    for dataset, length, seed in (("plates3", 3, 11), ("plates4", 4, 12)):
-        config = SynthConfig(seed=seed, n_models=len(MODELS), n_samples=150,
-                             plate_length=length, alphabet=ALPHABET,
-                             per_model=per_model, dataset=dataset)
-        samples += [replace(s, sample_id=f"{dataset}-{s.sample_id}")
-                    for s in generate(config)]
-    return samples
+    return [SynthConfig(seed=seed, n_models=len(MODELS), n_samples=150,
+                        plate_length=length, alphabet=ALPHABET,
+                        per_model=per_model, dataset=dataset)
+            for dataset, length, seed in (("plates3", 3, 11), ("plates4", 4, 12))]
+
+
+def _corpus():
+    return [replace(s, sample_id=f"{config.dataset}-{s.sample_id}")
+            for config in _configs() for s in generate(config)]
+
+
+# CI's corpus with insertions, deletions, a non-ASCII alphabet and more than
+# two blocks of samples.
+INDEL_CONFIG = {
+    "seed": 5, "n_models": 3, "n_samples": 150, "plate_length": 5, "alphabet": "ÄÖ€ΩZ",
+    "per_model": [{"insertion_rate": 0.2, "deletion_rate": 0.2},
+                  {"per_char_sub_rate": 0.3, "deletion_rate": 0.1},
+                  {"insertion_rate": 0.1}],
+}
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +110,14 @@ def outputs(tmp_path_factory):
     commands["fuse-hc-without-profiles"] = ["fuse", *common, "--strategy", "hc"]
     commands["eval-mvcp-hc"] = ["eval", *common, "--strategy", "mvcp-hc"]
     commands["eval-mvcp-hc-table"] = [*commands["eval-mvcp-hc"], "--format", "table"]
+    # The corpus bytes: each dataset's, with confidences at exactly 1.0 and
+    # at levels shared between models, and CI's indel corpus.
+    configs = {f"simulate-{c.dataset}": asdict(c) for c in _configs()}
+    configs["simulate-indel"] = INDEL_CONFIG
+    for name, config in configs.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        commands[name] = ["simulate", "--config", str(path)]
     for rank in ("accuracy", "speed"):
         for fmt in ("delimited", "table"):
             commands[f"sweep-{rank}-{fmt}"] = [

@@ -215,6 +215,47 @@ def test_a_corpus_loads_the_ensembles_it_was_written_from(corpus_path, seeds,
     assert list(fileio.parse_predictions("\n".join(lines))) == samples
 
 
+# Characters json escapes (a quote, a backslash, control characters, U+2028,
+# and one outside the BMP, written as a surrogate pair) and any other that
+# UTF-8 can encode.
+_ESCAPED = (st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600')
+            | st.characters(exclude_categories=("Cs",)))
+_WRITTEN_IDS = st.text(_ESCAPED, min_size=1, max_size=5)
+_WRITTEN_DATASETS = _WRITTEN_IDS.filter(lambda d: not {",", "\r", "\n"} & set(d))
+# A text holds only characters that some alphabet may hold.
+_WRITTEN_TEXTS = st.text(_ESCAPED.filter(lambda ch: core._symbol_fault(ch) is None),
+                         min_size=1, max_size=5)
+_WRITTEN_CONFS = st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 0.1 + 0.2]) | st.floats(0.0, 1.0)
+_WRITTEN_ENSEMBLES = st.builds(Ensemble, st.dictionaries(
+    _WRITTEN_IDS, st.builds(Prediction, _WRITTEN_TEXTS, _WRITTEN_CONFS), max_size=4))
+
+
+def _record(sample: Sample) -> dict:
+    """The record of ``sample`` that a corpus line holds, as a dict."""
+    record = {"sample_id": sample.sample_id, "dataset": sample.dataset}
+    if sample.ground_truth is not None:
+        record["ground_truth"] = sample.ground_truth
+    e = sample.predictions
+    record["predictions"] = {m: {"text": t, "confidence": c}
+                             for m, t, c in zip(e.ids, e.texts, e.confs)}
+    return record
+
+
+@given(st.lists(_WRITTEN_ENSEMBLES, min_size=1, max_size=3),
+       st.lists(st.tuples(_WRITTEN_IDS, _WRITTEN_DATASETS, st.none() | _WRITTEN_TEXTS,
+                          st.integers(0, 2)), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_each_corpus_line_is_the_json_encoding_of_its_record(corpus_path, ensembles,
+                                                             rows):
+    # Samples that share an ensemble share its ids tuple, as the samples of a
+    # generated or loaded corpus do.
+    samples = [Sample(sample_id, dataset, truth, ensembles[i % len(ensembles)])
+               for sample_id, dataset, truth, i in rows]
+    fileio.dump_predictions(samples, corpus_path)
+    assert corpus_path.read_bytes().decode("ascii").split("\n") == [
+        *(json.dumps(_record(s), separators=(",", ":")) for s in samples), ""]
+
+
 @given(st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500)),
                 min_size=1, max_size=12))
 @settings(max_examples=200)
