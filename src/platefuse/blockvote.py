@@ -9,12 +9,14 @@ string is built.
 
 Every vote is the kernels' plurality round (see :mod:`platefuse.kernels`).
 A member's tie-break key is its place among the members in the strategy's
-tie-break order. After the first N members, a value's score is its vote
-count, then the smallest key among its voters, and the best score wins: a
-tie goes to the value whose earliest voter comes first. When member ``j``
-joins, only the score of the value it casts changes, and only upwards, so
-the winner either stays or becomes that value. So the vote of every N is
-one walk along the ranking, a numpy step per member for a whole block.
+ranking, or in model-id order where it has none: the order in which
+:func:`platefuse.core.apply_strategy` breaks ties. After the first N
+members, a value's score is its vote count, then the smallest key among its
+voters, and the best score wins: a tie goes to the value whose earliest
+voter comes first. When member ``j`` joins, only the score of the value it
+casts changes, and only upwards, so the winner either stays or becomes that
+value. So the vote of every N is one walk along the ranking, a numpy step
+per member for a whole block.
 
 A block is held until it reaches ``_BLOCK`` samples or ``_BLOCK_CELLS``
 cells (samples x (members + 1) x the longest text or truth), and voted when
@@ -25,6 +27,8 @@ a block of its own).
 from __future__ import annotations
 
 import numpy as np
+
+from . import errors
 
 # Samples voted at once: enough to spread numpy's per-call cost, few enough
 # to keep the working arrays small; long texts make smaller blocks.
@@ -66,21 +70,30 @@ class _Walk:
 class TopNVote:
     """Correct counts per (strategy, N, dataset) of a top-N sweep.
 
-    ``strategies`` gives, per strategy, ``(kind, most_confident_first,
-    keys)``: its :attr:`~platefuse.core.FusionStrategy.kind` (``"hc"``,
-    ``"mv"`` or ``"mvcp"``), the first item of its
-    :attr:`~platefuse.core.FusionStrategy.order`, and its tie-break keys,
-    each member's place among the members in the order's ranking (model-id
-    order when it has none). Members are given in ``--rank`` order. Where
-    confidence comes first (``most_confident_first``, and every ``hc``
-    strategy), the members are ordered by confidence, highest first, equal
+    ``strategies`` are :class:`~platefuse.core.FusionStrategy` values and
+    ``members`` the ranked model ids, in ``--rank`` order, as every sample's
+    texts and confidences are given. A strategy's tie-break keys are each
+    member's place among ``members`` in its ranking, or in model-id order
+    when it has none; a ranking that misses a member raises
+    ``IncompleteRanking`` naming the first such member. Where confidence
+    comes first (every ``hc`` strategy, and every strategy without a
+    ranking), the members are ordered by confidence, highest first, equal
     confidences by key.
     """
 
-    def __init__(self, strategies):
-        self._strategies = [(kind, confident, tuple(keys))
-                            for kind, confident, keys in strategies]
-        self._size = n = len(self._strategies[0][2])
+    def __init__(self, strategies, members):
+        self._strategies = []
+        for strategy in strategies:
+            confident = strategy.kind == "hc" or strategy.ranking is None
+            ranking = sorted(members) if strategy.ranking is None else strategy.ranking
+            for m in members:
+                if m not in ranking:
+                    raise errors.IncompleteRanking(
+                        f"model {m!r} is missing from the ranking")
+            ranked = [m for m in ranking if m in members]
+            keys = tuple(ranked.index(m) for m in members)
+            self._strategies.append((strategy.kind, confident, keys))
+        self._size = n = len(members)
         # A score (see _Walk) must hold n * (n + 1) + n.
         self._dtype = np.min_scalar_type(n * (n + 2))
         # Dataset -> (strategy, N) array of correct counts.
@@ -148,7 +161,7 @@ class TopNVote:
         rkeys = []
         for s, (kind, confident, keys) in enumerate(self._strategies):
             place = np.array(keys)[:, None]
-            if confident or kind == "hc":
+            if confident:
                 if keys not in by_confidence:
                     order = np.lexsort((np.broadcast_to(place, (n, rows)), -confs), 0)
                     by_confidence[keys] = order, order.argsort(0)

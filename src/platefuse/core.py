@@ -3,9 +3,9 @@
 An ensemble is one input's predictions, held as an :class:`Ensemble`: a
 read-only map ``model id -> Prediction`` kept as parallel tuples of ids,
 texts and confidences in model-id order. ``Ensemble(predictions)`` builds one
-from any such map, and a :class:`Sample` and the fusion functions convert any
-other map they are given the same way. Three ways to combine an ensemble are
-provided:
+from any such non-empty map, and a :class:`Sample` and the fusion functions
+convert any other map they are given the same way; an empty map raises
+``EmptyEnsemble``. Three ways to combine an ensemble are provided:
 
 * :func:`hc_fuse`    take the single most confident prediction;
 * :func:`mv_fuse`    plurality vote over whole sequences;
@@ -222,25 +222,25 @@ class Prediction:
 class Ensemble(Mapping):
     """One input's predictions: a read-only map ``model id -> Prediction``.
 
-    ``Ensemble(predictions)`` takes any map ``model id -> Prediction``, empty
-    by default. Each id must pass :func:`check_identifier` and each value
-    must be a :class:`Prediction`, which has checked its own text and
-    confidence. The entries are held as three parallel tuples in model-id
-    order, ``ids``, ``texts`` and ``confs``, so an ensemble never depends on
-    the order of the map it was built from, and looking a model up builds
-    its :class:`Prediction`. An ensemble may be empty; fusing one raises
-    ``EmptyEnsemble``.
+    ``Ensemble(predictions)`` takes any non-empty map ``model id ->
+    Prediction``; an empty one raises ``EmptyEnsemble``, as nothing could
+    fuse it or load it back. Each id must pass :func:`check_identifier` and
+    each value must be a :class:`Prediction`, which has checked its own text
+    and confidence. The entries are held as three parallel tuples in
+    model-id order, ``ids``, ``texts`` and ``confs``, so an ensemble never
+    depends on the order of the map it was built from, and looking a model
+    up builds its :class:`Prediction`.
     """
 
     __slots__ = ("ids", "texts", "confs")
 
     # __new__, not __init__: the checked entries are built by _trusted.
-    def __new__(cls, predictions: Mapping[str, Prediction] | None = None):
-        if predictions is None:
-            predictions = {}
-        elif not isinstance(predictions, Mapping):
+    def __new__(cls, predictions: Mapping[str, Prediction]):
+        if not isinstance(predictions, Mapping):
             raise errors.InvalidConfig(
                 f"predictions must map model ids to Predictions, got {predictions!r}")
+        if not predictions:
+            raise errors.EmptyEnsemble("an ensemble needs at least one prediction")
         ids, texts, confs = [], [], []
         for model_id, p in predictions.items():
             check_identifier(model_id, "model id", errors.InvalidConfig)
@@ -257,8 +257,8 @@ class Ensemble(Mapping):
                  last_ids: tuple = ()) -> Ensemble:
         """An ensemble of values that were checked already, without a check.
 
-        ``ids`` are unique model ids in any order, and ``texts`` and
-        ``confs`` are parallel to them. The three are sorted only when
+        ``ids`` are one or more unique model ids in any order, and ``texts``
+        and ``confs`` are parallel to them. The three are sorted only when
         ``ids`` is out of order; ``last_ids``, the ids of the ensemble built
         before, is shared instead of ``ids`` when the two are equal.
         """
@@ -310,7 +310,7 @@ class Sample:
     ``ground_truth`` is None or a text that passes the rule a prediction's
     text does; exact-match scoring requires it. ``predictions`` is always an
     :class:`Ensemble`: any other map ``model id -> Prediction`` given is
-    converted into one.
+    converted into one, so an empty one raises ``EmptyEnsemble``.
     """
 
     sample_id: str
@@ -405,21 +405,12 @@ class FusionStrategy:
     ``hc`` settles exact confidence ties by it, or by model-id order without
     one. ``*-hc`` reads none, so it checks the one given and stores None:
     two ``*-hc`` strategies of one name compare equal whatever ranking they
-    were given.
-
-    ``kind`` is ``"hc"``, ``"mv"`` or ``"mvcp"``. ``order`` is
-    ``(most_confident_first, ranking)``, the tie-break order
-    :func:`apply_strategy` puts an ensemble in (see :func:`_prepare`): most
-    confident first for ``*-hc``, the ranking otherwise. ``hc`` is never most
-    confident first: it picks the most confident entry itself, and the order
-    only settles exact confidence ties.
+    were given. ``kind`` is ``"hc"``, ``"mv"`` or ``"mvcp"``.
     """
 
     name: str
     ranking: tuple[str, ...] | None = None
     kind: str = field(init=False, repr=False, compare=False)
-    order: tuple[bool, tuple[str, ...] | None] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in STRATEGY_NAMES:
@@ -431,12 +422,10 @@ class FusionStrategy:
             ranking = _check_ranking(ranking)
         elif self.name.endswith("-bm"):
             raise errors.InvalidConfig(f"strategy {self.name!r} requires a model ranking")
-        most_confident_first = self.name.endswith("-hc")
-        if most_confident_first:
+        if self.name.endswith("-hc"):
             ranking = None
         object.__setattr__(self, "ranking", ranking)
         object.__setattr__(self, "kind", self.name.partition("-")[0])
-        object.__setattr__(self, "order", (most_confident_first, ranking))
 
 
 @dataclass(frozen=True)
@@ -461,23 +450,21 @@ def _positions(ranking) -> dict[str, int]:
     return {m: i for i, m in enumerate(_check_ranking(ranking))}
 
 
-def _prepare(predictions: Mapping[str, Prediction], order):
-    """The ensemble as parallel kernel inputs in tie-break ``order``.
+def _prepare(predictions: Mapping[str, Prediction], most_confident_first: bool,
+             ranking):
+    """The ensemble as parallel kernel inputs in tie-break order.
 
     A map that is not an :class:`Ensemble` is converted first. Its entries
     are then in model-id order, so results never depend on map iteration
-    order. ``order`` is a strategy's :attr:`~FusionStrategy.order`,
-    ``(most_confident_first, ranking)``: the entries are sorted by
-    ``ranking`` when one is given, then by confidence, highest first, when
-    ``most_confident_first``. Both sorts are stable, so equal confidences
-    keep the order before them and a ranking that misses several ids names
-    the smallest of them.
+    order. They are sorted by ``ranking`` when one is given, then by
+    confidence, highest first, when ``most_confident_first``. Both sorts are
+    stable, so equal confidences keep the order before them and a ranking
+    that misses several ids names the smallest of them. ``hc`` is never
+    most confident first: it picks the most confident entry itself, and the
+    order only settles exact confidence ties.
     """
     ensemble = predictions if isinstance(predictions, Ensemble) else Ensemble(predictions)
     ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
-    if not ids:
-        raise errors.EmptyEnsemble("no predictions to fuse")
-    most_confident_first, ranking = order
     entries = range(len(ids))
     if ranking is not None:
         try:
@@ -505,7 +492,7 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     or to the smallest model id without one; ``tie_broken`` reports whether
     that happened.
     """
-    ids, texts, confs = _prepare(predictions, (False, ranking))
+    ids, texts, confs = _prepare(predictions, False, ranking)
     idx, tie = kernels.hc_select(confs)
     text = texts[idx]
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
@@ -521,7 +508,7 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     ``ranking`` or, without one, to the tied text backed by the highest
     confidence (equal confidences by model id).
     """
-    ids, texts, _ = _prepare(predictions, (ranking is None, ranking))
+    ids, texts, _ = _prepare(predictions, ranking is None, ranking)
     text, votes, tie = kernels.mv_select(texts)
     contributors = frozenset(compress(ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
@@ -537,7 +524,7 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     :func:`mv_fuse`, by the rank or else the confidence of each tied value's
     predictors.
     """
-    ids, texts, _ = _prepare(predictions, (ranking is None, ranking))
+    ids, texts, _ = _prepare(predictions, ranking is None, ranking)
     fused, tie = kernels.mvcp_select(texts)
     votes = texts.count(fused)
     contributors = frozenset(compress(

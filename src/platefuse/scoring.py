@@ -144,22 +144,6 @@ def ensemble_latency(profiles: Sequence[ModelProfile],
     return latency, 1000.0 / latency
 
 
-def _tiebreak_keys(members: Sequence[str], ranking) -> list[int]:
-    """Each member's place among ``members`` in the tie-break ``ranking``.
-
-    ``members`` are model ids in ``--rank`` order, and ``ranking`` is a
-    tie-break ranking or None (model-id order). A ranking that misses a
-    member raises ``IncompleteRanking`` naming the first such member in
-    ``members``: the one that joins at the smallest N.
-    """
-    position = {m: i for i, m in enumerate(sorted(members) if ranking is None else ranking)}
-    for m in members:
-        if m not in position:
-            raise errors.IncompleteRanking(f"model {m!r} is missing from the ranking")
-    place = {m: i for i, m in enumerate(sorted(members, key=position.__getitem__))}
-    return [place[m] for m in members]
-
-
 def sweep_top_n(samples: Iterable[Sample],
                 profiles: Sequence[ModelProfile],
                 strategies: Sequence[FusionStrategy],
@@ -185,15 +169,14 @@ def sweep_top_n(samples: Iterable[Sample],
     ``MissingGroundTruth``.
 
     The samples are then voted a block at a time by
-    :class:`platefuse.blockvote.TopNVote`, given each strategy's
-    :attr:`~platefuse.core.FusionStrategy.order` as ``(most_confident_first,
-    keys)``: one walk along the ranking gives every N's winner for a whole
-    block, and each sample counts as correct where the text
-    :func:`apply_strategy` gives for that N and strategy equals its ground
-    truth. So the report does not depend on the order of ``strategies`` or
-    on which of them are present. :func:`apply_strategy` itself runs once
-    per sweep and strategy, on the first sample's members, and is not
-    counted.
+    :class:`platefuse.blockvote.TopNVote`, which reads each strategy's
+    tie-break order itself: one walk along the ranking gives every N's
+    winner for a whole block, and each sample counts as correct where the
+    text :func:`apply_strategy` gives for that N and strategy equals its
+    ground truth. So the report does not depend on the order of
+    ``strategies`` or on which of them are present. :func:`apply_strategy`
+    itself runs once per sweep and strategy, on the first sample's members,
+    and is not counted.
     """
     if not strategies:
         raise errors.EmptyInput("no strategies to sweep")
@@ -223,10 +206,7 @@ def sweep_top_n(samples: Iterable[Sample],
             # The ranked members' entry indices, in ranking order.
             pick = [ids.index(m) for m in ranking]
         if vote is None:
-            vote = TopNVote([
-                (strategy.kind, strategy.order[0],
-                 _tiebreak_keys(ranking, strategy.order[1]))
-                for strategy in strategies])
+            vote = TopNVote(strategies, ranking)
             # Not counted: kept only because perfbench's traced sweep must
             # enter core.*_fuse (EXPECTED_SPANS); the block vote gives the
             # same texts.

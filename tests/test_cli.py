@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SHOWCASE_PATH
+from conftest import SHOWCASE_PATH, TOP5_RANKING
 from platefuse import (
     ErrorModel,
     FusionStrategy,
@@ -135,6 +135,20 @@ def test_only_a_strategy_that_reads_the_ranking_needs_accuracy_ranks(
                        "--profiles", str(latency_only), "--output", str(out)) == 1
             assert "has no accuracy rank" in capsys.readouterr().err
             assert not out.exists()
+    # sweep --rank speed orders the models by latency alone, and neither
+    # strategy reads a ranking: every tie-break key comes from model-id order.
+    reports = []
+    for rank in (True, False):
+        profiles = tmp_path / f"top5-{rank}.jsonl"
+        fileio.dump_profiles([p if rank else dataclasses.replace(p, accuracy_rank=None)
+                              for p in stock_profiles if p.model_id in TOP5_RANKING],
+                             profiles)
+        out = tmp_path / f"sweep-{rank}.csv"
+        assert run("sweep", "--input", str(SHOWCASE_PATH), "--profiles", str(profiles),
+                   "--rank", "speed", "--strategies", "mv-hc,mvcp-hc",
+                   "--output", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_output_dash_writes_the_file_bytes_to_stdout(tmp_path):

@@ -206,8 +206,12 @@ def test_ensemble_checks_its_fields():
                   {"a": P("X", 1)}, [("a", P("X", 1)), ("b", P("Y", 0.5))]):
         assert ensemble != other
     assert Ensemble({"a": P("X", -0.0)}) == Ensemble({"a": P("X", 0.0)})
-    assert Ensemble() == Ensemble(None) == Ensemble({}) == {}
-    assert Ensemble().ids == Ensemble().texts == Ensemble().confs == ()
+    # Nothing could fuse an empty ensemble or load it back.
+    message = r"^an ensemble needs at least one prediction$"
+    with pytest.raises(errors.EmptyEnsemble, match=message):
+        Ensemble({})
+    with pytest.raises(errors.EmptyEnsemble, match=message):
+        Sample("s", "d", None, {})
     for predictions, message in [
         ({"a": P("X", 0.1), "": P("Y", 0.2)}, r"^model id must be a non-empty string$"),
         ({5: P("X", 0.1)}, r"^model id must be a non-empty string$"),
@@ -226,7 +230,7 @@ def test_ensemble_checks_its_fields():
     with pytest.raises(AttributeError):
         del ensemble.texts
     with pytest.raises(errors.EmptyEnsemble):
-        hc_fuse(Ensemble(), None)
+        hc_fuse({}, None)
 
 
 def test_tiebreak_validation():
@@ -262,7 +266,8 @@ def test_strategy_requires_tiebreak_for_votes():
                            match=rf"^strategy '{name}' requires a model ranking$"):
             FusionStrategy(name)
     for name in ("hc", "mv-hc", "mvcp-hc"):
-        assert FusionStrategy(name).order == (name != "hc", None)
+        assert FusionStrategy(name).ranking is None
+        assert apply_strategy({"m": P("A", 0.5)}, FusionStrategy(name)).text == "A"
 
 
 def test_strategy_spellings():
@@ -273,7 +278,6 @@ def test_strategy_spellings():
         # A list is stored as a tuple; *-hc reads no ranking and keeps none.
         ranking = None if name.endswith("-hc") else ("m1", "m2")
         assert strategy.ranking == ranking
-        assert strategy.order == (name.endswith("-hc"), ranking)
     # So two strategies that fuse alike compare and hash alike.
     assert len({FusionStrategy("mv-hc", r) for r in (None, ["a"], ("b", "a"))}) == 1
     assert FusionStrategy("hc", ("a",)) != FusionStrategy("hc")
@@ -660,8 +664,18 @@ TIE_RICH_RANKING = ("c", "a", "d", "b")
     pytest.param(FusionStrategy("hc"), ["a", "b", "c", "d"], id="hc-no-ranking"),
     pytest.param(FusionStrategy("mv-hc"), ["b", "d", "a", "c"], id="mv-hc-no-ranking"),
 ])
-def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(strategy, expected):
-    ids, texts, confs = core._prepare(TIE_RICH, strategy.order)
+def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(monkeypatch, strategy,
+                                                               expected):
+    # The fuse functions look _prepare up as a module global, so the wrapper
+    # sees the order that apply_strategy puts the ensemble in.
+    prepared = []
+    prepare = core._prepare
+    def record(*args):
+        prepared.append(prepare(*args))
+        return prepared[-1]
+    monkeypatch.setattr(core, "_prepare", record)
+    apply_strategy(TIE_RICH, strategy)
+    [(ids, texts, confs)] = prepared
     assert ids == expected
     assert texts == [TIE_RICH[m].text for m in expected]
     assert confs == [TIE_RICH[m].confidence for m in expected]

@@ -1045,6 +1045,7 @@ _IDS_WRITTEN = ["d", "gäte", "a b", "a,b", "a\nb", "a\rb", "", "a\ud800", 5]
 @pytest.mark.parametrize("field,value", [
     *[(field, value) for field in ("dataset", "id") for value in _IDS_WRITTEN],
     *[("ground_truth", value) for value in ["AB", None, 5, "", ["AB"], "ab", "A-B", "ß"]],
+    ("predictions", {}),
 ])
 def test_a_value_is_rejected_when_built_or_loads_back_equal(tmp_path, field, value):
     # A writer must not write what its own loader rejects.

@@ -227,7 +227,8 @@ _WRITTEN_TEXTS = st.text(_ESCAPED.filter(lambda ch: core._symbol_fault(ch) is No
                          min_size=1, max_size=5)
 _WRITTEN_CONFS = st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 0.1 + 0.2]) | st.floats(0.0, 1.0)
 _WRITTEN_ENSEMBLES = st.builds(Ensemble, st.dictionaries(
-    _WRITTEN_IDS, st.builds(Prediction, _WRITTEN_TEXTS, _WRITTEN_CONFS), max_size=4))
+    _WRITTEN_IDS, st.builds(Prediction, _WRITTEN_TEXTS, _WRITTEN_CONFS),
+    min_size=1, max_size=4))
 
 
 def _record(sample: Sample) -> dict:
