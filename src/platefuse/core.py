@@ -18,8 +18,12 @@ confidence, and an exact confidence tie to the smallest model id. A
 :class:`FusionStrategy` is one of the five named configurations with the
 ranking it reads, and :func:`apply_strategy` fuses with it. Each rule is an
 order of the ensemble's entries, chosen in one place, and every kernel lets
-the earliest entry win, so every operation is a pure, deterministic function
-of its inputs and safe to call from any number of threads.
+the earliest entry win. That order is read only when a round ties: a round
+without a tie has the same winner, count and flag in every order. So each
+function votes on the ensemble in model-id order first, and puts it in its
+tie-break order and votes again only when the kernel reports a tie. Every
+operation is a pure, deterministic function of its inputs and safe to call
+from any number of threads.
 """
 
 from __future__ import annotations
@@ -301,7 +305,7 @@ class Ensemble(Mapping):
         return f"Ensemble({dict(self.items())!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """A single test instance and the predictions made for it.
 
@@ -332,9 +336,18 @@ class Sample:
         """A sample of values that were checked already, without a check,
         as :meth:`Ensemble._trusted` builds an ensemble."""
         self = object.__new__(cls)
-        self.__dict__.update(sample_id=sample_id, dataset=dataset,
-                             ground_truth=ground_truth, predictions=predictions)
+        _SET_SAMPLE_ID(self, sample_id)
+        _SET_DATASET(self, dataset)
+        _SET_GROUND_TRUTH(self, ground_truth)
+        _SET_PREDICTIONS(self, predictions)
         return self
+
+
+# The slots' own setters, which skip the frozen __setattr__: in a perfbench
+# sweep, object.__setattr__ per field read 3-6% slower than these.
+_SET_SAMPLE_ID, _SET_DATASET, _SET_GROUND_TRUTH, _SET_PREDICTIONS = (
+    Sample.__dict__[name].__set__
+    for name in ("sample_id", "dataset", "ground_truth", "predictions"))
 
 
 @dataclass(frozen=True)
@@ -450,34 +463,46 @@ def _positions(ranking) -> dict[str, int]:
     return {m: i for i, m in enumerate(_check_ranking(ranking))}
 
 
-def _prepare(predictions: Mapping[str, Prediction], most_confident_first: bool,
-             ranking):
-    """The ensemble as parallel kernel inputs in tie-break order.
+def _ranked(predictions: Mapping[str, Prediction], ranking):
+    """``predictions`` as an :class:`Ensemble`, and each of its model ids'
+    position in ``ranking``, or None without one.
 
-    A map that is not an :class:`Ensemble` is converted first. Its entries
-    are then in model-id order, so results never depend on map iteration
-    order. They are sorted by ``ranking`` when one is given, then by
-    confidence, highest first, when ``most_confident_first``. Both sorts are
-    stable, so equal confidences keep the order before them and a ranking
-    that misses several ids names the smallest of them. ``hc`` is never
-    most confident first: it picks the most confident entry itself, and the
-    order only settles exact confidence ties.
+    A map that is not an :class:`Ensemble` is converted first, so its entries
+    are in model-id order and the first id missing from the ranking, the one
+    ``IncompleteRanking`` names, is the smallest. Every id is checked whether
+    or not a vote ties, so a ranking that misses a model is rejected on every
+    ensemble that holds it.
     """
     ensemble = predictions if isinstance(predictions, Ensemble) else Ensemble(predictions)
+    if ranking is None:
+        return ensemble, None
+    try:
+        position = _positions(ranking)
+    except TypeError:
+        # An unhashable ranking, such as a list, never reaches the cache.
+        position = _positions(_check_ranking(ranking))
+    for model_id in ensemble.ids:
+        if model_id not in position:
+            raise errors.IncompleteRanking(
+                f"model {model_id!r} is missing from the ranking")
+    return ensemble, position
+
+
+def _prepare(ensemble: Ensemble, most_confident_first: bool, position):
+    """The ensemble as parallel kernel inputs in tie-break order.
+
+    The entries start in model-id order and are sorted by their ranking
+    ``position`` (see :func:`_ranked`) when one is given, then by
+    confidence, highest first, when ``most_confident_first``. Both sorts are
+    stable, so equal confidences keep the order before them. ``hc`` is never
+    most confident first: it picks the most confident entry itself, and the
+    order only settles exact confidence ties. Only a vote that tied reads
+    this order (see the module docstring).
+    """
     ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
     entries = range(len(ids))
-    if ranking is not None:
-        try:
-            position = _positions(ranking)
-        except TypeError:
-            # An unhashable ranking, such as a list, never reaches the cache.
-            position = _positions(_check_ranking(ranking))
-        try:
-            entries = sorted(entries, key=lambda i: position[ids[i]])
-        except KeyError as exc:
-            raise errors.IncompleteRanking(
-                f"model {exc.args[0]!r} is missing from the ranking"
-            ) from None
+    if position is not None:
+        entries = sorted(entries, key=lambda i: position[ids[i]])
     if most_confident_first:
         entries = sorted(entries, key=confs.__getitem__, reverse=True)
     return ([ids[i] for i in entries], [texts[i] for i in entries],
@@ -492,10 +517,14 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     or to the smallest model id without one; ``tie_broken`` reports whether
     that happened.
     """
-    ids, texts, confs = _prepare(predictions, False, ranking)
-    idx, tie = kernels.hc_select(confs)
+    ensemble, position = _ranked(predictions, ranking)
+    texts = ensemble.texts
+    idx, tie = kernels.hc_select(ensemble.confs)
+    if tie:
+        _, texts, confs = _prepare(ensemble, False, position)
+        idx, tie = kernels.hc_select(confs)
     text = texts[idx]
-    contributors = frozenset(compress(ids, map(text.__eq__, texts)))
+    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
     return FusionResult(text, 0, tie, contributors)
 
 
@@ -508,9 +537,12 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     ``ranking`` or, without one, to the tied text backed by the highest
     confidence (equal confidences by model id).
     """
-    ids, texts, _ = _prepare(predictions, ranking is None, ranking)
-    text, votes, tie = kernels.mv_select(texts)
-    contributors = frozenset(compress(ids, map(text.__eq__, texts)))
+    ensemble, position = _ranked(predictions, ranking)
+    text, votes, tie = kernels.mv_select(ensemble.texts)
+    if tie:
+        _, texts, _ = _prepare(ensemble, position is None, position)
+        text, votes, tie = kernels.mv_select(texts)
+    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
     return FusionResult(text, votes, tie, contributors)
 
 
@@ -524,13 +556,16 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     :func:`mv_fuse`, by the rank or else the confidence of each tied value's
     predictors.
     """
-    ids, texts, _ = _prepare(predictions, ranking is None, ranking)
+    ensemble, position = _ranked(predictions, ranking)
+    texts = ensemble.texts
     fused, tie = kernels.mvcp_select(texts)
-    votes = texts.count(fused)
-    contributors = frozenset(compress(
-        ids, [t == fused or any(map(str.__eq__, t, fused)) for t in texts]
-    ))
-    return FusionResult(fused, votes, tie, contributors)
+    if tie:
+        _, tied_texts, _ = _prepare(ensemble, position is None, position)
+        fused, tie = kernels.mvcp_select(tied_texts)
+    first = fused[0]
+    contributors = frozenset(compress(ensemble.ids, [
+        t[0] == first or any(map(str.__eq__, t, fused)) for t in texts]))
+    return FusionResult(fused, texts.count(fused), tie, contributors)
 
 
 def apply_strategy(predictions: Mapping[str, Prediction],

@@ -2,10 +2,11 @@
 
 Predictions, profiles, and fused outputs are line-delimited JSON (UTF-8, one
 record per line) so corpora stream and diff cleanly. Every line is what
-``json.dumps(record, separators=(",", ":"))`` writes. Profiles and fused
-records are encoded from dicts by ``json``'s encoder. A corpus line, the
-bulk of what ``simulate`` writes, is joined from strings by the functions
-that encoder calls (see :func:`dump_predictions`). Reports render either as
+``json.dumps(record, separators=(",", ":"))`` writes. Profiles are encoded
+from dicts by ``json``'s encoder. A corpus line, the bulk of what
+``simulate`` writes, and a fused line, what ``fuse`` writes, are joined from
+strings by the functions that encoder calls (see :func:`dump_predictions`
+and :func:`dump_fused`). Reports render either as
 comma-delimited text or as an aligned human-readable table; both apply the
 display rounding rules (rates to one decimal percent, latency to one decimal
 millisecond, FPS to a half-up integer) while all internal values stay
@@ -31,8 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import errors
 from .core import (DEFAULT_ALPHABET, Ensemble, FusionResult, ModelProfile, Sample,
-                   check_alphabet, check_cell, check_confidence, check_identifier,
-                   normalize_text)
+                   _check_text, check_alphabet, check_cell, check_confidence,
+                   check_identifier, normalize_text)
 from .scoring import DatasetReport, SweepReport, macro_average
 from .synth import ErrorModel, SynthConfig
 
@@ -216,7 +217,14 @@ def _parse_records(lines: str | Iterable[str], what: str, parse_record,
     empty = True
     for number, line in _lines(lines):
         where = f"line {number}"
-        record = _json(line, where)
+        # _json's one scan, inline; anything else goes to _json for its value
+        # or its message.
+        try:
+            record, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(line):
+            record = _json(line, where)
         if not isinstance(record, dict):
             raise errors.ParseError(f"{where}: record is not an object")
         if line.count(":") != keys(record):
@@ -484,9 +492,36 @@ def load_stock_profiles() -> list[ModelProfile]:
 
 # --- fused outputs ---------------------------------------------------------------
 
+def _check_fused_fields(votes, tie_broken, contributors,
+                        error: type[errors.PlatefuseError]) -> None:
+    """The rule for a fused record's ``winning_votes``, ``tie_broken`` and
+    ``contributors``, as :func:`load_fused` and :class:`FusedRecord` apply it."""
+    if isinstance(votes, bool) or not isinstance(votes, int) or votes < 0:
+        raise error(f"winning_votes must be a non-negative integer, got {votes!r}")
+    if not isinstance(tie_broken, bool):
+        raise error(f"tie_broken must be a boolean, got {tie_broken!r}")
+    if not isinstance(contributors, (list, tuple)):
+        raise error(f"contributors must be a list of model ids, got {contributors!r}")
+    for model_id in contributors:
+        check_identifier(model_id, "contributor", error)
+
+
 @dataclass(frozen=True)
 class FusedRecord:
-    """One fused output row, as written by the ``fuse`` command."""
+    """One fused output row, as written by the ``fuse`` command.
+
+    Its fields are checked by the rule :func:`load_fused` applies to a line,
+    so that every record written loads back: ``sample_id`` by
+    :func:`~platefuse.core.check_identifier`, ``dataset`` by
+    :func:`~platefuse.core.check_cell`, ``text`` by the rule of a
+    :class:`~platefuse.core.Prediction`'s text, ``winning_votes`` a
+    non-negative ``int`` (not a ``bool``), ``tie_broken`` a ``bool``, and
+    ``contributors`` a list or tuple of model ids, stored as a tuple. A
+    field the loader would reject raises ``InvalidConfig`` naming it
+    (``EmptyAfterNormalization`` for an empty text). :meth:`from_result`
+    and :func:`load_fused` build records of values checked already, without
+    a check.
+    """
 
     sample_id: str
     dataset: str
@@ -495,16 +530,31 @@ class FusedRecord:
     tie_broken: bool
     contributors: tuple[str, ...]
 
+    def __post_init__(self):
+        check_identifier(self.sample_id, "sample_id", errors.InvalidConfig)
+        check_cell(self.dataset, "dataset", errors.InvalidConfig)
+        _check_text(self.text, "text")
+        _check_fused_fields(self.winning_votes, self.tie_broken, self.contributors,
+                            errors.InvalidConfig)
+        object.__setattr__(self, "contributors", tuple(self.contributors))
+
     @classmethod
-    def from_result(cls, sample: Sample, result: FusionResult) -> "FusedRecord":
-        return cls(
-            sample_id=sample.sample_id,
-            dataset=sample.dataset,
-            text=result.text,
-            winning_votes=result.winning_votes,
-            tie_broken=result.tie_broken,
-            contributors=tuple(sorted(result.contributors)),
-        )
+    def _trusted(cls, sample_id: str, dataset: str, text: str, winning_votes: int,
+                 tie_broken: bool, contributors: tuple[str, ...]) -> FusedRecord:
+        """A record of values that were checked already, without a check."""
+        self = object.__new__(cls)
+        self.__dict__.update(sample_id=sample_id, dataset=dataset, text=text,
+                             winning_votes=winning_votes, tie_broken=tie_broken,
+                             contributors=contributors)
+        return self
+
+    @classmethod
+    def from_result(cls, sample: Sample, result: FusionResult) -> FusedRecord:
+        """The record of ``result``, the fusion of ``sample``: its
+        contributors sorted."""
+        return cls._trusted(sample.sample_id, sample.dataset, result.text,
+                            result.winning_votes, result.tie_broken,
+                            tuple(sorted(result.contributors)))
 
 
 _FUSED_FIELDS = tuple(f.name for f in fields(FusedRecord))
@@ -512,8 +562,26 @@ _FUSED_KEYS = set(_FUSED_FIELDS)
 
 
 def dump_fused(records: Iterable[FusedRecord], path) -> None:
-    _write_jsonl(path, ({name: getattr(r, name) for name in _FUSED_FIELDS}
-                        for r in records))
+    """Write fused records as line-delimited JSON; inverse of :func:`load_fused`.
+
+    Each line is the bytes ``json.dumps(record, separators=(",", ":"))``
+    writes for the record's fields as a dict, in field order, but it is
+    joined from strings, as :func:`dump_predictions` joins a corpus line:
+    every string goes through ``encode_basestring_ascii`` and
+    ``winning_votes`` through ``int.__repr__``, the functions ``json``'s
+    encoder calls for them, and ``tie_broken`` is written ``true`` or
+    ``false``. A :class:`FusedRecord` has checked its field types, so these
+    are the only encodings its values need.
+    """
+    def lines():
+        for r in records:
+            yield ('{"sample_id":' + _quote(r.sample_id) + ',"dataset":' + _quote(r.dataset)
+                   + ',"text":' + _quote(r.text) + ',"winning_votes":'
+                   + int.__repr__(r.winning_votes)
+                   + (',"tie_broken":true,"contributors":[' if r.tie_broken
+                      else ',"tie_broken":false,"contributors":[')
+                   + ",".join(map(_quote, r.contributors)) + "]}\n")
+    write_atomic(path, lines())
 
 
 def load_fused(path, *, strict: bool = True,
@@ -525,9 +593,10 @@ def load_fused(path, *, strict: bool = True,
     after the records on the lines before it. Every field must have its
     written type and ``text`` must already be normalized under ``alphabet``;
     violations are rejected with the line number in both modes.
-    A text of ``alphabet`` symbols only is accepted inline, and so is a
-    contributor that is a non-empty ASCII string; any other value goes
-    through the rule that names what is wrong with it. A repeated sample id
+    A text of ``alphabet`` symbols only is accepted inline, and so are
+    counts of their written types and contributors that are all non-empty
+    ASCII strings; any other value goes through the rule that names what is
+    wrong with it, the rule :class:`FusedRecord` applies. A repeated sample id
     is an error when ``strict``; otherwise the first record is kept and each
     repeat warned about and ignored. An invalid ``alphabet`` is rejected
     before the file is read.
@@ -549,22 +618,17 @@ def load_fused(path, *, strict: bool = True,
             if norm != text:
                 raise errors.ParseError(
                     f"text {text!r} is not normalized (expected {norm!r})")
-        if isinstance(votes, bool) or not isinstance(votes, int) or votes < 0:
-            raise errors.ParseError(
-                f"winning_votes must be a non-negative integer, got {votes!r}"
-            )
-        if not isinstance(tie_broken, bool):
-            raise errors.ParseError(f"tie_broken must be a boolean, got {tie_broken!r}")
-        if not isinstance(contributors, list):
-            raise errors.ParseError(
-                f"contributors must be a list of model ids, got {contributors!r}"
-            )
-        for model_id in contributors:
-            if type(model_id) is not str or not model_id.isascii() or not model_id:
-                check_identifier(model_id, "contributor", errors.ParseError)
+        try:
+            canonical = (type(votes) is int and votes >= 0 and type(tie_broken) is bool
+                         and type(contributors) is list
+                         and "".join(contributors).isascii() and "" not in contributors)
+        except TypeError:  # a contributor that is not a string
+            canonical = False
+        if not canonical:
+            _check_fused_fields(votes, tie_broken, contributors, errors.ParseError)
         if _first(sample_id, seen_ids, where, tolerate):
-            return FusedRecord(sample_id, dataset, text, votes, tie_broken,
-                               tuple(contributors))
+            return FusedRecord._trusted(sample_id, dataset, text, votes, tie_broken,
+                                        tuple(contributors))
     return _parse_records(_read_lines(path), "fused", fused, tolerate)
 
 

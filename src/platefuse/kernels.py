@@ -5,13 +5,16 @@ with them. ``scoring.sweep_top_n`` counts through ``platefuse.blockvote``
 instead, which takes the same plurality rounds for a block of samples and
 every top-N at once; these kernels stay its readable reference.
 
-Each kernel takes one list over an ensemble's entries: :func:`hc_select`
+Each kernel takes one sequence over an ensemble's entries: :func:`hc_select`
 their confidences (floats in [0, 1]), :func:`mv_select` and
 :func:`mvcp_select` their normalized prediction texts.
 
-Entries arrive in tie-break order (see ``core._prepare``): ranking order,
-most confident first, or model-id order. Every kernel settles a tie by that
-order alone: the earliest entry wins.
+Every kernel settles a tie by the order of its entries alone: the earliest
+entry wins. A round without a tie gives the same result in every order, so
+``platefuse.core`` votes on an ensemble in model-id order first, and only
+when a kernel reports a tie votes again with the entries in tie-break order
+(see ``core._prepare``): ranking order, most confident first, or model-id
+order.
 
 Every vote is one plurality round over the values the entries cast (whole
 texts, lengths, or the characters of one position), counted first and

@@ -518,10 +518,35 @@ CURATED_ENSEMBLES = [
 ]
 
 
+def _agreeing_ensemble(rng):
+    """A random prediction map, mostly free of ties, plus a random ranking.
+
+    As in a generated corpus, each model reads a shared base text and misses
+    each character with probability 0.15, and no two confidences are equal,
+    so most votes have a clear winner and every hc pick is unique.
+    """
+    n = int(rng.integers(1, 10))
+    base = "".join(rng.choice(list("ABCDEFGH"), size=int(rng.integers(4, 9))))
+    confs = rng.choice(np.arange(1, 1001) / 1000, size=n, replace=False)
+    predictions = {}
+    for j in range(n):
+        text = "".join(ch if rng.random() >= 0.15 else rng.choice(list("ABCDEFGH"))
+                       for ch in base)
+        if rng.random() < 0.1:  # a dropped character, for the length vote
+            text = text[:-1]
+        predictions[f"m{j:02d}"] = P(text, float(confs[j]))
+    ranking = list(predictions)
+    rng.shuffle(ranking)
+    return predictions, tuple(ranking)
+
+
 def test_tie_flags_and_contributors_match_oracles():
+    # Tie-rich ensembles take each function's second, ordered vote often;
+    # agreeing ones mostly stop at the first vote, in model-id order.
     rng = np.random.default_rng(4242)
-    ensembles = CURATED_ENSEMBLES + [random_ensemble(rng) for _ in range(2000)]
-    tied_mv = tied_mvcp = 0
+    ensembles = (CURATED_ENSEMBLES + [random_ensemble(rng) for _ in range(2000)]
+                 + [_agreeing_ensemble(rng) for _ in range(2000)])
+    tied_hc = tied_mv = tied_mvcp = 0
     for predictions, ranking in ensembles:
         top_conf = max(p.confidence for p in predictions.values())
         hc = hc_fuse(predictions, ranking)
@@ -530,6 +555,7 @@ def test_tie_flags_and_contributors_match_oracles():
             sum(p.confidence == top_conf for p in predictions.values()) > 1)
         assert hc.contributors == {
             m for m, p in predictions.items() if p.text == hc.text}
+        tied_hc += hc.tie_broken
         for tiebreak in (None, ranking):
             mv = mv_fuse(predictions, tiebreak)
             tied_texts, top_votes = oracle_mv(predictions)
@@ -555,9 +581,11 @@ def test_tie_flags_and_contributors_match_oracles():
             assert mvcp.winning_votes == sum(
                 p.text == mvcp.text for p in predictions.values())
             tied_mvcp += mvcp.tie_broken
-    # Both outcomes of each flag must occur for the check to mean anything.
+    # Both outcomes of each flag must occur often for the check to mean
+    # anything.
     runs = 2 * len(ensembles)
-    assert 0 < tied_mv < runs and 0 < tied_mvcp < runs
+    assert 100 < tied_hc < len(ensembles) - 100
+    assert 100 < tied_mv < runs - 100 and 100 < tied_mvcp < runs - 100
 
 
 # Two symbols, short texts and four confidences, so that vote ties, length
@@ -679,6 +707,49 @@ def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(monkeypatch, stra
     assert ids == expected
     assert texts == [TIE_RICH[m].text for m in expected]
     assert confs == [TIE_RICH[m].confidence for m in expected]
+
+
+# No vote among these ties: d holds the top confidence alone, XY has three of
+# four votes, and every length and position has a strict majority.
+TIE_FREE = {"c": P("XY", 0.5), "d": P("XY", 0.9), "a": P("XZ", 0.7),
+            "b": P("XY", 0.6)}
+
+EVERY_STRATEGY = [
+    pytest.param(FusionStrategy(name, ranking), id=f"{name}-{label}")
+    for name in STRATEGY_NAMES
+    for ranking, label in ((TIE_RICH_RANKING, "ranked"), (None, "unranked"))
+    if ranking is not None or not name.endswith("-bm")
+]
+
+
+@pytest.mark.parametrize("predictions,calls", [
+    pytest.param(TIE_FREE, 0, id="tie-free"),
+    pytest.param(TIE_RICH, 1, id="tie-rich"),
+])
+@pytest.mark.parametrize("strategy", EVERY_STRATEGY)
+def test_only_a_tied_vote_puts_the_ensemble_in_its_tiebreak_order(
+        monkeypatch, strategy, predictions, calls):
+    prepared = []
+    prepare = core._prepare
+    def record(*args):
+        prepared.append(args)
+        return prepare(*args)
+    monkeypatch.setattr(core, "_prepare", record)
+    result = apply_strategy(predictions, strategy)
+    assert len(prepared) == calls
+    assert result.tie_broken == bool(calls)
+
+
+@pytest.mark.parametrize("fuse,name", [(hc_fuse, "hc"), (mv_fuse, "mv-bm"),
+                                       (mvcp_fuse, "mvcp-bm")])
+def test_an_incomplete_ranking_is_rejected_without_a_tie(fuse, name):
+    # The vote needs no ranking here, yet every id is checked against it, and
+    # the smallest missing one is named, whatever the map's order.
+    message = r"^model 'a' is missing from the ranking$"
+    with pytest.raises(errors.IncompleteRanking, match=message):
+        fuse(TIE_FREE, ("d", "b"))
+    with pytest.raises(errors.IncompleteRanking, match=message):
+        apply_strategy(TIE_FREE, FusionStrategy(name, ("d", "b")))
 
 
 # --- confidence normalization ---------------------------------------------------------

@@ -257,6 +257,32 @@ def test_each_corpus_line_is_the_json_encoding_of_its_record(corpus_path, ensemb
         *(json.dumps(_record(s), separators=(",", ":")) for s in samples), ""]
 
 
+_WRITTEN_FUSED = st.builds(
+    fileio.FusedRecord, _WRITTEN_IDS, _WRITTEN_DATASETS, _WRITTEN_TEXTS,
+    st.sampled_from([0, 1, 2 ** 70]) | st.integers(0, 12), st.booleans(),
+    st.lists(_WRITTEN_IDS, max_size=4).map(tuple))
+
+
+@given(st.lists(_WRITTEN_FUSED, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_each_fused_line_is_the_json_encoding_of_its_record(corpus_path, records):
+    fileio.dump_fused(records, corpus_path)
+    assert corpus_path.read_bytes().decode("ascii").split("\n") == [
+        *(json.dumps(dataclasses.asdict(r), separators=(",", ":")) for r in records), ""]
+    if records:
+        # And it loads back, under an alphabet of the texts' characters.
+        alphabet = "".join(sorted({ch for r in records for ch in r.text}))
+        assert list(fileio.load_fused(corpus_path, alphabet=alphabet,
+                                      strict=False)) == _first_of_each_id(records)
+
+
+def _first_of_each_id(records):
+    first = {}
+    for r in records:
+        first.setdefault(r.sample_id, r)
+    return list(first.values())
+
+
 @given(st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500)),
                 min_size=1, max_size=12))
 @settings(max_examples=200)
