@@ -6,11 +6,16 @@ record per line) so corpora stream and diff cleanly. Every line is what
 from dicts by ``json``'s encoder. A corpus line, the bulk of what
 ``simulate`` writes, and a fused line, what ``fuse`` writes, are joined from
 strings by the functions that encoder calls (see :func:`dump_predictions`
-and :func:`dump_fused`). Reports render either as
-comma-delimited text or as an aligned human-readable table; both apply the
-display rounding rules (rates to one decimal percent, latency to one decimal
-millisecond, FPS to a half-up integer) while all internal values stay
-unrounded. Rendering is deterministic: identical inputs give identical bytes.
+and :func:`dump_fused`). Their loaders try each line against a template of
+that exact shape first: a line that matches is read from the template's
+groups, with no JSON decode, and any other line is decoded as JSON, with the
+same values, accepts and messages.
+
+Reports render either as comma-delimited text or as an aligned
+human-readable table; both apply the display rounding rules (rates to one
+decimal percent, latency to one decimal millisecond, FPS to a half-up
+integer) while all internal values stay unrounded. Rendering is
+deterministic: identical inputs give identical bytes.
 
 Strict parsing (the default) rejects unknown fields and duplicate sample ids;
 the CLI loads tolerantly and instead ignores them, with a warning for the
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import stat
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -199,13 +205,18 @@ def _json(text: str, where: str, *, unique: bool = False):
 
 
 def _parse_records(lines: str | Iterable[str], what: str, parse_record,
-                   tolerate: _Tolerance, keys=len) -> Iterator:
+                   tolerate: _Tolerance, keys=len, match_line=None) -> Iterator:
     """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
 
     A generator: a record is read when the one before it has been consumed.
     A rejection it raises is re-raised as its own class with the line number;
     a file with no records raises :class:`~platefuse.errors.EmptyFile` at its end.
     Once the last line has been read, ``tolerate`` logs what it counted.
+
+    ``match_line(line, where)``, when given, is tried on each line before it
+    is decoded: it returns the line's result (``None`` to drop it), or
+    ``_DECLINED`` to have the line decoded and read by ``parse_record``. A
+    rejection it raises gets the line number too.
 
     A line that repeats a key in any object is rejected in both modes: JSON
     would keep the last value, and there is no reading to ignore the repeat
@@ -217,22 +228,29 @@ def _parse_records(lines: str | Iterable[str], what: str, parse_record,
     empty = True
     for number, line in _lines(lines):
         where = f"line {number}"
-        # _json's one scan, inline; anything else goes to _json for its value
-        # or its message.
-        try:
-            record, end = _scan_json(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = None
-        if end != len(line):
-            record = _json(line, where)
-        if not isinstance(record, dict):
-            raise errors.ParseError(f"{where}: record is not an object")
-        if line.count(":") != keys(record):
-            _json(line, where, unique=True)
-        try:
-            result = parse_record(record, where)
-        except errors.PlatefuseError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+        result = _DECLINED
+        if match_line is not None:
+            try:
+                result = match_line(line, where)
+            except errors.PlatefuseError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
+        if result is _DECLINED:
+            # _json's one scan, inline; anything else goes to _json for its
+            # value or its message.
+            try:
+                record, end = _scan_json(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                record = _json(line, where)
+            if not isinstance(record, dict):
+                raise errors.ParseError(f"{where}: record is not an object")
+            if line.count(":") != keys(record):
+                _json(line, where, unique=True)
+            try:
+                result = parse_record(record, where)
+            except errors.PlatefuseError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
         if result is not None:
             empty = False
             yield result
@@ -302,6 +320,60 @@ def _normalized(value, name: str, alphabet: str) -> str:
         raise type(exc)(f"{name}: {exc}") from None
 
 
+# --- canonical lines ------------------------------------------------------------
+#
+# A line in the exact shape a writer here joins it in (see dump_predictions and
+# dump_fused) is read by one fullmatch of a template of that shape, from its
+# groups: no JSON scan, no dict and no check of each value. A group matches
+# only text that JSON reads as that very text (a string with no escape), or as
+# float() or int() of it (a number), and that the loader would accept as it
+# stands. Any other line is declined and read as before, so every value, every
+# accept and every message is the same on either path.
+
+# A character of a string with no escape. Lone surrogates, which only a str
+# handed to a parser can hold, are left out, so check_identifier accepts the
+# text of a _STRING: a non-empty string of such characters.
+_CHAR = r'[^"\\\x00-\x1f\ud800-\udfff]'
+_STRING = f'"({_CHAR}+)"'
+# A _STRING that check_cell accepts too.
+_CELL = r'"([^",\\\x00-\x1f\ud800-\udfff]+)"'
+# A JSON number in [0, 1] that json reads as float() of its text; every
+# float.__repr__ of such a value is one.
+_CONFIDENCE = r"(0\.[0-9]+|1\.0|[1-9](?:\.[0-9]+)?e-0*[1-9][0-9]*)"
+# A count within the digit limit of int().
+_COUNT = r"(0|[1-9][0-9]{0,17})"
+# What a line matcher returns for a line it leaves to the general path.
+_DECLINED = object()
+# Lines a corpus template is kept at least before another is built: a build
+# (~1 ms for 12 model ids) then costs at most ~1 µs a line.
+_TEMPLATE_LINES = 1024
+
+
+def _symbols_group(alphabet: str) -> str | None:
+    """A quoted group of ``alphabet`` symbols that JSON reads as they stand
+    (none of ``"``, ``\\`` and the control characters), or None if there is
+    no such symbol."""
+    symbols = "".join(s for s in alphabet if s >= " " and s not in '"\\')
+    return f'"([{re.escape(symbols)}]+)"' if symbols else None
+
+
+def _sample_template(ids: tuple, symbols: str):
+    """The ``fullmatch`` of a corpus line as :func:`dump_predictions` writes
+    it for model ids ``ids``, in that order, with texts of ``symbols``.
+
+    Its groups are the sample id, the dataset, the ground truth (None when
+    absent), then each model's text and confidence.
+    """
+    pattern = [re.escape('{"sample_id":'), _STRING, re.escape(',"dataset":'), _CELL,
+               "(?:", re.escape(',"ground_truth":'), _STRING, ")?",
+               re.escape(',"predictions":')]
+    for i, m in enumerate(ids):
+        pattern += [re.escape(("{" if i == 0 else "},") + _quote(m) + ':{"text":'),
+                    symbols, re.escape(',"confidence":'), _CONFIDENCE]
+    pattern.append(re.escape("}}}"))
+    return re.compile("".join(pattern)).fullmatch
+
+
 # --- predictions --------------------------------------------------------------
 
 def _sample_keys(record: dict) -> int:
@@ -326,26 +398,64 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     so a rejection surfaces after the samples on the lines before it. An
     invalid ``alphabet`` is rejected at the call, before any record is read.
 
-    A value already in canonical form (a model id that is a non-empty ASCII
-    string, a text made of ``alphabet`` symbols only, a float confidence in
-    [0, 1]) is accepted by inline tests. Any other value goes through the one
+    A line in the shape :func:`dump_predictions` writes for the model ids of
+    the template held is read from one ``fullmatch`` of that template: no
+    whitespace, the keys and model ids in that order, strings without
+    escapes, texts of ``alphabet`` symbols only and confidences in a
+    ``float.__repr__`` form of [0, 1]. JSON would read each of its values
+    as it stands, and the general path would accept it. One template is
+    held at a time. It is built when the general path reads the same model
+    ids, in model-id order, on two lines in a row, the second of them
+    exactly what ``json``'s compact encoder writes for its record; and no
+    sooner than 1,024 lines after the last build or try. So neither a
+    corpus whose model set changes on every line nor one written with
+    other separators compiles a template.
+
+    Any other line is decoded as JSON. A value already in canonical form (a
+    model id that is a non-empty ASCII string, a text made of ``alphabet``
+    symbols only, a float confidence in [0, 1]) is accepted by inline tests.
+    Any other value goes through the one
     rule that checks, normalizes or rejects it
     (:func:`~platefuse.core.check_identifier`,
     :func:`~platefuse.core.normalize_text`,
     :func:`~platefuse.core.check_confidence`), so the accepts and the
-    messages are the rule's. A ground truth always goes through the rule.
-    Each :class:`~platefuse.core.Sample` and its
+    messages are the rule's. A ground truth always goes through the rule, on
+    either path. Each :class:`~platefuse.core.Sample` and its
     :class:`~platefuse.core.Ensemble` are built from the values so checked,
     without a check of their own; a record whose model ids are out of order
     is sorted, and samples with the same model ids as the sample before
     share its ``ids`` tuple.
     """
     check_alphabet(alphabet)
+    symbols = _symbols_group(alphabet)
     tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
     last_ids = ()
+    # One template at a time: its fullmatch and model ids, the lines read,
+    # the line a template was last built (or tried) at, and the line the
+    # template last declined.
+    template = template_ids = declined = None
+    lines, built_at = 0, -_TEMPLATE_LINES
+    def canonical(line, where):
+        nonlocal lines, declined, last_ids
+        lines += 1
+        if template is None or (match := template(line)) is None:
+            declined = line
+            return _DECLINED
+        g = match.groups()
+        ground_truth = g[2]
+        if ground_truth is not None:
+            ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
+        if _first(g[0], seen_ids, where, tolerate):
+            # A list, not a tuple built from map: that one is resized into
+            # place, and ~2,000 of them then stay on the interpreter's free
+            # list of 12-tuples (~270 KB).
+            predictions = Ensemble._trusted(template_ids, g[3::2],
+                                            list(map(float, g[4::2])), last_ids)
+            last_ids = predictions.ids
+            return Sample._trusted(g[0], g[1], ground_truth, predictions)
     def sample(record, where):
-        nonlocal last_ids
+        nonlocal last_ids, template, template_ids, built_at
         _check_keys(record, _SAMPLE_KEYS, where, tolerate)
         sample_id = check_identifier(record.get("sample_id"), "sample_id", errors.ParseError)
         dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
@@ -385,9 +495,20 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
         if _first(sample_id, seen_ids, where, tolerate):
             predictions = Ensemble._trusted(tuple(raw_predictions), texts, confs,
                                             last_ids)
-            last_ids = predictions.ids
+            ids = predictions.ids
+            # Shared ids: the sample before had the same model ids, in order,
+            # and was read the general way too unless the template has them.
+            # Such a line gets a template if it is what json's compact
+            # encoder writes for it, so a corpus written otherwise compiles
+            # none; one try every _TEMPLATE_LINES lines at most.
+            if (ids is last_ids and ids is not template_ids and symbols
+                    and lines - built_at >= _TEMPLATE_LINES):
+                built_at = lines
+                if _encode_json(record) == declined:
+                    template, template_ids = _sample_template(ids, symbols), ids
+            last_ids = ids
             return Sample._trusted(sample_id, dataset, ground_truth, predictions)
-    return _parse_records(text, "prediction", sample, tolerate, _sample_keys)
+    return _parse_records(text, "prediction", sample, tolerate, _sample_keys, canonical)
 
 
 def load_predictions(path, *, strict: bool = True,
@@ -561,6 +682,21 @@ _FUSED_FIELDS = tuple(f.name for f in fields(FusedRecord))
 _FUSED_KEYS = set(_FUSED_FIELDS)
 
 
+def _fused_template(symbols: str):
+    """The ``fullmatch`` of a fused line as :func:`dump_fused` writes it with
+    a text of ``symbols`` and one or more contributors.
+
+    Its groups are the sample id, the dataset, the text, the winning votes,
+    ``true`` or ``false``, and the contributors joined by ``","``: no
+    contributor holds ``"``.
+    """
+    return re.compile("".join([
+        re.escape('{"sample_id":'), _STRING, re.escape(',"dataset":'), _CELL,
+        re.escape(',"text":'), symbols, re.escape(',"winning_votes":'), _COUNT,
+        re.escape(',"tie_broken":'), "(true|false)", re.escape(',"contributors":["'),
+        f'({_CHAR}+(?:","{_CHAR}+)*)', re.escape('"]}')])).fullmatch
+
+
 def dump_fused(records: Iterable[FusedRecord], path) -> None:
     """Write fused records as line-delimited JSON; inverse of :func:`load_fused`.
 
@@ -593,7 +729,12 @@ def load_fused(path, *, strict: bool = True,
     after the records on the lines before it. Every field must have its
     written type and ``text`` must already be normalized under ``alphabet``;
     violations are rejected with the line number in both modes.
-    A text of ``alphabet`` symbols only is accepted inline, and so are
+    A line in the shape :func:`dump_fused` writes is read from one
+    ``fullmatch`` of a template of it, as :func:`parse_predictions` reads a
+    corpus line: strings without escapes, a text of ``alphabet`` symbols
+    only, a count of at most 18 digits and one or more contributors. Any
+    other line is decoded as JSON.
+    There, a text of ``alphabet`` symbols only is accepted inline, and so are
     counts of their written types and contributors that are all non-empty
     ASCII strings; any other value goes through the rule that names what is
     wrong with it, the rule :class:`FusedRecord` applies. A repeated sample id
@@ -604,6 +745,17 @@ def load_fused(path, *, strict: bool = True,
     check_alphabet(alphabet)
     tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
+    symbols = _symbols_group(alphabet)
+    template = symbols and _fused_template(symbols)
+    def canonical(line, where):
+        match = template(line)
+        if match is None:
+            return _DECLINED
+        sample_id, dataset, text, votes, tie_broken, contributors = match.groups()
+        if _first(sample_id, seen_ids, where, tolerate):
+            return FusedRecord._trusted(sample_id, dataset, text, int(votes),
+                                        tie_broken == "true",
+                                        tuple(contributors.split('","')))
     def fused(record, where):
         _check_keys(record, _FUSED_KEYS, where, tolerate)
         try:
@@ -629,7 +781,8 @@ def load_fused(path, *, strict: bool = True,
         if _first(sample_id, seen_ids, where, tolerate):
             return FusedRecord._trusted(sample_id, dataset, text, votes, tie_broken,
                                         tuple(contributors))
-    return _parse_records(_read_lines(path), "fused", fused, tolerate)
+    return _parse_records(_read_lines(path), "fused", fused, tolerate,
+                          match_line=canonical if template else None)
 
 
 # --- synthetic config -------------------------------------------------------------
