@@ -33,6 +33,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import add
 
 from . import errors, kernels
 
@@ -234,9 +235,19 @@ class Ensemble(Mapping):
     model-id order, ``ids``, ``texts`` and ``confs``, so an ensemble never
     depends on the order of the map it was built from, and looking a model
     up builds its :class:`Prediction`.
+
+    ``confs`` is always a tuple of floats. An ensemble the corpus loader
+    read from a template-matched line holds its confidences' texts instead,
+    and the first read of ``confs`` decodes them, stores the floats and
+    drops the texts. ``==``, ``repr``, pickling and ``ens[m]`` read
+    ``confs``, as do ``hc`` and an mv or mvcp vote that settles a tie most
+    confident first; ``eval --fused`` and an mv or mvcp vote without a tie
+    never do. Held unread, 12 confidences' texts cost ~0.5 KB more than
+    their floats. Two threads that read ``confs`` first at once may both
+    decode it, and both store equal tuples.
     """
 
-    __slots__ = ("ids", "texts", "confs")
+    __slots__ = ("ids", "texts", "_confs")
 
     # __new__, not __init__: the checked entries are built by _trusted.
     def __new__(cls, predictions: Mapping[str, Prediction]):
@@ -257,14 +268,17 @@ class Ensemble(Mapping):
         return cls._trusted(tuple(ids), texts, confs)
 
     @classmethod
-    def _trusted(cls, ids: tuple, texts: Iterable[str], confs: Iterable[float],
+    def _trusted(cls, ids: tuple, texts: Iterable[str], confs: Iterable[float | str],
                  last_ids: tuple = ()) -> Ensemble:
         """An ensemble of values that were checked already, without a check.
 
         ``ids`` are one or more unique model ids in any order, and ``texts``
-        and ``confs`` are parallel to them. The three are sorted only when
-        ``ids`` is out of order; ``last_ids``, the ids of the ensemble built
-        before, is shared instead of ``ids`` when the two are equal.
+        and ``confs`` are parallel to them. Either every confidence is a
+        float, or every one is the text of a JSON number in [0, 1] that
+        ``float()`` reads as JSON does, which ``confs`` decodes when first
+        read. The three are sorted only when ``ids`` is out of order;
+        ``last_ids``, the ids of the ensemble built before, is shared
+        instead of ``ids`` when the two are equal.
         """
         if ids == last_ids:
             ids = last_ids
@@ -274,10 +288,22 @@ class Ensemble(Mapping):
             texts = [texts[i] for i in order]
             confs = [confs[i] for i in order]
         self = object.__new__(cls)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "texts", tuple(texts))
-        object.__setattr__(self, "confs", tuple(confs))
+        _SET_IDS(self, ids)
+        _SET_TEXTS(self, tuple(texts))
+        _SET_CONFS(self, tuple(confs))
         return self
+
+    @property
+    def confs(self) -> tuple[float, ...]:
+        """The confidences, parallel to ``ids``: a tuple of floats."""
+        confs = self._confs
+        if type(confs[0]) is str:
+            # From a list, not from map: a tuple built from map is resized
+            # into place, so the tuples freed meanwhile pile up on the
+            # interpreter's free list (~80 KB more in a 600-sample sweep).
+            confs = tuple(list(map(float, confs)))
+            _SET_CONFS(self, confs)
+        return confs
 
     def _read_only(self, *args):
         raise AttributeError("an Ensemble is read-only")
@@ -303,6 +329,11 @@ class Ensemble(Mapping):
 
     def __repr__(self) -> str:
         return f"Ensemble({dict(self.items())!r})"
+
+
+# The slots' own setters, which skip the read-only __setattr__.
+_SET_IDS, _SET_TEXTS, _SET_CONFS = (
+    Ensemble.__dict__[name].__set__ for name in ("ids", "texts", "_confs"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,7 +520,7 @@ def _ranked(predictions: Mapping[str, Prediction], ranking):
 
 
 def _prepare(ensemble: Ensemble, most_confident_first: bool, position):
-    """The ensemble as parallel kernel inputs in tie-break order.
+    """The ensemble's entry indices in tie-break order.
 
     The entries start in model-id order and are sorted by their ranking
     ``position`` (see :func:`_ranked`) when one is given, then by
@@ -497,16 +528,16 @@ def _prepare(ensemble: Ensemble, most_confident_first: bool, position):
     stable, so equal confidences keep the order before them. ``hc`` is never
     most confident first: it picks the most confident entry itself, and the
     order only settles exact confidence ties. Only a vote that tied reads
-    this order (see the module docstring).
+    this order (see the module docstring), and only an order by confidence
+    reads ``confs``.
     """
-    ids, texts, confs = ensemble.ids, ensemble.texts, ensemble.confs
+    ids = ensemble.ids
     entries = range(len(ids))
     if position is not None:
         entries = sorted(entries, key=lambda i: position[ids[i]])
     if most_confident_first:
-        entries = sorted(entries, key=confs.__getitem__, reverse=True)
-    return ([ids[i] for i in entries], [texts[i] for i in entries],
-            [confs[i] for i in entries])
+        entries = sorted(entries, key=ensemble.confs.__getitem__, reverse=True)
+    return entries
 
 
 def hc_fuse(predictions: Mapping[str, Prediction],
@@ -518,12 +549,13 @@ def hc_fuse(predictions: Mapping[str, Prediction],
     that happened.
     """
     ensemble, position = _ranked(predictions, ranking)
-    texts = ensemble.texts
-    idx, tie = kernels.hc_select(ensemble.confs)
+    confs = ensemble.confs
+    idx, tie = kernels.hc_select(confs)
     if tie:
-        _, texts, confs = _prepare(ensemble, False, position)
-        idx, tie = kernels.hc_select(confs)
-    text = texts[idx]
+        entries = _prepare(ensemble, False, position)
+        idx, tie = kernels.hc_select([confs[i] for i in entries])
+        idx = entries[idx]
+    text = ensemble.texts[idx]
     contributors = frozenset(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
     return FusionResult(text, 0, tie, contributors)
 
@@ -538,11 +570,12 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     confidence (equal confidences by model id).
     """
     ensemble, position = _ranked(predictions, ranking)
-    text, votes, tie = kernels.mv_select(ensemble.texts)
+    texts = ensemble.texts
+    text, votes, tie = kernels.mv_select(texts)
     if tie:
-        _, texts, _ = _prepare(ensemble, position is None, position)
-        text, votes, tie = kernels.mv_select(texts)
-    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
+        text, votes, tie = kernels.mv_select(
+            [texts[i] for i in _prepare(ensemble, position is None, position)])
+    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
 
@@ -560,8 +593,8 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
     texts = ensemble.texts
     fused, tie = kernels.mvcp_select(texts)
     if tie:
-        _, tied_texts, _ = _prepare(ensemble, position is None, position)
-        fused, tie = kernels.mvcp_select(tied_texts)
+        fused, tie = kernels.mvcp_select(
+            [texts[i] for i in _prepare(ensemble, position is None, position)])
     first = fused[0]
     contributors = frozenset(compress(ensemble.ids, [
         t[0] == first or any(map(str.__eq__, t, fused)) for t in texts]))
@@ -592,20 +625,37 @@ def normalize_confidences(samples: Iterable[Sample],
         return samples
     if mode != "per-model-mean":
         raise errors.InvalidConfig(f"unknown normalization mode {mode!r}")
-    samples = list(samples)
+    # Summed as they are collected: a loaded sample decodes its confidences
+    # when first read (see Ensemble), so none is held as text meanwhile.
+    # Samples in a row with the same model ids share one ids tuple, and each
+    # run of them is summed in a list, one sample at a time in corpus order,
+    # as each model's dict entry would be.
+    held = []
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
+    ids, run, n = (), [], 0
+    def end_run():
+        sums.update(zip(ids, run))
+        for m in ids:
+            counts[m] = counts.get(m, 0) + n
     for s in samples:
-        for m, c in zip(s.predictions.ids, s.predictions.confs):
-            sums[m] = sums.get(m, 0.0) + c
-            counts[m] = counts.get(m, 0) + 1
+        held.append(s)
+        e = s.predictions
+        if e.ids is not ids:
+            end_run()
+            ids, run, n = e.ids, [sums.get(m, 0.0) for m in e.ids], 0
+        run = list(map(add, run, e.confs))
+        n += 1
+    end_run()
     means = {m: sums[m] / counts[m] for m in sums}
-    out = []
-    for s in samples:
-        ids = s.predictions.ids
-        scaled = [c if means[m] == 0.0 else min(1.0, c / means[m])
-                  for m, c in zip(ids, s.predictions.confs)]
+    out, ids = [], ()
+    for s in held:
+        e = s.predictions
+        if e.ids is not ids:
+            ids = e.ids
+            scale = [means[m] for m in ids]
+        scaled = [c if mean == 0.0 else min(1.0, c / mean)
+                  for mean, c in zip(scale, e.confs)]
         out.append(Sample._trusted(s.sample_id, s.dataset, s.ground_truth,
-                                   Ensemble._trusted(ids, s.predictions.texts,
-                                                     scaled, ids)))
+                                   Ensemble._trusted(ids, e.texts, scaled, ids)))
     return out

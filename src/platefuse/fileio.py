@@ -403,7 +403,12 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     whitespace, the keys and model ids in that order, strings without
     escapes, texts of ``alphabet`` symbols only and confidences in a
     ``float.__repr__`` form of [0, 1]. JSON would read each of its values
-    as it stands, and the general path would accept it. One template is
+    as it stands, and the general path would accept it. Its confidences are
+    kept as their texts, which ``float()`` reads as JSON does, and decoded
+    on the first read of the ensemble's ``confs`` (see
+    :class:`~platefuse.core.Ensemble`): ``eval --fused``, and an mv or mvcp
+    vote without a tie, never decode them, and a sample held unread keeps
+    its texts (~0.5 KB more than the floats, for 12 models). One template is
     held at a time. It is built when the general path reads the same model
     ids, in model-id order, on two lines in a row, the second of them
     exactly what ``json``'s compact encoder writes for its record; and no
@@ -447,11 +452,8 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
         if ground_truth is not None:
             ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
         if _first(g[0], seen_ids, where, tolerate):
-            # A list, not a tuple built from map: that one is resized into
-            # place, and ~2,000 of them then stay on the interpreter's free
-            # list of 12-tuples (~270 KB).
-            predictions = Ensemble._trusted(template_ids, g[3::2],
-                                            list(map(float, g[4::2])), last_ids)
+            # The confidences' texts: Ensemble.confs decodes them when read.
+            predictions = Ensemble._trusted(template_ids, g[3::2], g[4::2], last_ids)
             last_ids = predictions.ids
             return Sample._trusted(g[0], g[1], ground_truth, predictions)
     def sample(record, where):

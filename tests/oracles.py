@@ -10,6 +10,9 @@ re-derive the final answer from the tie-break rules on their own.
 fused texts, the readable counterpart of the counts the CLI and the sweep
 keep while the corpus streams.
 
+:func:`reference_normalized_confidences` is per-model-mean rescaling with
+one running sum per model id, one sample at a time.
+
 :func:`mvcp_accuracy_estimate` is the generator's counterpart: a vectorized
 Monte Carlo re-implementation of the noise protocol of
 :mod:`platefuse.synth` with its own positional vote. It draws from the same
@@ -181,6 +184,25 @@ def reference_recognition_rate(samples: Iterable[Sample],
     if not totals:
         raise errors.EmptyInput("no samples to score")
     return [DatasetReport(d, totals[d], corrects.get(d, 0)) for d in sorted(totals)]
+
+
+def reference_normalized_confidences(samples: list[Sample]) -> list[tuple[float, ...]]:
+    """Each sample's confidences divided by its model's corpus-wide mean and
+    clamped to 1; a model whose mean is zero is left unscaled."""
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for s in samples:
+        for m in s.predictions:
+            sums[m] = sums.get(m, 0.0) + s.predictions[m].confidence
+            counts[m] = counts.get(m, 0) + 1
+    out = []
+    for s in samples:
+        scaled = []
+        for m in s.predictions:
+            c, mean = s.predictions[m].confidence, sums[m] / counts[m]
+            scaled.append(c if mean == 0.0 else min(1.0, c / mean))
+        out.append(tuple(scaled))
+    return out
 
 
 def mvcp_accuracy_estimate(config: SynthConfig) -> float:

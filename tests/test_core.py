@@ -14,6 +14,7 @@ from oracles import (
     oracle_mv,
     oracle_mvcp_lengths,
     oracle_mvcp_positions,
+    reference_normalized_confidences,
     resolve_hc,
     resolve_mv,
     resolve_mvcp,
@@ -698,15 +699,16 @@ def test_each_strategy_puts_the_ensemble_in_its_tiebreak_order(monkeypatch, stra
     # sees the order that apply_strategy puts the ensemble in.
     prepared = []
     prepare = core._prepare
-    def record(*args):
-        prepared.append(prepare(*args))
-        return prepared[-1]
+    def record(ensemble, *args):
+        prepared.append((ensemble, prepare(ensemble, *args)))
+        return prepared[-1][1]
     monkeypatch.setattr(core, "_prepare", record)
     apply_strategy(TIE_RICH, strategy)
-    [(ids, texts, confs)] = prepared
-    assert ids == expected
-    assert texts == [TIE_RICH[m].text for m in expected]
-    assert confs == [TIE_RICH[m].confidence for m in expected]
+    [(ensemble, entries)] = prepared
+    assert [ensemble.ids[i] for i in entries] == expected
+    assert [ensemble.texts[i] for i in entries] == [TIE_RICH[m].text for m in expected]
+    assert [ensemble.confs[i] for i in entries] == \
+        [TIE_RICH[m].confidence for m in expected]
 
 
 # No vote among these ties: d holds the top confidence alone, XY has three of
@@ -770,6 +772,26 @@ def test_normalize_scales_by_model_mean():
     mean = (0.5 + 1.0) / 2
     assert out[0].predictions["m"].confidence == pytest.approx(0.5 / mean)
     assert out[1].predictions["m"].confidence == 1.0
+
+
+@given(st.lists(st.tuples(st.sampled_from([("a", "b"), ("a", "c"), ("b",)]),
+                          st.integers(1, 3), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_normalize_matches_a_running_sum_per_model(runs):
+    # Runs of samples sharing one ids tuple, as the loader and the generator
+    # build them, and model sets that change between runs; the confidences
+    # must match the reference bit for bit.
+    samples, ids = [], ()
+    for model_set, length, conf in runs:
+        for i in range(length):
+            confs = [conf * (i + 1) / length / (j + 1) for j in range(len(model_set))]
+            e = Ensemble._trusted(model_set, ["A"] * len(model_set), confs, ids)
+            ids = e.ids
+            samples.append(Sample(f"s{len(samples)}", "d", None, e))
+    out = normalize_confidences(samples, "per-model-mean")
+    assert [tuple(map(float.hex, s.predictions.confs)) for s in out] == \
+        [tuple(map(float.hex, c)) for c in reference_normalized_confidences(samples)]
+    assert [s.predictions.ids for s in out] == [s.predictions.ids for s in samples]
 
 
 def test_normalize_unknown_mode():

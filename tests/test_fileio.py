@@ -1,5 +1,6 @@
 """Unit tests for file formats and report rendering."""
 
+import gc
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from platefuse import (
     SynthConfig,
     errors,
     generate,
+    normalize_confidences,
     rank_models,
     sweep_top_n,
 )
@@ -148,21 +150,27 @@ def test_parse_predictions_yields_each_sample_before_reading_the_next():
         next(samples)
 
 
-def test_a_held_sample_costs_little_beyond_its_values():
-    # `fuse --normalize per-model-mean` holds every loaded sample. Beyond the
-    # objects that hold its values (its strings, floats, ensemble and the
-    # ensemble's tuples), a slotted sample and its place in the list cost
-    # about 70 bytes on Python 3.11; with an instance dict, about 245.
+def _held_sample_lines(separators):
     n = 2000
-    lines = [json.dumps({
+    return [json.dumps({
         "sample_id": f"s{i:05d}", "dataset": f"d{i % 3}", "ground_truth": "AB1C",
         "predictions": {f"m{j}": {"text": f"AB{i % 10}C", "confidence": (i + j) % 97 / 100}
                         for j in range(3)},
-    }) for i in range(n)]
+    }, separators=separators) for i in range(n)]
+
+
+def _held_sample_overhead(lines, read_confs):
+    """The bytes a sample of ``lines`` held in a list costs beyond the
+    objects that hold its values, once every sample's ``confs`` is read if
+    ``read_confs``; and how many samples held confidence texts when loaded."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         held = list(fileio.parse_predictions(lines))
+        deferred = sum(type(s.predictions._confs[0]) is str for s in held)
+        if read_confs:
+            for s in held:
+                s.predictions.confs
         held_bytes = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -170,8 +178,53 @@ def test_a_held_sample_costs_little_beyond_its_values():
               for e in [s.predictions]
               for v in (s.sample_id, s.dataset, s.ground_truth, e, e.texts, e.confs,
                         *e.texts, *e.confs)}
-    overhead = (held_bytes - sum(map(sys.getsizeof, values.values()))) / n
+    return (held_bytes - sum(map(sys.getsizeof, values.values()))) / len(held), deferred
+
+
+def test_a_held_sample_costs_little_beyond_its_values():
+    # `fuse --normalize per-model-mean` holds every loaded sample. Beyond the
+    # objects that hold its values (its strings, floats, ensemble and the
+    # ensemble's tuples), a slotted sample and its place in the list cost
+    # about 70 bytes on Python 3.11; with an instance dict, about 245.
+    overhead, deferred = _held_sample_overhead(_held_sample_lines(None), read_confs=False)
+    assert deferred == 0
     assert overhead < 128, overhead
+
+
+def test_a_template_read_sample_holds_no_confidence_text_once_read():
+    # The same samples in compact lines: all but the two that build the
+    # template are read from it and hold their confidences' texts until
+    # `confs` is read, which must keep the floats only.
+    lines = _held_sample_lines((",", ":"))
+    overhead, deferred = _held_sample_overhead(lines, read_confs=True)
+    assert deferred == len(lines) - 2
+    assert overhead < 128, overhead
+
+
+def test_normalizing_a_compact_corpus_peaks_no_higher_than_its_spaced_twin(tmp_path):
+    # `--normalize per-model-mean` holds every sample. It reads each one's
+    # confidences as it collects them, so no template-read sample keeps its
+    # texts: collecting all first would hold 12 texts a sample, ~1.5 MB here.
+    path = tmp_path / "corpus.jsonl"
+    fileio.dump_predictions(generate(SynthConfig(seed=4, n_models=12, n_samples=2000,
+                                                 plate_length=7)), path)
+    compact = path.read_text(encoding="utf-8").splitlines()
+    spaced = [json.dumps(json.loads(line)) for line in compact]
+    peaks = []
+    for lines in (compact, spaced):
+        # A first pass makes what a load makes only once (the template's
+        # compiled pattern, say), and a full collection empties the
+        # interpreter's free lists, so both traced passes start alike.
+        normalize_confidences(fileio.parse_predictions(lines), "per-model-mean")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            normalize_confidences(fileio.parse_predictions(lines), "per-model-mean")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Each path's transients at the peak differ by a few hundred bytes.
+    assert peaks[0] <= peaks[1] + 4096, peaks
 
 
 def test_load_predictions_reads_a_pipe(tmp_path):

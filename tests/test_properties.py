@@ -504,11 +504,14 @@ def test_one_arbitrary_field_is_accepted_exactly_or_rejected_with_its_line(
         else:
             assert not repeat
             if kind == "config":
-                # An empty per_model stands for one default model each. Both
-                # sides as JSON values: a pair is a list, and an integer
-                # equals the float it became.
-                defaults = [dataclasses.asdict(ErrorModel())] * second["n_models"]
-                given = {**second, "per_model": second["per_model"] or defaults}
+                # An empty per_model stands for one default model each, and a
+                # field a model leaves out takes its default. Both sides as
+                # JSON values: a pair is a list, and an integer equals the
+                # float it became.
+                defaults = dataclasses.asdict(ErrorModel())
+                per_model = [{**defaults, **m} for m in second["per_model"]]
+                given = {**second,
+                         "per_model": per_model or [defaults] * second["n_models"]}
                 loaded = json.loads(json.dumps(dataclasses.asdict(records)))
                 assert loaded == json.loads(json.dumps(given))
                 continue

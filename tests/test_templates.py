@@ -5,16 +5,23 @@ decodes it as JSON and checks each value, would load it, or is declined and
 takes the general path itself: the same values, accepts, messages and warnings.
 """
 
+import copy
+import gc
 import json
 import logging
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from platefuse import ErrorModel, Prediction, Sample, SynthConfig, errors, fileio, generate
+from platefuse import (ErrorModel, FusionStrategy, Prediction, Sample, SynthConfig,
+                       apply_strategy, errors, fileio, generate)
 from platefuse.core import DEFAULT_ALPHABET
 
 
@@ -409,6 +416,122 @@ def test_the_loaders_read_the_lines_of_their_writers_through_their_templates(tmp
     with patch:
         assert len(list(fileio.load_fused(fused))) == 50
     assert len(matched) == 50
+
+
+# --- confidences read from a matched line -----------------------------------------
+
+@given(st.from_regex(fileio._CONFIDENCE, fullmatch=True))
+@settings(max_examples=500, deadline=None)
+def test_every_confidence_text_a_template_admits_is_a_confidence(text):
+    # A matched line's confidences are decoded only when read, so float() of
+    # each must give what the general path gives and never fail.
+    value = float(text)
+    assert 0.0 <= value <= 1.0
+    assert value.hex() == json.loads(text).hex()
+
+
+# Confidence forms a template admits: one float.__repr__ would not write,
+# the top of the range, the smallest subnormal, an exponent with a leading
+# zero and one with many.
+_CONFIDENCE_FORMS = ["0.50", "1.0", "5e-324", "1e-05", "2.5e-0001"]
+_FORM_IDS = tuple(f"m{i}" for i in range(len(_CONFIDENCE_FORMS)))
+
+
+def _form_ensembles():
+    """The ensemble of a line holding each of ``_CONFIDENCE_FORMS``, read
+    from its template, and the same line's, read the general way."""
+    line = _line(_corpus_fields(DEFAULT_ALPHABET, entries=[
+        (f'"{m}"', '"AB"', c) for m, c in zip(_FORM_IDS, _CONFIDENCE_FORMS)]))
+    ensembles = []
+    for last in (line, _spaced(line)):
+        text = "\n".join([_priming(_FORM_IDS, DEFAULT_ALPHABET, 1),
+                          _priming(_FORM_IDS, DEFAULT_ALPHABET, 2), last])
+        ensembles.append(list(fileio.parse_predictions(text))[-1].predictions)
+    matched, general = ensembles
+    assert matched._confs == tuple(_CONFIDENCE_FORMS)
+    return matched, general
+
+
+@pytest.mark.parametrize("view", [
+    pytest.param(lambda e: e, id="eq"),
+    pytest.param(lambda e: pickle.loads(pickle.dumps(e)), id="pickle"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(repr, id="repr"),
+    pytest.param(lambda e: [e[m] for m in _FORM_IDS], id="getitem"),
+    pytest.param(lambda e: tuple(map(float.hex, e.confs)), id="confs"),
+])
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_template_read_ensemble_is_its_general_twin(view, read_first):
+    matched, general = _form_ensembles()
+    if read_first:
+        matched.confs
+    assert view(matched) == view(general)
+    assert matched == general and general == matched
+    confs = matched.confs
+    assert matched.confs is confs
+    assert type(matched._confs[0]) is float
+
+
+@pytest.mark.parametrize("name", ["hc", "mv-bm", "mvcp-bm", "mv-hc", "mvcp-hc"])
+def test_a_vote_reads_a_matched_lines_confidences_only_to_order_by_them(name):
+    # hc always reads them. An mv or mvcp vote reads them only to settle a
+    # tie most confident first: "AB" against "CD" ties, "AB" twice does not,
+    # and a ranked (-bm) vote settles its tie without them.
+    lines = _corpus_lines(3)
+    for third, tie in ((lines[2], True), (lines[2].replace('"CD"', '"AB"'), False)):
+        text = "\n".join([*lines[:2], third])
+        ensemble = list(fileio.parse_predictions(text))[-1].predictions
+        assert type(ensemble._confs[0]) is str
+        result = apply_strategy(ensemble, FusionStrategy(name, ("m1", "m0")))
+        assert result.tie_broken == (tie and name != "hc")
+        decoded = name == "hc" or (tie and name.endswith("-hc"))
+        assert (type(ensemble._confs[0]) is float) == decoded
+
+
+def test_reading_each_streamed_samples_confidences_leaves_nothing_behind():
+    # `fuse --strategy hc` and `sweep` read each sample's confs and drop the
+    # sample. A decode into a tuple that is resized in place left one freed
+    # 12-tuple a sample on the interpreter's free list (up to 2,000, ~270 KB).
+    config = SynthConfig(seed=3, n_models=12, n_samples=2000, plate_length=7)
+    text = _written(generate(config))
+    for traced in (False, True):
+        # The first pass builds what a load builds once; a full collection
+        # empties the free lists, which then refill by some 14 KB of the
+        # bounded lists of floats, dicts and the like.
+        gc.collect()
+        if traced:
+            tracemalloc.start()
+        for sample in fileio.parse_predictions(text):
+            assert type(sample.predictions.confs[0]) is float
+        if traced:
+            left = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+    assert left < 64_000, left
+
+
+def test_threads_reading_confs_first_at_once_all_read_the_floats():
+    # A first read decodes and stores; two at once may both decode, and
+    # each must still return, and leave, the same floats.
+    text = _written(generate(SynthConfig(seed=5, n_models=12, n_samples=300,
+                                         plate_length=7)))
+    expected = [s.predictions.confs for s in fileio.parse_predictions(
+        "\n".join(map(_spaced, text.splitlines())))]
+    samples = list(fileio.parse_predictions(text))
+    reads = [[] for _ in range(4)]
+    threads = [threading.Thread(target=lambda out: out.extend(
+        s.predictions.confs for s in samples), args=(out,)) for out in reads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [expected] * 4
+    assert [s.predictions.confs for s in samples] == expected
 
 
 # --- rejections on a template-matched line --------------------------------------
