@@ -33,7 +33,6 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add
 
 from . import errors, kernels
 
@@ -627,26 +626,15 @@ def normalize_confidences(samples: Iterable[Sample],
         raise errors.InvalidConfig(f"unknown normalization mode {mode!r}")
     # Summed as they are collected: a loaded sample decodes its confidences
     # when first read (see Ensemble), so none is held as text meanwhile.
-    # Samples in a row with the same model ids share one ids tuple, and each
-    # run of them is summed in a list, one sample at a time in corpus order,
-    # as each model's dict entry would be.
     held = []
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    ids, run, n = (), [], 0
-    def end_run():
-        sums.update(zip(ids, run))
-        for m in ids:
-            counts[m] = counts.get(m, 0) + n
     for s in samples:
         held.append(s)
         e = s.predictions
-        if e.ids is not ids:
-            end_run()
-            ids, run, n = e.ids, [sums.get(m, 0.0) for m in e.ids], 0
-        run = list(map(add, run, e.confs))
-        n += 1
-    end_run()
+        for m, c in zip(e.ids, e.confs):
+            sums[m] = sums.get(m, 0.0) + c
+            counts[m] = counts.get(m, 0) + 1
     means = {m: sums[m] / counts[m] for m in sums}
     out, ids = [], ()
     for s in held:

@@ -8,8 +8,9 @@ from dicts by ``json``'s encoder. A corpus line, the bulk of what
 strings by the functions that encoder calls (see :func:`dump_predictions`
 and :func:`dump_fused`). Their loaders try each line against a template of
 that exact shape first: a line that matches is read from the template's
-groups, with no JSON decode, and any other line is decoded as JSON, with the
-same values, accepts and messages.
+groups, with no JSON decode. Any other line is decoded as JSON, and each of
+its values goes through the one rule that checks, normalizes or rejects it:
+the same values, accepts and messages on either path.
 
 Reports render either as comma-delimited text or as an aligned
 human-readable table; both apply the display rounding rules (rates to one
@@ -175,12 +176,13 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _json(text: str, where: str, *, unique: bool = False):
-    """``json.loads(text)``, with any failure a ParseError naming ``where``.
+    """``json.loads(text)``, with any failure a ParseError that ``where`` begins.
 
-    Besides malformed JSON, this covers an integer longer than Python's
-    digit limit (a ValueError) and nesting deep enough to exhaust the
-    interpreter's recursion limit (a RecursionError). With ``unique``, an
-    object with a repeated key is rejected too, naming the key.
+    ``where`` is the rejection's context and its separator (``"config: "``,
+    say), or ``""``. Besides malformed JSON, this covers an integer longer
+    than Python's digit limit (a ValueError) and nesting deep enough to
+    exhaust the interpreter's recursion limit (a RecursionError). With
+    ``unique``, an object with a repeated key is rejected too, naming the key.
 
     Without ``unique``, a text that is one JSON value from its first
     character to its last is decoded by one scan, as ``json.loads`` would
@@ -199,24 +201,13 @@ def _json(text: str, where: str, *, unique: bool = False):
         return json.loads(text, object_pairs_hook=_unique_keys if unique else None)
     except (ValueError, RecursionError) as exc:
         reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-        raise errors.ParseError(f"{where}: invalid JSON ({reason})") from None
+        raise errors.ParseError(f"{where}invalid JSON ({reason})") from None
     except errors.ParseError as exc:
-        raise errors.ParseError(f"{where}: {exc}") from None
+        raise errors.ParseError(f"{where}{exc}") from None
 
 
-def _parse_records(lines: str | Iterable[str], what: str, parse_record,
-                   tolerate: _Tolerance, keys=len, match_line=None) -> Iterator:
-    """``parse_record(record, where)`` for each JSON object line, dropping ``None``.
-
-    A generator: a record is read when the one before it has been consumed.
-    A rejection it raises is re-raised as its own class with the line number;
-    a file with no records raises :class:`~platefuse.errors.EmptyFile` at its end.
-    Once the last line has been read, ``tolerate`` logs what it counted.
-
-    ``match_line(line, where)``, when given, is tried on each line before it
-    is decoded: it returns the line's result (``None`` to drop it), or
-    ``_DECLINED`` to have the line decoded and read by ``parse_record``. A
-    rejection it raises gets the line number too.
+def _record(line: str, keys=len) -> dict:
+    """The JSON object ``line``, or a rejection of a line that is not one.
 
     A line that repeats a key in any object is rejected in both modes: JSON
     would keep the last value, and there is no reading to ignore the repeat
@@ -225,32 +216,31 @@ def _parse_records(lines: str | Iterable[str], what: str, parse_record,
     reads, repeats none. Any other line (a colon in a string, an object
     inside an unknown field, a repeat) is decoded again, rejecting a repeat.
     """
+    record = _json(line, "")
+    if not isinstance(record, dict):
+        raise errors.ParseError("record is not an object")
+    if line.count(":") != keys(record):
+        _json(line, "", unique=True)
+    return record
+
+
+def _parse_records(lines: str | Iterable[str], what: str, read,
+                   tolerate: _Tolerance) -> Iterator:
+    """``read(line, where)`` for each line, dropping ``None``.
+
+    A generator: a line is read when the record before it has been consumed.
+    A rejection ``read`` raises is re-raised as its own class with the line
+    number; a file with no records raises :class:`~platefuse.errors.EmptyFile`
+    at its end. Once the last line has been read, ``tolerate`` logs what it
+    counted.
+    """
     empty = True
     for number, line in _lines(lines):
         where = f"line {number}"
-        result = _DECLINED
-        if match_line is not None:
-            try:
-                result = match_line(line, where)
-            except errors.PlatefuseError as exc:
-                raise type(exc)(f"{where}: {exc}") from None
-        if result is _DECLINED:
-            # _json's one scan, inline; anything else goes to _json for its
-            # value or its message.
-            try:
-                record, end = _scan_json(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = None
-            if end != len(line):
-                record = _json(line, where)
-            if not isinstance(record, dict):
-                raise errors.ParseError(f"{where}: record is not an object")
-            if line.count(":") != keys(record):
-                _json(line, where, unique=True)
-            try:
-                result = parse_record(record, where)
-            except errors.PlatefuseError as exc:
-                raise type(exc)(f"{where}: {exc}") from None
+        try:
+            result = read(line, where)
+        except errors.PlatefuseError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
         if result is not None:
             empty = False
             yield result
@@ -327,8 +317,9 @@ def _normalized(value, name: str, alphabet: str) -> str:
 # groups: no JSON scan, no dict and no check of each value. A group matches
 # only text that JSON reads as that very text (a string with no escape), or as
 # float() or int() of it (a number), and that the loader would accept as it
-# stands. Any other line is declined and read as before, so every value, every
-# accept and every message is the same on either path.
+# stands; a ground truth, which may be any such string, is normalized. Any
+# other line is decoded and each of its values checked by its rule, so every
+# value, every accept and every message is the same on either path.
 
 # A character of a string with no escape. Lone surrogates, which only a str
 # handed to a parser can hold, are left out, so check_identifier accepts the
@@ -342,8 +333,6 @@ _CELL = r'"([^",\\\x00-\x1f\ud800-\udfff]+)"'
 _CONFIDENCE = r"(0\.[0-9]+|1\.0|[1-9](?:\.[0-9]+)?e-0*[1-9][0-9]*)"
 # A count within the digit limit of int().
 _COUNT = r"(0|[1-9][0-9]{0,17})"
-# What a line matcher returns for a line it leaves to the general path.
-_DECLINED = object()
 # Lines a corpus template is kept at least before another is built: a build
 # (~1 ms for 12 model ids) then costs at most ~1 µs a line.
 _TEMPLATE_LINES = 1024
@@ -416,16 +405,16 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     corpus whose model set changes on every line nor one written with
     other separators compiles a template.
 
-    Any other line is decoded as JSON. A value already in canonical form (a
-    model id that is a non-empty ASCII string, a text made of ``alphabet``
-    symbols only, a float confidence in [0, 1]) is accepted by inline tests.
-    Any other value goes through the one
-    rule that checks, normalizes or rejects it
+    Any other line is decoded as JSON, and each of its values goes through
+    the one rule that checks, normalizes or rejects it
     (:func:`~platefuse.core.check_identifier`,
     :func:`~platefuse.core.normalize_text`,
     :func:`~platefuse.core.check_confidence`), so the accepts and the
-    messages are the rule's. A ground truth always goes through the rule, on
-    either path. Each :class:`~platefuse.core.Sample` and its
+    messages are the rule's. A ground truth goes through its rule on either
+    path: the template admits any string without an escape there. Within a
+    line, unknown record fields are checked first, then the sample id, the
+    dataset and the ground truth, then each prediction in line order, and a
+    repeated sample id last. Each :class:`~platefuse.core.Sample` and its
     :class:`~platefuse.core.Ensemble` are built from the values so checked,
     without a check of their own; a record whose model ids are out of order
     is sorted, and samples with the same model ids as the sample before
@@ -437,80 +426,63 @@ def parse_predictions(text: str | Iterable[str], *, strict: bool = True,
     seen_ids: set[str] = set()
     last_ids = ()
     # One template at a time: its fullmatch and model ids, the lines read,
-    # the line a template was last built (or tried) at, and the line the
-    # template last declined.
-    template = template_ids = declined = None
+    # and the line a template was last built (or tried) at.
+    template = template_ids = None
     lines, built_at = 0, -_TEMPLATE_LINES
-    def canonical(line, where):
-        nonlocal lines, declined, last_ids
+    def read(line, where):
+        nonlocal lines, last_ids, template, template_ids, built_at
         lines += 1
-        if template is None or (match := template(line)) is None:
-            declined = line
-            return _DECLINED
-        g = match.groups()
-        ground_truth = g[2]
-        if ground_truth is not None:
-            ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
-        if _first(g[0], seen_ids, where, tolerate):
+        record = None
+        if template is not None and (match := template(line)) is not None:
+            g = match.groups()
+            sample_id, dataset, ground_truth = g[:3]
+            # The ground-truth group admits any string without an escape, so
+            # the ground truth must be normalized.
+            if ground_truth is not None:
+                ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
             # The confidences' texts: Ensemble.confs decodes them when read.
-            predictions = Ensemble._trusted(template_ids, g[3::2], g[4::2], last_ids)
-            last_ids = predictions.ids
-            return Sample._trusted(g[0], g[1], ground_truth, predictions)
-    def sample(record, where):
-        nonlocal last_ids, template, template_ids, built_at
-        _check_keys(record, _SAMPLE_KEYS, where, tolerate)
-        sample_id = check_identifier(record.get("sample_id"), "sample_id", errors.ParseError)
-        dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
-        ground_truth = record.get("ground_truth")
-        # Always through normalize_text, canonical or not: a traced fuse,
-        # eval or sweep must enter it (perfbench's EXPECTED_SPANS), and a
-        # canonical prediction text is accepted without it.
-        if ground_truth is not None:
-            ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
-        raw_predictions = record.get("predictions")
-        if not isinstance(raw_predictions, dict) or not raw_predictions:
-            raise errors.ParseError("predictions must be a non-empty object")
-        texts, confs = [], []
-        for model_id, entry in raw_predictions.items():
-            if not model_id.isascii() or not model_id:
+            ids, texts, confs = template_ids, g[3::2], g[4::2]
+        else:
+            record = _record(line, _sample_keys)
+            _check_keys(record, _SAMPLE_KEYS, where, tolerate)
+            sample_id = check_identifier(record.get("sample_id"), "sample_id",
+                                         errors.ParseError)
+            dataset = check_cell(record.get("dataset"), "dataset", errors.ParseError)
+            ground_truth = record.get("ground_truth")
+            if ground_truth is not None:
+                ground_truth = _normalized(ground_truth, "ground_truth", alphabet)
+            raw_predictions = record.get("predictions")
+            if not isinstance(raw_predictions, dict) or not raw_predictions:
+                raise errors.ParseError("predictions must be a non-empty object")
+            texts, confs = [], []
+            for model_id, entry in raw_predictions.items():
                 check_identifier(model_id, "model id", errors.ParseError)
-            try:
-                if not isinstance(entry, dict):
-                    raise errors.ParseError("prediction must be an object")
-                # Only a shortcut, as _check_keys decides: skipping it and the
-                # text it is given saves ~1.3 of ~12.4 µs a 12-model sample.
-                if entry.keys() != _PREDICTION_KEYS:
+                try:
+                    if not isinstance(entry, dict):
+                        raise errors.ParseError("prediction must be an object")
                     _check_keys(entry, _PREDICTION_KEYS, f"{where}: model {model_id!r}",
                                 tolerate, _UNKNOWN_PREDICTION_FIELDS)
-                # A canonical value is accepted inline; any other goes
-                # through the rule that normalizes or rejects it.
-                text = entry.get("text")
-                if type(text) is not str or not text or text.strip(alphabet):
-                    text = _normalized(text, "text", alphabet)
-                c = entry.get("confidence")
-                if type(c) is not float or not 0.0 <= c <= 1.0:
-                    c = check_confidence(c)
-            except errors.PlatefuseError as exc:
-                raise type(exc)(f"model {model_id!r}: {exc}") from None
-            texts.append(text)
-            confs.append(c)
+                    texts.append(_normalized(entry.get("text"), "text", alphabet))
+                    confs.append(check_confidence(entry.get("confidence")))
+                except errors.PlatefuseError as exc:
+                    raise type(exc)(f"model {model_id!r}: {exc}") from None
+            ids = tuple(raw_predictions)
         if _first(sample_id, seen_ids, where, tolerate):
-            predictions = Ensemble._trusted(tuple(raw_predictions), texts, confs,
-                                            last_ids)
+            predictions = Ensemble._trusted(ids, texts, confs, last_ids)
             ids = predictions.ids
-            # Shared ids: the sample before had the same model ids, in order,
-            # and was read the general way too unless the template has them.
-            # Such a line gets a template if it is what json's compact
-            # encoder writes for it, so a corpus written otherwise compiles
-            # none; one try every _TEMPLATE_LINES lines at most.
-            if (ids is last_ids and ids is not template_ids and symbols
-                    and lines - built_at >= _TEMPLATE_LINES):
+            # A decoded line whose model ids, in order, are those of the line
+            # before, and not the template's, gets a template if it is what
+            # json's compact encoder writes for it, so a corpus written
+            # otherwise compiles none; one try every _TEMPLATE_LINES lines at
+            # most.
+            if (record is not None and ids is last_ids and ids is not template_ids
+                    and symbols and lines - built_at >= _TEMPLATE_LINES):
                 built_at = lines
-                if _encode_json(record) == declined:
+                if _encode_json(record) == line:
                     template, template_ids = _sample_template(ids, symbols), ids
             last_ids = ids
             return Sample._trusted(sample_id, dataset, ground_truth, predictions)
-    return _parse_records(text, "prediction", sample, tolerate, _sample_keys, canonical)
+    return _parse_records(text, "prediction", read, tolerate)
 
 
 def load_predictions(path, *, strict: bool = True,
@@ -564,7 +536,8 @@ def parse_profiles(text: str | Iterable[str], *,
     tolerate = _Tolerance(strict)
     ids: set[str] = set()
     ranks: dict[int, str] = {}
-    def profile(record, where):
+    def read(line, where):
+        record = _record(line)
         _check_keys(record, _PROFILE_KEYS, where, tolerate)
         model_id = check_cell(record.get("id"), "id", errors.ParseError)
         if model_id in ids:
@@ -581,7 +554,7 @@ def parse_profiles(text: str | Iterable[str], *,
                 raise errors.DuplicateRank(f"rank {rank} already used by {ranks[rank]!r}")
             ranks[rank] = model_id
         return profile
-    return list(_parse_records(text, "profile", profile, tolerate))
+    return list(_parse_records(text, "profile", read, tolerate))
 
 
 def load_profiles(path, *, strict: bool = True) -> list[ModelProfile]:
@@ -735,56 +708,45 @@ def load_fused(path, *, strict: bool = True,
     ``fullmatch`` of a template of it, as :func:`parse_predictions` reads a
     corpus line: strings without escapes, a text of ``alphabet`` symbols
     only, a count of at most 18 digits and one or more contributors. Any
-    other line is decoded as JSON.
-    There, a text of ``alphabet`` symbols only is accepted inline, and so are
-    counts of their written types and contributors that are all non-empty
-    ASCII strings; any other value goes through the rule that names what is
-    wrong with it, the rule :class:`FusedRecord` applies. A repeated sample id
-    is an error when ``strict``; otherwise the first record is kept and each
-    repeat warned about and ignored. An invalid ``alphabet`` is rejected
-    before the file is read.
+    other line is decoded as JSON, and each of its values goes through the
+    rule that names what is wrong with it, the rule :class:`FusedRecord`
+    applies; the text is normalized and must come out unchanged. Within a
+    line, unknown fields are checked first, then missing ones, then each
+    field in its written order, and a repeated sample id last: an error when
+    ``strict``; otherwise the first record is kept and each repeat warned
+    about and ignored. An invalid ``alphabet`` is rejected before the file is
+    read.
     """
     check_alphabet(alphabet)
     tolerate = _Tolerance(strict)
     seen_ids: set[str] = set()
     symbols = _symbols_group(alphabet)
     template = symbols and _fused_template(symbols)
-    def canonical(line, where):
-        match = template(line)
-        if match is None:
-            return _DECLINED
-        sample_id, dataset, text, votes, tie_broken, contributors = match.groups()
-        if _first(sample_id, seen_ids, where, tolerate):
-            return FusedRecord._trusted(sample_id, dataset, text, int(votes),
-                                        tie_broken == "true",
-                                        tuple(contributors.split('","')))
-    def fused(record, where):
-        _check_keys(record, _FUSED_KEYS, where, tolerate)
-        try:
-            sample_id, dataset, text, votes, tie_broken, contributors = [
-                record[name] for name in _FUSED_FIELDS]
-        except KeyError as exc:
-            raise errors.ParseError(f"missing field {exc.args[0]!r}") from None
-        check_identifier(sample_id, "sample_id", errors.ParseError)
-        check_cell(dataset, "dataset", errors.ParseError)
-        if type(text) is not str or not text or text.strip(alphabet):
+    def read(line, where):
+        if template and (match := template(line)):
+            sample_id, dataset, text, votes, tie_broken, contributors = match.groups()
+            votes, tie_broken = int(votes), tie_broken == "true"
+            contributors = tuple(contributors.split('","'))
+        else:
+            record = _record(line)
+            _check_keys(record, _FUSED_KEYS, where, tolerate)
+            try:
+                sample_id, dataset, text, votes, tie_broken, contributors = [
+                    record[name] for name in _FUSED_FIELDS]
+            except KeyError as exc:
+                raise errors.ParseError(f"missing field {exc.args[0]!r}") from None
+            check_identifier(sample_id, "sample_id", errors.ParseError)
+            check_cell(dataset, "dataset", errors.ParseError)
             norm = _normalized(text, "text", alphabet)
             if norm != text:
                 raise errors.ParseError(
                     f"text {text!r} is not normalized (expected {norm!r})")
-        try:
-            canonical = (type(votes) is int and votes >= 0 and type(tie_broken) is bool
-                         and type(contributors) is list
-                         and "".join(contributors).isascii() and "" not in contributors)
-        except TypeError:  # a contributor that is not a string
-            canonical = False
-        if not canonical:
             _check_fused_fields(votes, tie_broken, contributors, errors.ParseError)
+            contributors = tuple(contributors)
         if _first(sample_id, seen_ids, where, tolerate):
             return FusedRecord._trusted(sample_id, dataset, text, votes, tie_broken,
-                                        tuple(contributors))
-    return _parse_records(_read_lines(path), "fused", fused, tolerate,
-                          match_line=canonical if template else None)
+                                        contributors)
+    return _parse_records(_read_lines(path), "fused", read, tolerate)
 
 
 # --- synthetic config -------------------------------------------------------------
@@ -795,7 +757,7 @@ def parse_synth_config(text: str) -> SynthConfig:
     Every rejection names the config (``config: ...``), whether the JSON,
     a field or a value of :class:`~platefuse.synth.SynthConfig` is at fault.
     """
-    record = _json(text, "config", unique=True)
+    record = _json(text, "config: ", unique=True)
     try:
         if not isinstance(record, dict):
             raise errors.ParseError("document is not an object")

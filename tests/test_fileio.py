@@ -686,7 +686,7 @@ _CORRUPTIONS = {
         "missing-field": (lambda r: _without(r, "predictions"), errors.ParseError),
         "duplicate-id": (lambda r: {**r, "sample_id": "s0"}, errors.ParseError),
         "report-character": (lambda r: {**r, "dataset": "gate,cam"}, errors.ParseError),
-        # Prediction values that are not canonical, so none is accepted inline.
+        # Prediction values that are not in the form their writer gives them.
         "integer-confidence": (lambda r: _prediction(r, confidence=2),
                                errors.InvalidConfidence),
         "bool-confidence": (lambda r: _prediction(r, confidence=True),
@@ -791,9 +791,9 @@ def test_eval_fused_rejects_what_fuse_rejects(tmp_path, capsys, case):
         assert capsys.readouterr().err == fuse_err == f"error: {built[1]}\n"
 
 
-# Each predictions rejection, recorded before canonical values were accepted
-# inline: strict message, then the tolerant outcome where it differs (None:
-# the fault is ignored). A JSON rejection reads as json.loads's own message.
+# Each predictions rejection, as each value's one rule gives it: strict
+# message, then the tolerant outcome where it differs (None: the fault is
+# ignored). A JSON rejection reads as json.loads's own message.
 _JSON_REJECTION = object()
 _PREDICTION_REJECTIONS = {
     "bad-json": _JSON_REJECTION,
@@ -919,7 +919,7 @@ def test_reformat_report_line_rule():
 def test_json_decodes_as_json_loads(text):
     # The one-scan route must give json.loads's value or message.
     try:
-        got = repr(fileio._json(text, "where"))
+        got = repr(fileio._json(text, "where: "))
     except errors.ParseError as exc:
         got = str(exc)
     assert got == _loads_outcome(text, "where")

@@ -614,6 +614,106 @@ def test_a_file_of_one_line_repeated_keeps_the_first_and_a_blank_file_is_empty()
         (errors.EmptyFile, "no prediction records found"), [])
 
 
+# --- lines with two faults ----------------------------------------------------------
+
+# A line with two faults reports the one its checks reach first: unknown record
+# fields, the sample id, the dataset and the ground truth, then each prediction
+# in line order, and a repeated sample id last. Tolerant mode logs an ignored
+# fault before it reaches the rejection. Each case: the line's fields (fused:
+# the second line's, after one of sample id "s0"), its layouts, the strict
+# rejection, and the tolerant one with its warnings.
+_GROUND_TRUTH = (errors.SymbolOutsideAlphabet,
+                 "line 3: ground_truth: symbol '#' in 'A#' is not in the alphabet")
+_M0_TEXT = (errors.SymbolOutsideAlphabet,
+            "line 3: model 'm0': text: symbol '#' in 'B#' is not in the alphabet")
+_TWO_FAULT_CORPUS_LINES = {
+    "ground truth, then text": (
+        dict(ground_truth='"A#"', entries=[('"m0"', '"B#"', "0.5"),
+                                           ('"m1"', '"AB"', "0.25")]), [],
+        _GROUND_TRUTH, (_GROUND_TRUTH, [])),
+    "ground truth, then unknown prediction field": (
+        dict(ground_truth='"A#"'), ["entry-unknown-key"],
+        _GROUND_TRUTH, (_GROUND_TRUTH, [])),
+    "unknown record field, then ground truth": (
+        dict(ground_truth='"A#"'), ["unknown-key"],
+        (errors.ParseError, "line 3: unknown field(s) 'note'"),
+        (_GROUND_TRUTH, ["line 3: unknown field(s) 'note' (ignored)"])),
+    "unknown prediction field, then text": (
+        dict(entries=[('"m0"', '"B#"', "0.5"), ('"m1"', '"AB"', "0.25")]),
+        ["entry-unknown-key"],
+        (errors.ParseError, "line 3: model 'm0': unknown field(s) 'note'"),
+        (_M0_TEXT, ["line 3: model 'm0': unknown field(s) 'note' (ignored)"])),
+    "confidence, then a later text": (
+        dict(entries=[('"m0"', '"AB"', "1.5"), ('"m1"', '"B#"', "0.25")]), [],
+        (errors.InvalidConfidence, "line 3: model 'm0': confidence 1.5 outside [0, 1]"),
+        None),
+    "text, then a later confidence": (
+        dict(entries=[('"m0"', '"B#"', "0.5"), ('"m1"', '"AB"', "1.5")]), [],
+        _M0_TEXT, None),
+    "sample id, then dataset": (
+        dict(sample_id='""', dataset='"a,b"'), [],
+        (errors.ParseError, "line 3: sample_id must be a non-empty string"), None),
+    "dataset, then ground truth": (
+        dict(dataset='"a,b"', ground_truth='"-"'), [],
+        (errors.ParseError, "line 3: dataset 'a,b' holds a comma or line break"), None),
+    "text, then repeated sample id": (
+        dict(sample_id='"prime1"', entries=[('"m0"', '"AB"', "0.5"),
+                                            ('"m1"', '"B#"', "0.25")]), [],
+        (errors.SymbolOutsideAlphabet,
+         "line 3: model 'm1': text: symbol '#' in 'B#' is not in the alphabet"), None),
+    # The template matches this line: its ground-truth group admits "A#".
+    "ground truth, then repeated sample id": (
+        dict(sample_id='"prime1"', ground_truth='"A#"'), [], _GROUND_TRUTH, None),
+}
+_TWO_FAULT_FUSED_LINES = {
+    "text, then winning votes": (
+        dict(text='"ab"', winning_votes="-1"), [],
+        (errors.ParseError, "line 2: text 'ab' is not normalized (expected 'AB')"), None),
+    "winning votes, then tie flag": (
+        dict(winning_votes="-1", tie_broken="1"), [],
+        (errors.ParseError,
+         "line 2: winning_votes must be a non-negative integer, got -1"), None),
+    "unknown field, then text": (
+        dict(text='"A#"'), ["unknown-key"],
+        (errors.ParseError, "line 2: unknown field(s) 'note'"),
+        ((errors.SymbolOutsideAlphabet,
+          "line 2: text: symbol '#' in 'A#' is not in the alphabet"),
+         ["line 2: unknown field(s) 'note' (ignored)"])),
+    "text, then repeated sample id": (
+        dict(sample_id='"s0"', text='"ab"'), [],
+        (errors.ParseError, "line 2: text 'ab' is not normalized (expected 'AB')"), None),
+    "contributors, then repeated sample id": (
+        dict(sample_id='"s0"', contributors='[""]'), [],
+        (errors.ParseError, "line 2: contributor must be a non-empty string"), None),
+}
+
+
+def _check_two_faults(outcomes, strict, tolerant):
+    with_templates, general, _ = outcomes
+    assert with_templates == general
+    assert general == [(strict, []), tolerant or (strict, [])]
+
+
+@pytest.mark.parametrize("case", _TWO_FAULT_CORPUS_LINES)
+def test_a_corpus_line_with_two_faults_reports_the_first_checked(case):
+    values, layouts, strict, tolerant = _TWO_FAULT_CORPUS_LINES[case]
+    line = _line(_corpus_fields(DEFAULT_ALPHABET, **values), layouts)
+    text = "\n".join([_priming(("m0", "m1"), DEFAULT_ALPHABET, 1),
+                      _priming(("m0", "m1"), DEFAULT_ALPHABET, 2), line])
+    _check_two_faults(_both_paths(lambda strict: fileio.parse_predictions(
+        text, strict=strict)), strict, tolerant)
+
+
+@pytest.mark.parametrize("case", _TWO_FAULT_FUSED_LINES)
+def test_a_fused_line_with_two_faults_reports_the_first_checked(fused_path, case):
+    values, layouts, strict, tolerant = _TWO_FAULT_FUSED_LINES[case]
+    lines = [_line(_fused_fields(DEFAULT_ALPHABET, sample_id='"s0"')),
+             _line(_fused_fields(DEFAULT_ALPHABET, **values), layouts)]
+    fused_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _check_two_faults(_both_paths(lambda strict: fileio.load_fused(
+        fused_path, strict=strict)), strict, tolerant)
+
+
 # --- template builds are bounded ----------------------------------------------------
 
 def _builds(text):
