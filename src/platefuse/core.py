@@ -300,7 +300,9 @@ class Ensemble(Mapping):
             # From a list, not from map: a tuple built from map is resized
             # into place, so the tuples freed meanwhile pile up on the
             # interpreter's free list (~80 KB more in a 600-sample sweep).
-            confs = tuple(list(map(float, confs)))
+            # A display, not list(): list() never takes its list from the
+            # free list, so each decode would leave one more there, up to 80.
+            confs = tuple([*map(float, confs)])
             _SET_CONFS(self, confs)
         return confs
 
@@ -478,13 +480,14 @@ class FusionResult:
     ``winning_votes`` is the winning vote count for mv, the number of
     predictions exactly equal to the output for mvcp, and 0 for hc.
     ``contributors`` holds the models whose prediction equals the output
-    (hc/mv) or that supplied at least one winning character (mvcp).
+    (hc/mv) or that supplied at least one winning character (mvcp), in
+    model-id order.
     """
 
     text: str
     winning_votes: int
     tie_broken: bool
-    contributors: frozenset[str]
+    contributors: tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=8)
@@ -555,7 +558,7 @@ def hc_fuse(predictions: Mapping[str, Prediction],
         idx, tie = kernels.hc_select([confs[i] for i in entries])
         idx = entries[idx]
     text = ensemble.texts[idx]
-    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
+    contributors = tuple(compress(ensemble.ids, map(text.__eq__, ensemble.texts)))
     return FusionResult(text, 0, tie, contributors)
 
 
@@ -574,7 +577,7 @@ def mv_fuse(predictions: Mapping[str, Prediction],
     if tie:
         text, votes, tie = kernels.mv_select(
             [texts[i] for i in _prepare(ensemble, position is None, position)])
-    contributors = frozenset(compress(ensemble.ids, map(text.__eq__, texts)))
+    contributors = tuple(compress(ensemble.ids, map(text.__eq__, texts)))
     return FusionResult(text, votes, tie, contributors)
 
 
@@ -595,7 +598,7 @@ def mvcp_fuse(predictions: Mapping[str, Prediction],
         fused, tie = kernels.mvcp_select(
             [texts[i] for i in _prepare(ensemble, position is None, position)])
     first = fused[0]
-    contributors = frozenset(compress(ensemble.ids, [
+    contributors = tuple(compress(ensemble.ids, [
         t[0] == first or any(map(str.__eq__, t, fused)) for t in texts]))
     return FusionResult(fused, texts.count(fused), tie, contributors)
 

@@ -151,7 +151,9 @@ def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     Lines end at ``"\\n"`` only, so numbers match those of :func:`read_text`'s
     decode errors and characters such as U+2028 stay inside their line. One
     ``"\\r"`` before the ``"\\n"`` is dropped; any other carriage return (a
-    ``"\\r"``-only file, say) is rejected.
+    ``"\\r"``-only file, say) is rejected. A line of spaces and tabs, the
+    JSON whitespace left in it, is blank; one of other whitespace, such as
+    U+00A0 or U+2028, is not, and its reader rejects it.
     """
     if isinstance(lines, str):
         lines = lines.split("\n")
@@ -159,7 +161,7 @@ def _lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
         line = line.removesuffix("\n").removesuffix("\r")
         if "\r" in line:
             raise errors.ParseError(f"line {number}: carriage return inside a line")
-        if line.strip():
+        if line.strip(" \t"):
             yield number, line
 
 
@@ -646,11 +648,9 @@ class FusedRecord:
 
     @classmethod
     def from_result(cls, sample: Sample, result: FusionResult) -> FusedRecord:
-        """The record of ``result``, the fusion of ``sample``: its
-        contributors sorted."""
+        """The record of ``result``, the fusion of ``sample``."""
         return cls._trusted(sample.sample_id, sample.dataset, result.text,
-                            result.winning_votes, result.tie_broken,
-                            tuple(sorted(result.contributors)))
+                            result.winning_votes, result.tie_broken, result.contributors)
 
 
 _FUSED_FIELDS = tuple(f.name for f in fields(FusedRecord))

@@ -7,12 +7,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import platefuse
 from platefuse import Prediction, fileio
 
 DATA_DIR = Path(__file__).parent / "data"
 SHOWCASE_PATH = DATA_DIR / "showcase_plates.jsonl"
 
 TOP5_RANKING = ("ViTSTR-Base", "STAR-Net", "TRBA", "CR-NET", "RARE")
+
+# A generator config with insertions, deletions, a non-ASCII alphabet and
+# more than two blocks of samples.
+INDEL_CONFIG = {
+    "seed": 5, "n_models": 3, "n_samples": 150, "plate_length": 5, "alphabet": "ÄÖ€ΩZ",
+    "per_model": [{"insertion_rate": 0.2, "deletion_rate": 0.2},
+                  {"per_char_sub_rate": 0.3, "deletion_rate": 0.1},
+                  {"insertion_rate": 0.1}],
+}
+
+
+def pytest_report_header():
+    # The suite tests whichever copy of platefuse it imports: this line says which.
+    return f"platefuse: {platefuse.__file__}"
 
 
 def P(text: str, confidence: float) -> Prediction:

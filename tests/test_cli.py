@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SHOWCASE_PATH, TOP5_RANKING
+from conftest import INDEL_CONFIG, SHOWCASE_PATH, TOP5_RANKING
 from platefuse import (
     ErrorModel,
     FusionStrategy,
+    ModelProfile,
     SynthConfig,
     apply_strategy,
     cli,
@@ -200,6 +201,86 @@ def test_a_report_on_stdout_is_the_file_bytes_under_any_stdout_encoding(
             cwd=tmp_path, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def route_files(tmp_path_factory):
+    """The files the route cases read, by name."""
+    work = tmp_path_factory.mktemp("routes")
+    files = {name: work / f"{name}.jsonl" for name in (
+        "corpus", "indel", "profiles", "speed", "fused", "corpus_spaced", "fused_spaced",
+        "accented", "accented_fused")}
+    fileio.dump_predictions(generate(SynthConfig(seed=1, n_models=3, n_samples=50,
+                                                 plate_length=7)), files["corpus"])
+    fileio.dump_predictions(generate(fileio.parse_synth_config(json.dumps(INDEL_CONFIG))),
+                            files["indel"])
+    # Latencies that order the models as their ranks do, and otherwise.
+    for name, latencies in (("profiles", (4.5, 6.5, 9.5)), ("speed", (9.5, 4.5, 6.5))):
+        fileio.dump_profiles([ModelProfile(f"m{j:02d}", latency, j + 1)
+                              for j, latency in enumerate(latencies)], files[name])
+    assert run("fuse", "--input", str(files["corpus"]), "--strategy", "mv-hc",
+               "--output", str(files["fused"])) == 0
+    for name in ("corpus", "fused"):
+        spaced = [json.dumps(json.loads(line)) + "\n"
+                  for line in files[name].read_text(encoding="utf-8").splitlines()]
+        assert spaced[0].startswith('{"sample_id": ')
+        files[f"{name}_spaced"].write_text("".join(spaced), encoding="utf-8")
+    # A model id that is not ASCII, raw in the corpus and \u-escaped in the
+    # fused file: no template matches either.
+    files["accented"].write_text(files["corpus"].read_text(encoding="utf-8").replace(
+        '"m00"', '"m\u00e90"'), encoding="utf-8")
+    assert run("fuse", "--input", str(files["accented"]), "--strategy", "mvcp-hc",
+               "--output", str(files["accented_fused"])) == 0
+    assert '"m\\u00e90"' in files["accented_fused"].read_text(encoding="ascii")
+    return files
+
+
+# Each case is a command on the file route and on another route to the same
+# bytes, where a word "a|b" is a on the first and b on the second. {pipe} is
+# the first route's --input piped to a child's stdin; a *_spaced file is its
+# original re-encoded with json's default separators, which no line template
+# matches.
+_ROUTES = {
+    "pipe-fuse": "fuse --input {corpus}|{pipe} --strategy mv-hc",
+    "pipe-eval-fused": "eval --input {corpus}|{pipe} --fused {fused}",
+    "pipe-eval-strategy": "eval --input {corpus}|{pipe} --strategy mv-hc",
+    "pipe-sweep-accuracy": "sweep --input {corpus}|{pipe} --profiles {profiles}",
+    "pipe-sweep-speed": "sweep --input {corpus}|{pipe} --profiles {speed} --rank speed"
+                        " --strategies hc,mv-bm,mvcp-hc",
+    "pipe-indel-sweep-accuracy": "sweep --input {indel}|{pipe} --alphabet ÄÖ€ΩZ"
+                                 " --profiles {profiles}",
+    "pipe-indel-sweep-speed": "sweep --input {indel}|{pipe} --alphabet ÄÖ€ΩZ"
+                              " --profiles {speed} --rank speed",
+    "spaced-fuse-mv-hc": "fuse --input {corpus}|{corpus_spaced} --strategy mv-hc",
+    # hc and normalization read every confidence, which a matched line
+    # decodes only when read.
+    "spaced-fuse-hc": "fuse --input {corpus}|{corpus_spaced} --strategy hc",
+    "spaced-fuse-normalized": "fuse --input {corpus}|{corpus_spaced} --strategy mvcp-hc"
+                              " --normalize per-model-mean",
+    "spaced-eval-fused": "eval --input {corpus}|{corpus_spaced} --fused {fused}|{fused_spaced}",
+    # The model id read as a model id and as a contributor.
+    "accented-eval-fused": "eval --input {accented} --strategy|--fused mvcp-hc|{accented_fused}",
+}
+
+
+@pytest.mark.parametrize("case", _ROUTES)
+def test_every_route_gives_the_bytes_of_the_file_route(tmp_path, route_files, case):
+    words = [word.format(pipe="/dev/stdin", **route_files).split("|")
+             for word in _ROUTES[case].split()]
+    file_route, other_route = [w[0] for w in words], [w[-1] for w in words]
+    expected, out = tmp_path / "expected", tmp_path / "out"
+    assert run(*file_route, "--output", str(expected)) == 0
+    if "/dev/stdin" in other_route:
+        # As `cat corpus | platefuse ... --input /dev/stdin` reads it.
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "platefuse.cli", *other_route, "--output", str(out)],
+            input=Path(file_route[file_route.index("--input") + 1]).read_bytes(),
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert run(*other_route, "--output", str(out)) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_fuse_missing_input_fails_cleanly(tmp_path, capsys):

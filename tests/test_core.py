@@ -19,6 +19,7 @@ from oracles import (
     resolve_mv,
     resolve_mvcp,
 )
+import platefuse
 from platefuse import (
     DEFAULT_ALPHABET,
     Ensemble,
@@ -335,7 +336,7 @@ def test_hc_picks_max_confidence():
     assert result.text == "AIQ1056"
     assert result.winning_votes == 0
     assert not result.tie_broken
-    assert result.contributors == frozenset({"TRBA", "CR-NET"})
+    assert result.contributors == ("CR-NET", "TRBA")
 
 
 def test_hc_singleton():
@@ -381,7 +382,7 @@ def test_mv_strict_majority():
     assert result.text == "MRD3095"
     assert result.winning_votes == 3
     assert not result.tie_broken
-    assert result.contributors == frozenset({"TRBA", "CR-NET", "RARE"})
+    assert result.contributors == ("CR-NET", "RARE", "TRBA")
 
 
 def test_mv_tie_resolved_by_confidence():
@@ -554,8 +555,8 @@ def test_tie_flags_and_contributors_match_oracles():
         assert hc.text == resolve_hc(predictions, ranking)
         assert hc.tie_broken == (
             sum(p.confidence == top_conf for p in predictions.values()) > 1)
-        assert hc.contributors == {
-            m for m, p in predictions.items() if p.text == hc.text}
+        assert hc.contributors == tuple(
+            m for m in sorted(predictions) if predictions[m].text == hc.text)
         tied_hc += hc.tie_broken
         for tiebreak in (None, ranking):
             mv = mv_fuse(predictions, tiebreak)
@@ -563,8 +564,8 @@ def test_tie_flags_and_contributors_match_oracles():
             assert mv.text == resolve_mv(predictions, tiebreak)
             assert mv.winning_votes == top_votes
             assert mv.tie_broken == (len(tied_texts) > 1)
-            assert mv.contributors == {
-                m for m, p in predictions.items() if p.text == mv.text}
+            assert mv.contributors == tuple(
+                m for m in sorted(predictions) if predictions[m].text == mv.text)
             tied_mv += mv.tie_broken
 
             mvcp = mvcp_fuse(predictions, tiebreak)
@@ -574,11 +575,11 @@ def test_tie_flags_and_contributors_match_oracles():
                 len(chars) > 1
                 for chars in oracle_mvcp_positions(predictions, len(mvcp.text)))
             assert mvcp.tie_broken == (length_tied or position_tied)
-            assert mvcp.contributors == {
-                m for m, p in predictions.items()
-                if any(i < len(p.text) and p.text[i] == ch
+            assert mvcp.contributors == tuple(
+                m for m in sorted(predictions)
+                if any(i < len(predictions[m].text) and predictions[m].text[i] == ch
                        for i, ch in enumerate(mvcp.text))
-            }
+            )
             assert mvcp.winning_votes == sum(
                 p.text == mvcp.text for p in predictions.values())
             tied_mvcp += mvcp.tie_broken
@@ -652,6 +653,12 @@ def test_hc_without_a_ranking_settles_confidence_ties_by_model_id(predictions):
 def test_backend_reports_a_name():
     assert core.kernels is kernels
     assert backend_name() == "python"
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from platefuse import *", namespace)
+    assert set(platefuse.__all__) <= namespace.keys()
 
 
 # --- strategy dispatch --------------------------------------------------------------

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import SHOWCASE_PATH
+from conftest import INDEL_CONFIG, SHOWCASE_PATH
 from platefuse import (
     DatasetReport,
     ErrorModel,
@@ -357,22 +357,20 @@ def test_tolerant_mode_logs_the_first_fault_of_each_kind_and_counts_the_rest(
 
 
 def test_predictions_round_trip(tmp_path):
-    cfg = SynthConfig(
-        seed=303, n_models=4, n_samples=50, plate_length=6,
-        per_model=tuple(
-            ErrorModel(per_char_sub_rate=0.3, insertion_rate=0.1,
-                       deletion_rate=0.1)
-            for _ in range(4)
-        ),
-    )
-    samples = list(generate(cfg))
-    path = tmp_path / "corpus.jsonl"
-    fileio.dump_predictions(samples, path)
-    assert list(fileio.load_predictions(path)) == samples
-    # Serialization itself is deterministic.
-    first = path.read_bytes()
-    fileio.dump_predictions(samples, path)
-    assert path.read_bytes() == first
+    path, copy = tmp_path / "corpus.jsonl", tmp_path / "copy.jsonl"
+    # On an ASCII alphabet and on one that is not.
+    for cfg in (SynthConfig(seed=303, n_models=4, n_samples=50, plate_length=6,
+                            per_model=tuple(ErrorModel(per_char_sub_rate=0.3,
+                                                       insertion_rate=0.1,
+                                                       deletion_rate=0.1)
+                                            for _ in range(4))),
+                fileio.parse_synth_config(json.dumps(INDEL_CONFIG))):
+        samples = list(generate(cfg))
+        fileio.dump_predictions(samples, path)
+        assert list(fileio.load_predictions(path, alphabet=cfg.alphabet)) == samples
+        # A corpus read and written again through the API keeps its bytes.
+        fileio.dump_predictions(fileio.load_predictions(path, alphabet=cfg.alphabet), copy)
+        assert copy.read_bytes() == path.read_bytes()
 
 
 # --- profiles ----------------------------------------------------------------
@@ -592,9 +590,13 @@ def test_predictions_reject_a_repeated_key_in_both_modes(tmp_path, key, spelling
     assert json.loads(line)  # valid JSON, which keeps the last value
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(_record("predictions", 1)) + "\n" + line + "\n")
+    out = tmp_path / "fused.jsonl"
     for strict in (True, False):
         with pytest.raises(errors.ParseError, match=f"^line 2: repeated key '{key}'$"):
             list(fileio.load_predictions(path, strict=strict))
+        assert cli.main(["fuse", "--input", str(path), "--strategy", "hc",
+                         "--output", str(out), *["--strict"] * strict]) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, line, key", [
@@ -874,6 +876,25 @@ def test_unicode_line_separators_stay_inside_their_line(tmp_path, kind, separato
     assert separator in (loaded.model_id if kind == "profiles" else loaded.dataset)
 
 
+# Whitespace to str.strip(), but not to JSON.
+_NOT_BLANK = ["\xa0", "\u2028", "\x0c", "\x1c", "\u3000"]
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_only_spaces_and_tabs_make_a_blank_line(tmp_path, kind):
+    # A line of any other whitespace that str.strip() drops was skipped
+    # without a word.
+    path = tmp_path / "records.jsonl"
+    record = json.dumps(_record(kind, 0))
+    path.write_text(f"{record}\n \t\n", encoding="utf-8")
+    assert len(_LOADERS[kind](path)) == 1
+    for space in _NOT_BLANK:
+        path.write_text(f"{record}\n{space}\n", encoding="utf-8")
+        with pytest.raises(errors.ParseError,
+                           match=r"^line 2: invalid JSON \(Expecting value\)$"):
+            _LOADERS[kind](path)
+
+
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
 def test_crlf_accepted_and_bare_cr_rejected(tmp_path, kind):
     lines = [json.dumps(_record(kind, i)) for i in range(2)]
@@ -907,6 +928,9 @@ def test_reformat_report_line_rule():
         fileio.reformat_report(text.replace("\n", "\r"), "table")
     with pytest.raises(errors.ParseError, match="^line 3: expected 4 columns, found 5$"):
         fileio.reformat_report(text.replace("x,", "x,,"), "table")
+    for space in _NOT_BLANK:
+        with pytest.raises(errors.ParseError, match="^line 2: expected 4 columns, found 1$"):
+            fileio.reformat_report(text.replace("\n\n", f"\n{space}\n"), "table")
 
 
 @pytest.mark.parametrize("text", [

@@ -11,8 +11,8 @@ relation to model ids, and latencies that repeat, so the speed order falls
 back to model ids. In both sweep orders the hc, mv and mvcp votes each need
 a tie-break on many samples, and the two tie-breaks of each kind give
 different texts on some of them. The corpus bytes are pinned too, as
-`simulate` writes each dataset, and so are those of a corpus on a non-ASCII
-alphabet.
+`simulate` writes each dataset, and so are those of a corpus of the default
+error models, and of a corpus on a non-ASCII alphabet with its sweep.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from conftest import INDEL_CONFIG
 from platefuse import ErrorModel, ModelProfile, SynthConfig, cli, fileio, generate
 
 ALPHABET = "ABC"
@@ -52,11 +53,13 @@ PINS = {
     "report-eval-table": "2924657d7b0d6cf3408e49df7f81db691d4565f33dfd5a8c9b4545ca6cbae380",
     "report-sweep-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",
     "report-sweep-table": "f570f308efd53af1a613b72d0a6efdf73201beb4ab73a158bf4c2fa5bb3cebc2",
+    "simulate-default-errors": "cac9248de8c0d03e3f3d413238f291eab04bf6a30b2569c92375c03b21ccd0cc",
     "simulate-indel": "4f246a358bc1bcf42b317a062e7d6679a58a4e7c74f2090a710b14d28c6af4c0",
     "simulate-plates3": "e7da39416e3b2efe417ec76c0eca38cf6879d82e9fa1f2a143396b4591923060",
     "simulate-plates4": "65f4bd2ac321eda509ac3ac0e4b794a76640390eef8d53dc193182a260c22de0",
     "sweep-accuracy-delimited": "489a78842cd91944f16f37b740dd89a692737af9827d59a77f2655a93863fc88",
     "sweep-accuracy-table": "2e70653ee35f924b18dd59403eb7b3e7ce2000860f19cfc3abc109c360c18a45",
+    "sweep-indel": "14b73bf124e40a736ce361faf9ad050907c0b12d56f8cf987818cbcee6ab1899",
     "sweep-speed-delimited": "e1f6121f27c105227d84f5f876a17a03a56efe9f9f477f1eebb00dedd4a7f102",
     "sweep-speed-table": "d6b94a5bd8821cdbfb1b7371a3bcfb4d4c429a65b8ed48c69f64fe461a3547e4",
 }
@@ -81,16 +84,6 @@ def _corpus():
             for config in _configs() for s in generate(config)]
 
 
-# CI's corpus with insertions, deletions, a non-ASCII alphabet and more than
-# two blocks of samples.
-INDEL_CONFIG = {
-    "seed": 5, "n_models": 3, "n_samples": 150, "plate_length": 5, "alphabet": "ÄÖ€ΩZ",
-    "per_model": [{"insertion_rate": 0.2, "deletion_rate": 0.2},
-                  {"per_char_sub_rate": 0.3, "deletion_rate": 0.1},
-                  {"insertion_rate": 0.1}],
-}
-
-
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Output name -> sha256 of the bytes the CLI wrote."""
@@ -111,13 +104,22 @@ def outputs(tmp_path_factory):
     commands["eval-mvcp-hc"] = ["eval", *common, "--strategy", "mvcp-hc"]
     commands["eval-mvcp-hc-table"] = [*commands["eval-mvcp-hc"], "--format", "table"]
     # The corpus bytes: each dataset's, with confidences at exactly 1.0 and
-    # at levels shared between models, and CI's indel corpus.
+    # at levels shared between models, one of the default error models, and
+    # the indel corpus.
     configs = {f"simulate-{c.dataset}": asdict(c) for c in _configs()}
+    configs["simulate-default-errors"] = {"seed": 1, "n_models": 3, "n_samples": 50,
+                                          "plate_length": 7}
     configs["simulate-indel"] = INDEL_CONFIG
     for name, config in configs.items():
         path = work / f"{name}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         commands[name] = ["simulate", "--config", str(path)]
+    indel_profiles = work / "indel-profiles.jsonl"
+    fileio.dump_profiles([ModelProfile(f"m{j:02d}", latency, j + 1)
+                          for j, latency in enumerate((4.5, 6.5, 9.5))], indel_profiles)
+    commands["sweep-indel"] = ["sweep", "--input", str(work / "simulate-indel"),
+                               "--alphabet", INDEL_CONFIG["alphabet"],
+                               "--profiles", str(indel_profiles)]
     for rank in ("accuracy", "speed"):
         for fmt in ("delimited", "table"):
             commands[f"sweep-{rank}-{fmt}"] = [

@@ -68,7 +68,7 @@ def test_singleton_identity(model_id, text, conf):
     for strategy in _all_strategies(predictions):
         result = apply_strategy(predictions, strategy)
         assert result.text == text
-        assert result.contributors == frozenset({model_id})
+        assert result.contributors == (model_id,)
 
 
 @given(predictions_maps(max_size=4), TEXTS, CONFS)
@@ -92,8 +92,8 @@ def test_vote_count_soundness(predictions):
         result = mv_fuse(predictions, tiebreak)
         counts = Counter(p.text for p in predictions.values())
         assert result.winning_votes == counts[result.text] == max(counts.values())
-        assert result.contributors == frozenset(
-            m for m, p in predictions.items() if p.text == result.text
+        assert result.contributors == tuple(
+            m for m in sorted(predictions) if predictions[m].text == result.text
         )
 
 
@@ -157,7 +157,8 @@ def test_result_invariants(predictions):
     for strategy in _all_strategies(predictions):
         result = apply_strategy(predictions, strategy)
         assert 0 <= result.winning_votes <= n
-        assert result.contributors <= set(predictions)
+        assert result.contributors == tuple(
+            m for m in sorted(predictions) if m in result.contributors)
         if strategy.name == "hc":
             assert result.winning_votes == 0
 
